@@ -7,9 +7,9 @@ README):
 * the compiled acceptance number — the full MOM6 bench campaign runs
   at least 3x faster under the compiled backend than tree, with a
   byte-identical ``CampaignResult.to_json()``; the same ddmin campaign
-  is also timed under the batched backend (recorded, not gated —
-  delta-debug waves are narrow, so the batched win there is modest
-  and tracks wave shape rather than backend regressions);
+  under the batched backend must be no slower than compiled (waves
+  narrower than ``MIN_SWEEP_LANES`` run on the compiled path, and only
+  the wider ones sweep);
 * the batched acceptance number — a wide-wave (256-lane random-search)
   MOM6 campaign runs at least 5x faster under the batched backend than
   compiled, byte-identical JSON again;
@@ -48,11 +48,11 @@ pytestmark = pytest.mark.bench
 
 def test_mom6_campaign_speedup(bench_config):
     """The compiled acceptance gate: >= 3x on the full MOM6 bench
-    campaign.  The batched backend is timed on the same ddmin campaign
-    for the record, but not gated here — delta-debug waves are far
-    narrower than the wide waves batching is built for, so its win
-    here is modest (see ``test_mom6_wide_wave_batched_speedup`` for
-    the batched gate)."""
+    campaign.  The batched backend runs the same ddmin campaign and
+    must not be slower than compiled: its waves narrower than
+    ``MIN_SWEEP_LANES`` run on the compiled scalar path, and only the
+    wider ones sweep (see ``test_mom6_wide_wave_batched_speedup`` for
+    the wide-wave gate)."""
     # Force a cold variant cache: serving records from --cache-dir
     # would time cache lookups, not the execution backend.
     config = bench_config.overriding(cache_dir=None)
@@ -68,14 +68,14 @@ def test_mom6_campaign_speedup(bench_config):
     assert payloads["compiled"] == payloads["tree"]
     assert payloads["batched"] == payloads["tree"]
     speedup = walls["tree"] / walls["compiled"]
+    batched_ratio = walls["compiled"] / walls["batched"]
     (OUT_DIR / "backend_speedup.json").write_text(json.dumps({
         "model": "mom6",
         "tree_wall_seconds": round(walls["tree"], 2),
         "compiled_wall_seconds": round(walls["compiled"], 2),
         "batched_wall_seconds": round(walls["batched"], 2),
         "speedup": round(speedup, 2),
-        "batched_vs_compiled_ddmin": round(
-            walls["compiled"] / walls["batched"], 2),
+        "batched_vs_compiled_ddmin": round(batched_ratio, 2),
     }, indent=2) + "\n")
     print(f"\nmom6 campaign: tree {walls['tree']:.1f}s  "
           f"compiled {walls['compiled']:.1f}s  "
@@ -83,6 +83,10 @@ def test_mom6_campaign_speedup(bench_config):
     assert speedup >= 3.0, (
         f"compiled backend speedup {speedup:.2f}x below the 3x bar "
         f"(tree {walls['tree']:.1f}s, compiled {walls['compiled']:.1f}s)")
+    assert batched_ratio >= 1.0, (
+        f"batched backend slower than compiled on the ddmin campaign "
+        f"({batched_ratio:.2f}x: compiled {walls['compiled']:.1f}s, "
+        f"batched {walls['batched']:.1f}s)")
 
 
 def test_mom6_wide_wave_batched_speedup(bench_config):

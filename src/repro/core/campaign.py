@@ -69,9 +69,10 @@ from .search.base import (BatchOracle, BudgetExhausted, CampaignInterrupted,
                           SearchResult)
 from .search.deltadebug import DeltaDebugSearch
 
-__all__ = ["CONFIG_SCHEMA_VERSION", "CampaignConfig", "CampaignSummary",
-           "CampaignResult", "BatchTelemetry", "BudgetedOracle",
-           "InterruptFlag", "make_oracle", "run_campaign", "run_or_resume"]
+__all__ = ["CONFIG_SCHEMA_VERSION", "MIN_SWEEP_LANES", "CampaignConfig",
+           "CampaignSummary", "CampaignResult", "BatchTelemetry",
+           "BudgetedOracle", "InterruptFlag", "make_oracle", "run_campaign",
+           "run_or_resume"]
 
 #: Version stamped into every serialized :class:`CampaignConfig`
 #: (``schema_version`` in the wire payload).  Bump it when a wire
@@ -396,6 +397,19 @@ class BatchTelemetry:
         }
 
 
+#: Break-even wave width of the ``batched`` backend.  A serial batched
+#: wave with at least this many fresh lanes (after cache hits, journal
+#: replays and in-batch duplicates are resolved) runs as one
+#: :class:`~repro.fortran.batch.VariantBatch` sweep; a narrower one runs
+#: on the compiled scalar path, one variant at a time.  A sweep costs
+#: about as much as its longest lane plus a fixed tree-walk overhead
+#: worth several compiled runs, so narrow waves cannot pay it back.  The
+#: value minimises the worst slowdown against the faster engine over
+#: the four-model table in EXPERIMENTS.md ("Batched backend"), which
+#: ``benchmarks/wave_break_even.py`` regenerates.
+MIN_SWEEP_LANES = 8
+
+
 @dataclass
 class _BatchStats:
     """Mutable counters threaded through one ``_evaluate`` call."""
@@ -671,19 +685,8 @@ class BudgetedOracle:
                     self.evaluator.admit(record)
                 else:
                     source = "fresh"
-                    eval_started = time.perf_counter()
-                    record = self.evaluator.evaluate_assigned(assignment, vid)
-                    self.tracer.emit_span(
-                        "variant",
-                        wall_seconds=time.perf_counter() - eval_started,
-                        sim_seconds=record.eval_wall_seconds,
-                        attrs={"id": record.variant_id,
-                               "outcome": record.outcome.name})
-                    self.evaluator.admit(record)
-                    if self.cache is not None:
-                        self.cache.put(record)
-                    if self.journal is not None:
-                        self.journal.variant(batch_index, record)
+                    record = self._evaluate_scalar(batch_index, assignment,
+                                                   vid)
                     stats.dispatched += 1
                     stats.completed += 1
             if hit:
@@ -693,11 +696,35 @@ class BudgetedOracle:
             hit_flags.append(hit)
         return records, hit_flags, stats
 
+    def _evaluate_scalar(self, batch_index: int,
+                         assignment: PrecisionAssignment,
+                         vid: int) -> VariantRecord:
+        """Evaluate one fresh variant on the scalar path and commit it.
+
+        The variant span carries the evaluation's real wall time."""
+        started = time.perf_counter()
+        record = self.evaluator.evaluate_assigned(assignment, vid)
+        self.tracer.emit_span(
+            "variant", wall_seconds=time.perf_counter() - started,
+            sim_seconds=record.eval_wall_seconds,
+            attrs={"id": record.variant_id,
+                   "outcome": record.outcome.name})
+        self._commit(batch_index, record)
+        return record
+
+    def _commit(self, batch_index: int, record: VariantRecord) -> None:
+        """Admit a fresh record, then persist it to the cache and the
+        journal (the order :class:`ParallelOracle` keeps too)."""
+        self.evaluator.admit(record)
+        if self.cache is not None:
+            self.cache.put(record)
+        if self.journal is not None:
+            self.journal.variant(batch_index, record)
+
     def _evaluate_batched(
         self, assignments: list[PrecisionAssignment]
     ) -> tuple[list[VariantRecord], list[bool], _BatchStats]:
-        """Serial batched sweep: resolve hits up front, then evaluate
-        every remaining variant in one vectorized wave.
+        """Serial batched oracle: plan the wave, then choose its executor.
 
         The plan phase mirrors :class:`ParallelOracle` exactly — ids are
         reserved in batch order for first-occurrence misses, in-batch
@@ -705,6 +732,12 @@ class BudgetedOracle:
         memory hits — so records, events, and journal rows are
         bit-identical to the scalar serial path (the three-way
         differential fuzzer and the golden digests gate this).
+
+        The number of fresh lanes then picks the executor.  A wave of at
+        least :data:`MIN_SWEEP_LANES` runs as one vectorized sweep; a
+        narrower one runs exactly as ``backend="compiled"`` would: one
+        scalar evaluation per lane, each with a wall-timed variant span,
+        an interrupt poll, and its journal and cache writes.
         """
         stats = _BatchStats()
         batch_index = len(self.telemetry)
@@ -743,39 +776,13 @@ class BudgetedOracle:
             plan.append(("task", len(tasks) - 1, None))
         stats.dispatched = len(tasks)
 
-        results: dict[int, VariantRecord] = {}
-        if tasks:
-            # One lockstep sweep for the whole wave.  The lowering span
-            # records the wave's width and how many lanes stayed on the
-            # vector path; per-variant wall time is not observable when
-            # lanes interleave, so variant spans trace with unknown
-            # wall (exactly like worker-evaluated variants).
-            sweep_started = time.perf_counter()
-            fresh = self.evaluator.evaluate_assigned_batch(tasks)
-            bstats = self.evaluator.last_batch_stats
-            if bstats is not None:
-                stats.vector_lanes += bstats.vector_lanes
-                stats.fallback_lanes += bstats.fallback_lanes
-            self.tracer.emit_span(
-                "lowering",
-                wall_seconds=time.perf_counter() - sweep_started,
-                sim_seconds=0.0,
-                attrs={"batch": batch_index, "width": len(tasks),
-                       "vector_lanes":
-                           bstats.vector_lanes if bstats else len(tasks),
-                       "fallback_lanes":
-                           bstats.fallback_lanes if bstats else 0})
-            for (assignment, vid), record in zip(tasks, fresh):
-                results[vid] = record
-                self.evaluator.admit(record)
-                if self.cache is not None:
-                    self.cache.put(record)
-                if self.journal is not None:
-                    self.journal.variant(batch_index, record)
-                stats.completed += 1
+        swept = len(tasks) >= MIN_SWEEP_LANES
+        fresh = (dict(enumerate(self._sweep(batch_index, tasks, stats)))
+                 if swept else {})
 
         # Resolve the plan in batch order, emitting each record exactly
-        # as the scalar serial oracle would.
+        # as the scalar serial oracle would.  An unswept wave evaluates
+        # each lane here, on its first occurrence.
         records: list[VariantRecord] = []
         hit_flags: list[bool] = []
         emitted: set[int] = set()
@@ -785,8 +792,11 @@ class BudgetedOracle:
                 hit_flags.append(True)
                 self._emit_variant(batch_index, payload, source)
                 continue
-            _, vid = tasks[payload]
-            record = results[vid]
+            if payload not in fresh:
+                self._check_interrupt()
+                fresh[payload] = self._evaluate_scalar(batch_index,
+                                                       *tasks[payload])
+            record = fresh[payload]
             records.append(record)
             if payload in emitted:
                 hit_flags.append(True)
@@ -794,13 +804,40 @@ class BudgetedOracle:
             else:
                 hit_flags.append(False)
                 emitted.add(payload)
-                self.tracer.emit_span(
-                    "variant", wall_seconds=None,
-                    sim_seconds=record.eval_wall_seconds,
-                    attrs={"id": record.variant_id,
-                           "outcome": record.outcome.name})
+                if swept:
+                    # Lanes interleave in a sweep, so a swept variant's
+                    # own wall time is unknown (like a worker-evaluated
+                    # one's); the wave's wall is on its lowering span.
+                    self.tracer.emit_span(
+                        "variant", wall_seconds=None,
+                        sim_seconds=record.eval_wall_seconds,
+                        attrs={"id": record.variant_id,
+                               "outcome": record.outcome.name})
                 self._emit_variant(batch_index, record, "fresh")
+        stats.completed = len(fresh)
         return records, hit_flags, stats
+
+    def _sweep(self, batch_index: int,
+               tasks: list[tuple[PrecisionAssignment, int]],
+               stats: _BatchStats) -> list[VariantRecord]:
+        """Run *tasks* as one lockstep sweep and commit its records.
+
+        The lowering span records the wave's wall, its width, how many
+        lanes stayed on the vector path, and why the others fell back."""
+        started = time.perf_counter()
+        records, sweep = self.evaluator.evaluate_assigned_batch(tasks)
+        stats.vector_lanes = sweep.vector_lanes
+        stats.fallback_lanes = sweep.fallback_lanes
+        self.tracer.emit_span(
+            "lowering", wall_seconds=time.perf_counter() - started,
+            sim_seconds=0.0,
+            attrs={"batch": batch_index, "width": len(tasks),
+                   "vector_lanes": sweep.vector_lanes,
+                   "fallback_lanes": sweep.fallback_lanes,
+                   "fallback_reasons": dict(sweep.fallback_reasons)})
+        for record in records:
+            self._commit(batch_index, record)
+        return records
 
     def close(self) -> None:
         """Release execution resources (worker pools); idempotent."""

@@ -40,9 +40,12 @@ __all__ = ["BACKENDS", "STAGES", "ProcPerf", "VariantRecord", "Evaluator",
 #: Execution backends for the Fortran interpreter.  ``compiled`` lowers
 #: each procedure once into Python closures (see
 #: :mod:`repro.fortran.compile`); ``tree`` is the reference tree walker;
-#: ``batched`` evaluates whole variant waves in one lockstep sweep with
-#: a leading lane axis (see :mod:`repro.fortran.batch`), falling back
-#: per-lane to the compiled scalar path on divergence.  All three are
+#: ``batched`` evaluates waves of at least
+#: :data:`~repro.core.campaign.MIN_SWEEP_LANES` fresh variants in one
+#: lockstep sweep with a leading lane axis (see
+#: :mod:`repro.fortran.batch`), falling back per-lane to the compiled
+#: scalar path on divergence, and runs narrower waves on the compiled
+#: scalar path one variant at a time.  All three are
 #: bit-identical in observables and ledger charges — the differential
 #: fuzz suite and the golden-digest tests pin this — so the backend
 #: deliberately does NOT appear in :func:`evaluation_context`: caches
@@ -153,15 +156,12 @@ class Evaluator:
             rsd=model.noise_rsd, base_seed=seed)
         self.n_runs = model.n_runs
         self.backend = backend
-        #: Statistics of the most recent vectorized wave (``batched``
-        #: backend only) — consumed by the oracle for telemetry.
-        self.last_batch_stats = None
         if backend in ("compiled", "batched"):
             # Imported here: repro.fortran is a sibling package whose
             # import is deferred until an evaluator actually needs it.
             # The batched backend uses the compiled scalar path for the
-            # baseline and for width-1 evaluations (bit-identical by
-            # the differential-fuzz contract).
+            # baseline and for waves too narrow to sweep (bit-identical
+            # by the differential-fuzz contract).
             from ..fortran.compile import CompiledInterpreter
             self._interpreter_factory = CompiledInterpreter
         else:
@@ -302,21 +302,23 @@ class Evaluator:
 
     def evaluate_assigned_batch(
         self, tasks: list[tuple[PrecisionAssignment, int]]
-    ) -> list[VariantRecord]:
+    ) -> tuple[list[VariantRecord], "BatchStats"]:
         """Evaluate a wave of (assignment, vid) pairs in one sweep.
 
-        Under the ``batched`` backend the whole wave executes in a
-        single :class:`~repro.fortran.batch.VariantBatch` — per-variant
-        kind overlays become per-lane dtype masks, and lanes whose
-        control flow the lockstep engine cannot keep converged fall
-        back individually to the compiled scalar path.  Every record is
+        The whole wave executes in a single
+        :class:`~repro.fortran.batch.VariantBatch` — per-variant kind
+        overlays become per-lane dtype masks, and lanes whose control
+        flow the lockstep engine cannot keep converged fall back
+        individually to the compiled scalar path.  Every record is
         bit-identical to what :meth:`evaluate_assigned` produces for
         the same pair (the three-way differential fuzzer and the golden
-        digests gate this).  Other backends, and width-1 waves, simply
-        loop over :meth:`evaluate_assigned`.
+        digests gate this).  Returns the records in task order together
+        with the sweep's :class:`~repro.fortran.batch.BatchStats`.
+
+        Whether a wave is worth sweeping is the oracle's decision
+        (:data:`~repro.core.campaign.MIN_SWEEP_LANES`); this method
+        sweeps whatever it is given, a single task included.
         """
-        if self.backend != "batched" or len(tasks) <= 1:
-            return [self.evaluate_assigned(a, vid) for a, vid in tasks]
         from ..fortran.batch import VariantBatch
         overlays = [a.overlay() for a, _ in tasks]
         batch = VariantBatch(self.model.index, overlays,
@@ -329,8 +331,7 @@ class Evaluator:
                 assignment, vid,
                 lambda index, overlay=None, vec_info=None, max_ops=None,
                 view=view: view))
-        self.last_batch_stats = batch.stats()
-        return records
+        return records, batch.stats()
 
     def _evaluate_with(self, assignment: PrecisionAssignment, vid: int,
                        factory) -> VariantRecord:

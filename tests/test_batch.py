@@ -15,6 +15,11 @@ pin the three shape properties the campaign integration relies on:
   a NaN store, whose scalar/array bit semantics NumPy does not keep
   consistent) are byte-identical to a pure compiled run, and lanes
   that stay vectorized are unaffected by their fallen-back neighbours.
+
+The oracle-level tests pin the executor choice: a batched wave sweeps
+only when it has at least ``MIN_SWEEP_LANES`` fresh lanes and otherwise
+runs on the compiled scalar path, with the same campaign bytes and with
+lane telemetry and trace spans that say which executor ran.
 """
 
 from __future__ import annotations
@@ -24,12 +29,17 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import CampaignConfig, CampaignInterrupted, run_campaign
 from repro.core.assignment import PrecisionAssignment
+from repro.core.campaign import (MIN_SWEEP_LANES, BudgetedOracle,
+                                 InterruptFlag)
 from repro.core.evaluation import Evaluator
 from repro.fortran import (CompiledInterpreter, OutBox, VariantBatch,
                            analyze, analyze_program, parse_source)
 from repro.fortran.symbols import KIND_DOUBLE, KIND_SINGLE
 from repro.models import FunarcCase
+from repro.models.base import ModelCase
+from repro.obs.tracing import Tracer, load_trace
 from repro.perf import ledger_fingerprint
 
 
@@ -158,7 +168,9 @@ class TestBatchOfOne:
         assignment = PrecisionAssignment(atoms=space.atoms, kinds=kinds)
         batched = Evaluator(model, backend="batched")
         compiled = Evaluator(model, backend="compiled")
-        (record,) = batched.evaluate_assigned_batch([(assignment, 7)])
+        (record,), stats = batched.evaluate_assigned_batch(
+            [(assignment, 7)])
+        assert (stats.vector_lanes, stats.fallback_lanes) == (1, 0)
         assert record == compiled.evaluate_assigned(assignment, 7)
 
 
@@ -227,3 +239,163 @@ class TestScalarFallback:
         obs_bytes, dtype = arts[0]["observable"]
         assert np.isnan(np.frombuffer(obs_bytes, dtype=dtype)[0])
         assert arts[0] == compiled
+
+
+#: _FALLBACK_SOURCE's NaN store plus four harmless reals, so a campaign
+#: wave can hold MIN_SWEEP_LANES distinct variants that keep ``t`` in
+#: double precision (and stay vectorized) next to one that lowers it.
+_NAN_STORE_SOURCE = """\
+module ns
+  implicit none
+contains
+  subroutine kernel(out)
+    implicit none
+    real(kind=8), intent(out) :: out
+    integer :: i
+    real(kind=8) :: t, bad, a, b, c, d
+    a = 0.5d0
+    b = 0.25d0
+    c = 0.125d0
+    d = 0.0625d0
+    t = 2.0d0
+    do i = 1, 6
+      t = t * 1.25d0 - a * b + c * d
+    end do
+    if (epsilon(t) > 1.0d-10) then
+      bad = sqrt(-1.0d0)
+      t = t + bad
+    end if
+    out = t
+  end subroutine kernel
+end module ns
+"""
+
+
+class _NanStoreCase(ModelCase):
+    """A model whose variants with ``t`` in single precision store a
+    NaN, which sends their lanes to the scalar fallback."""
+
+    name = "nan-store"
+    source = _NAN_STORE_SOURCE
+    hotspot_scopes = ("ns",)
+
+    def _drive(self, interp):
+        box = OutBox(None)
+        interp.call("kernel", [box])
+        return np.asarray([float(box.value)], dtype=np.float64)
+
+    def correctness_error(self, baseline, variant):
+        return float(abs(variant[0] - baseline[0]))
+
+
+def _variants(space, count, lowered=(), kept=()):
+    """*count* distinct assignments: each lowers the atoms named in
+    *lowered*, keeps those in *kept* double, and lowers a distinct
+    non-empty subset of the rest."""
+    names = [atom.qualified for atom in space.atoms]
+    fixed = {names.index(name) for name in lowered + kept}
+    free = [i for i in range(len(names)) if i not in fixed]
+    out = []
+    for mask in range(1, count + 1):
+        low = {names.index(name) for name in lowered} | {
+            i for bit, i in enumerate(free) if mask >> bit & 1}
+        out.append(PrecisionAssignment(
+            atoms=space.atoms,
+            kinds=tuple(KIND_SINGLE if i in low else KIND_DOUBLE
+                        for i in range(len(names)))))
+    return out
+
+
+def _spans(trace_dir):
+    return [e for e in load_trace(trace_dir) if e.get("type") == "span"]
+
+
+class TestExecutorChoice:
+    def test_waves_straddling_the_threshold_match_compiled(self, tmp_path):
+        # funarc's default campaign sends waves of 1, 2, 4, 4, 8 and 8
+        # fresh variants: some below MIN_SWEEP_LANES, some at or above.
+        batched = run_campaign(FunarcCase(n=150), CampaignConfig(
+            backend="batched", trace_dir=str(tmp_path)))
+        compiled = run_campaign(FunarcCase(n=150),
+                                CampaignConfig(backend="compiled"))
+        assert batched.to_json() == compiled.to_json()
+
+        telemetry = batched.oracle.telemetry
+        narrow = [t for t in telemetry if t.dispatched < MIN_SWEEP_LANES]
+        wide = [t for t in telemetry if t.dispatched >= MIN_SWEEP_LANES]
+        assert narrow and wide, [t.dispatched for t in telemetry]
+        for t in narrow:
+            assert t.vector_lanes == t.fallback_lanes == 0
+        for t in wide:
+            assert t.vector_lanes > 0
+            assert t.vector_lanes + t.fallback_lanes == t.dispatched
+
+        # Only swept waves emit a lowering span; scalar-routed variants
+        # carry their real wall time, swept ones cannot.
+        spans = _spans(tmp_path)
+        assert [s["attrs"]["batch"] for s in spans
+                if s["name"] == "lowering"] == [t.batch_index for t in wide]
+        walls = [s["wall_seconds"] for s in spans if s["name"] == "variant"]
+        assert sum(w is not None for w in walls) == sum(
+            t.dispatched for t in narrow)
+        assert sum(w is None for w in walls) == sum(
+            t.dispatched for t in wide)
+
+    def test_narrow_waves_after_a_sweep_report_no_vector_lanes(self):
+        # Regression: lane counts used to live in a shared evaluator
+        # attribute that only a sweep set, so the waves after a sweep
+        # reported its lanes again.
+        model = FunarcCase(n=60)
+        oracle = BudgetedOracle(
+            evaluator=Evaluator(model, backend="batched"),
+            config=CampaignConfig())
+        variants = _variants(model.space, MIN_SWEEP_LANES + 2)
+        oracle.evaluate_batch(variants[:MIN_SWEEP_LANES])
+        oracle.evaluate_batch(variants[MIN_SWEEP_LANES:][:1])
+        oracle.evaluate_batch(variants[MIN_SWEEP_LANES:][1:])
+        assert [t.vector_lanes for t in oracle.telemetry] == [
+            MIN_SWEEP_LANES, 0, 0]
+        assert [t.dispatched for t in oracle.telemetry] == [
+            MIN_SWEEP_LANES, 1, 1]
+
+    def test_narrow_wave_polls_the_interrupt_between_variants(self):
+        # Like the compiled backend, a scalar-routed wave stops between
+        # variants, after the finished one is committed.
+        model = FunarcCase(n=60)
+        evaluator = Evaluator(model, backend="batched")
+        flag = InterruptFlag()
+        oracle = BudgetedOracle(evaluator=evaluator, config=CampaignConfig(),
+                                interrupt=flag)
+        evaluate = evaluator.evaluate_assigned
+
+        def evaluate_then_interrupt(assignment, vid):
+            flag.requested = True
+            return evaluate(assignment, vid)
+
+        evaluator.evaluate_assigned = evaluate_then_interrupt
+        first, second = _variants(model.space, 2)
+        with pytest.raises(CampaignInterrupted):
+            oracle.evaluate_batch([first, second])
+        assert evaluator.lookup(first) is not None
+        assert evaluator.lookup(second) is None
+
+    def test_lowering_span_lists_fallback_reasons(self, tmp_path):
+        model = _NanStoreCase()
+        oracle = BudgetedOracle(
+            evaluator=Evaluator(model, backend="batched"),
+            config=CampaignConfig(), tracer=Tracer(tmp_path))
+        # One lane lowers ``t`` and stores a NaN; the rest keep it
+        # double and stay vectorized.
+        t = ("ns::kernel::t",)
+        wave = (_variants(model.space, 1, lowered=t)
+                + _variants(model.space, MIN_SWEEP_LANES - 1, kept=t))
+        oracle.evaluate_batch(wave)
+        oracle.tracer.close()
+        (span,) = [s for s in _spans(tmp_path) if s["name"] == "lowering"]
+        attrs = span["attrs"]
+        assert (attrs["width"], attrs["vector_lanes"],
+                attrs["fallback_lanes"]) == (MIN_SWEEP_LANES,
+                                             MIN_SWEEP_LANES - 1, 1)
+        assert attrs["fallback_reasons"] == {
+            "nan store: scalar nan semantics": 1}
+        assert oracle.telemetry[0].fallback_lanes == 1

@@ -54,6 +54,12 @@ def test_campaign_json_bytes_pinned(backend, workers):
         f"workers={workers} (sha256 {digest}).  If intentional, "
         f"recompute: hashlib.sha256(run_campaign(FunarcCase(n=150), "
         f"CampaignConfig()).to_json().encode()).hexdigest()")
+    if backend == "batched" and workers == 1:
+        # The serial batched cell must really sweep: narrow waves run
+        # compiled, so a routing change could otherwise turn this cell
+        # into a second compiled cell without moving a byte.  (The
+        # worker pool ships scalar variants under every backend.)
+        assert sum(t.vector_lanes for t in result.oracle.telemetry) > 0
 
 
 def test_numerical_profile_digest_pinned():
