@@ -16,9 +16,9 @@ import time
 
 import pytest
 
-from repro.core import BatchTelemetry, CampaignConfig, run_campaign
+from repro.core import CampaignConfig, run_campaign
 from repro.models import FunarcCase
-from repro.obs import subscribes_to
+from repro.obs import BatchCompleted, subscribes_to
 
 
 def _case():
@@ -56,10 +56,10 @@ def test_resume_replays_for_free(tmp_path):
     kill_after = batches - 2
     crash_dir = str(tmp_path / "crash-journal")
 
-    @subscribes_to(BatchTelemetry)
-    def die_late(bt):
-        if bt.batch_index >= kill_after:
-            raise _KilledAfter(str(bt.batch_index))
+    @subscribes_to(BatchCompleted)
+    def die_late(ev):
+        if ev.telemetry.batch_index >= kill_after:
+            raise _KilledAfter(str(ev.telemetry.batch_index))
 
     with pytest.raises(_KilledAfter):
         run_campaign(_case(),

@@ -2,13 +2,12 @@
 
 A :class:`FaultPlan` is the deterministic description of *everything*
 that will go wrong during one campaign: which worker evaluations
-crash/hang/raise (generalizing the legacy one-shot
-``WorkerSpec.fault`` tuple), which named crash point SIGKILLs the
-campaign process on which hit, and which state-file writes are torn,
-refused (ENOSPC), fsync-degraded, or corrupted.  Plans round-trip
-through JSON so a failure scenario found by the seeded fuzzer can be
-replayed exactly (``repro chaos --plan plan.json``) and referenced in
-bug reports by digest.
+crash/hang/raise (the only worker fault-injection path), which named
+crash point SIGKILLs the campaign process on which hit, and which
+state-file writes are torn, refused (ENOSPC), fsync-degraded, or
+corrupted.  Plans round-trip through JSON so a failure scenario found
+by the seeded fuzzer can be replayed exactly (``repro chaos --plan
+plan.json``) and referenced in bug reports by digest.
 
 Determinism contract: the same plan against the same campaign config
 injects the same faults at the same logical instants regardless of

@@ -145,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true",
                    help="live per-batch progress on stderr (budget spend, "
                         "ETA, current search frontier)")
-    p.add_argument("--batch-log", action="store_true",
-                   help="deprecated alias for --progress")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable campaign result on "
                         "stdout (human output moves to stderr)")
@@ -408,10 +406,7 @@ def _cmd_tune(args) -> int:
     if args.resume and not args.journal_dir:
         raise SystemExit("error: --resume requires --journal-dir")
     subscribers = []
-    if args.progress or args.batch_log:
-        if args.batch_log and not args.progress:
-            print("note: --batch-log is deprecated; use --progress",
-                  file=sys.stderr)
+    if args.progress:
         subscribers.append(ConsoleRenderer(stream=sys.stderr))
     config = CampaignConfig(
         wall_budget_seconds=args.budget_hours * 3600.0,

@@ -41,16 +41,15 @@ import math
 import signal as _signal
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from ..chaos import ChaosEngine, FaultPlan
 from ..chaos import hooks as _chaos_hooks
 from ..chaos.hooks import crash_point
 from ..errors import CampaignError, ConfigSchemaError, ReproError
-from ..obs.bus import EventBus, subscribes_to
+from ..obs.bus import EventBus
 from ..obs.collectors import MetricsCollector
 from ..obs.events import (BackendSelected, BatchCompleted, BatchStarted,
                           CacheWarnings, CampaignFinished, CampaignStarted,
@@ -93,10 +92,8 @@ class CampaignConfig:
     """Experiment-level constants (paper §IV-A) plus execution knobs.
 
     The config is the single home for everything :func:`run_campaign`
-    needs besides the model and its (injectable) collaborators — the
-    former kwarg sprawl (``seed``/``workers``/``cache_dir``/
-    ``journal_dir``/``resume_from``/``batch_callback``) now lives here;
-    derive variations with :meth:`overriding`.
+    needs besides the model and its (injectable) collaborators; derive
+    variations with :meth:`overriding`.
     """
 
     nodes: int = 20
@@ -410,6 +407,14 @@ class BatchTelemetry:
 MIN_SWEEP_LANES = 8
 
 
+#: A fresh variant left to execute: its assignment and reserved id.
+_Task = tuple[PrecisionAssignment, int]
+#: One plan entry per assignment: ``("rec", record, source)`` for a
+#: variant resolved while planning, ``("task", index, None)`` for one
+#: resolved by executing ``tasks[index]``.
+_PlanEntry = tuple[str, object, Optional[str]]
+
+
 @dataclass
 class _BatchStats:
     """Mutable counters threaded through one ``_evaluate`` call."""
@@ -478,10 +483,15 @@ def _signal_guard(flag: InterruptFlag, enabled: bool):
 class BudgetedOracle:
     """Batch oracle enforcing the node pool and wall-clock budget.
 
-    Evaluates serially in-process; :class:`repro.core.parallel
-    .ParallelOracle` overrides :meth:`_evaluate` to fan batches out to a
-    worker pool.  Both honour the persistent result cache and charge ~0
-    simulated node-seconds for cache hits.
+    Every batch goes through :meth:`_evaluate` in three steps:
+    :meth:`_plan` resolves what is already known and reserves variant
+    ids, :meth:`_execute` runs the fresh variants, and :meth:`_resolve`
+    walks the plan in batch order, emitting each record.  Only
+    :meth:`_execute` differs between oracles: this one evaluates
+    in-process (one variant at a time, or one batched sweep), and
+    :class:`repro.core.parallel.ParallelOracle` overrides it to fan the
+    variants out to a worker pool.  All honour the persistent result
+    cache and charge ~0 simulated node-seconds for cache hits.
     """
 
     evaluator: Evaluator
@@ -489,7 +499,6 @@ class BudgetedOracle:
     cache: Optional[ResultCache] = None
     wall_seconds_used: float = 0.0
     evaluations: int = 0
-    batch_log: list[tuple[int, float]] = field(default_factory=list)
     telemetry: list[BatchTelemetry] = field(default_factory=list)
     #: Crash-safety collaborators, wired up by :func:`run_campaign`.
     journal: Optional[CampaignJournal] = None
@@ -501,10 +510,6 @@ class BudgetedOracle:
     #: before; :func:`run_campaign` wires live ones.
     bus: EventBus = field(default_factory=EventBus)
     tracer: Tracer = field(default_factory=Tracer)
-    #: Deprecated per-batch callback — superseded by bus subscribers
-    #: (``CampaignConfig.subscribers`` with
-    #: ``subscribes_to(BatchTelemetry)``); still honoured when set.
-    batch_callback: Optional[Callable[[BatchTelemetry], None]] = None
 
     def evaluate_batch(
         self, assignments: list[PrecisionAssignment]
@@ -567,7 +572,6 @@ class BudgetedOracle:
                         stage, wall_seconds=batch_wall * sim / batch_seconds,
                         sim_seconds=sim, attrs={"batch": batch_index})
         self.wall_seconds_used += batch_seconds
-        self.batch_log.append((len(records), batch_seconds))
         if self.journal is not None:
             self.journal.batch_done(batch_index, batch_seconds,
                                     self.wall_seconds_used, self.evaluations)
@@ -590,9 +594,6 @@ class BudgetedOracle:
         # that aborts the campaign (test kill hooks) leaves the batch
         # durably completed — the semantics the resume suite pins down.
         self.bus.emit(BatchCompleted(telemetry=telemetry))
-        self.bus.emit(telemetry)
-        if self.batch_callback is not None:
-            self.batch_callback(telemetry)
         crash_point("campaign.batch_committed")
         return records
 
@@ -601,9 +602,10 @@ class BudgetedOracle:
     def _check_interrupt(self) -> None:
         """Raise :class:`CampaignInterrupted` if shutdown was requested.
 
-        Polled between batches, between variants (serial), and between
-        retry rounds (parallel): the granularity at which in-flight work
-        can be abandoned without losing journaled progress."""
+        Polled between batches, between variants (while planning, and
+        before each serial evaluation), and between retry rounds
+        (parallel): the granularity at which in-flight work can be
+        abandoned without losing journaled progress."""
         if self.interrupt is not None and self.interrupt.requested:
             raise CampaignInterrupted(
                 f"campaign interrupted by {self.interrupt.reason or 'signal'}")
@@ -655,95 +657,38 @@ class BudgetedOracle:
     ) -> tuple[list[VariantRecord], list[bool], _BatchStats]:
         """Resolve one batch: (records, per-record cache-hit flags, stats).
 
-        Variant ids are reserved in batch order for cache misses — the
-        invariant every execution backend must preserve, because ids key
-        the Eq.-1 noise sampling.
+        The one batch routine every oracle shares: plan the batch, run
+        its fresh variants on this oracle's executor, then resolve the
+        plan in batch order.  Records, events, spans, journal rows and
+        cache writes are therefore the same bytes, in the same order,
+        whatever executes the variants (the three-way differential
+        fuzzer and the golden digests gate this).
         """
-        if self.evaluator.backend == "batched":
-            return self._evaluate_batched(assignments)
         stats = _BatchStats()
         batch_index = len(self.telemetry)
-        records: list[VariantRecord] = []
-        hit_flags: list[bool] = []
-        for assignment in assignments:
-            # Between-variant poll: a serial batch can be hours of real
-            # work; completed variants are already journaled, so an
-            # interrupt here loses nothing.
-            self._check_interrupt()
-            record = self.evaluator.lookup(assignment)
-            hit = record is not None
-            source = "memory"
-            if record is None:
-                vid = self.evaluator.reserve_id()
-                record, source = self._external_record(assignment.key(), vid)
-                if record is not None:
-                    hit = True
-                    if source == "replay":
-                        stats.replayed += 1
-                    else:
-                        stats.disk_hits += 1
-                    self.evaluator.admit(record)
-                else:
-                    source = "fresh"
-                    record = self._evaluate_scalar(batch_index, assignment,
-                                                   vid)
-                    stats.dispatched += 1
-                    stats.completed += 1
-            if hit:
-                stats.cache_hits += 1
-            self._emit_variant(batch_index, record, source)
-            records.append(record)
-            hit_flags.append(hit)
+        plan, tasks = self._plan(assignments, stats)
+        executed = self._execute(batch_index, tasks, stats)
+        records, hit_flags = self._resolve(batch_index, plan, tasks,
+                                           executed, stats)
         return records, hit_flags, stats
 
-    def _evaluate_scalar(self, batch_index: int,
-                         assignment: PrecisionAssignment,
-                         vid: int) -> VariantRecord:
-        """Evaluate one fresh variant on the scalar path and commit it.
+    def _plan(self, assignments: list[PrecisionAssignment],
+              stats: _BatchStats
+              ) -> tuple[list[_PlanEntry], list[_Task]]:
+        """Resolve everything the batch can without running a variant.
 
-        The variant span carries the evaluation's real wall time."""
-        started = time.perf_counter()
-        record = self.evaluator.evaluate_assigned(assignment, vid)
-        self.tracer.emit_span(
-            "variant", wall_seconds=time.perf_counter() - started,
-            sim_seconds=record.eval_wall_seconds,
-            attrs={"id": record.variant_id,
-                   "outcome": record.outcome.name})
-        self._commit(batch_index, record)
-        return record
+        Per assignment, in order: poll for an interrupt, look the variant
+        up in memory, fold it onto an earlier miss of the same batch, or
+        else reserve the next variant id and try the journal replay and
+        the persistent cache.  Ids are reserved in batch order for
+        first-occurrence misses only — the invariant every executor must
+        preserve, because ids key the Eq.-1 noise sampling.
 
-    def _commit(self, batch_index: int, record: VariantRecord) -> None:
-        """Admit a fresh record, then persist it to the cache and the
-        journal (the order :class:`ParallelOracle` keeps too)."""
-        self.evaluator.admit(record)
-        if self.cache is not None:
-            self.cache.put(record)
-        if self.journal is not None:
-            self.journal.variant(batch_index, record)
-
-    def _evaluate_batched(
-        self, assignments: list[PrecisionAssignment]
-    ) -> tuple[list[VariantRecord], list[bool], _BatchStats]:
-        """Serial batched oracle: plan the wave, then choose its executor.
-
-        The plan phase mirrors :class:`ParallelOracle` exactly — ids are
-        reserved in batch order for first-occurrence misses, in-batch
-        duplicates are folded onto one evaluation and re-emitted as
-        memory hits — so records, events, and journal rows are
-        bit-identical to the scalar serial path (the three-way
-        differential fuzzer and the golden digests gate this).
-
-        The number of fresh lanes then picks the executor.  A wave of at
-        least :data:`MIN_SWEEP_LANES` runs as one vectorized sweep; a
-        narrower one runs exactly as ``backend="compiled"`` would: one
-        scalar evaluation per lane, each with a wall-timed variant span,
-        an interrupt poll, and its journal and cache writes.
+        Returns the plan, one entry per assignment, and the tasks left
+        to execute.
         """
-        stats = _BatchStats()
-        batch_index = len(self.telemetry)
-        # ("rec", record, source) | ("task", i, None)
-        plan: list[tuple[str, object, Optional[str]]] = []
-        tasks: list[tuple[PrecisionAssignment, int]] = []
+        plan: list[_PlanEntry] = []
+        tasks: list[_Task] = []
         task_by_key: dict[tuple[int, ...], int] = {}
         for assignment in assignments:
             self._check_interrupt()
@@ -754,9 +699,9 @@ class BudgetedOracle:
                 continue
             key = assignment.key()
             if key in task_by_key:
-                # Duplicate within the wave: one lane, both rows —
-                # serial scalar execution would serve the repeat from
-                # the in-memory cache after the first evaluation.
+                # Duplicate within the batch: one evaluation, both rows —
+                # serial execution would serve the repeat from the
+                # in-memory cache after the first evaluation.
                 stats.cache_hits += 1
                 plan.append(("task", task_by_key[key], None))
                 continue
@@ -775,50 +720,101 @@ class BudgetedOracle:
             tasks.append((assignment, vid))
             plan.append(("task", len(tasks) - 1, None))
         stats.dispatched = len(tasks)
+        return plan, tasks
 
-        swept = len(tasks) >= MIN_SWEEP_LANES
-        fresh = (dict(enumerate(self._sweep(batch_index, tasks, stats)))
-                 if swept else {})
+    def _execute(self, batch_index: int,
+                 tasks: list[_Task], stats: _BatchStats
+                 ) -> Optional[list[tuple[VariantRecord, str]]]:
+        """Run the batch's fresh variants: the step oracles differ in.
 
-        # Resolve the plan in batch order, emitting each record exactly
-        # as the scalar serial oracle would.  An unswept wave evaluates
-        # each lane here, on its first occurrence.
+        Returns one committed ``(record, source)`` per task, in task
+        order, or None to have :meth:`_resolve` evaluate each task on
+        the scalar path at its first occurrence, so that events
+        interleave with evaluation.  Serially, a ``batched`` wave of at
+        least :data:`MIN_SWEEP_LANES` tasks runs as one vectorized
+        sweep; a narrower one runs exactly as ``backend="compiled"``
+        would.
+        """
+        if (self.evaluator.backend == "batched"
+                and len(tasks) >= MIN_SWEEP_LANES):
+            return [(record, "fresh")
+                    for record in self._sweep(batch_index, tasks, stats)]
+        return None
+
+    def _resolve(self, batch_index: int,
+                 plan: list[_PlanEntry], tasks: list[_Task],
+                 executed: Optional[list[tuple[VariantRecord, str]]],
+                 stats: _BatchStats
+                 ) -> tuple[list[VariantRecord], list[bool]]:
+        """Walk the plan in batch order, emitting each record's
+        resolution exactly as a scalar serial oracle would.
+
+        A task's first occurrence is the miss that paid for the
+        evaluation; its repeats within the batch are ``"memory"`` hits.
+        Returns the records and their per-record cache-hit flags.
+        """
         records: list[VariantRecord] = []
         hit_flags: list[bool] = []
-        emitted: set[int] = set()
+        resolved: dict[int, VariantRecord] = {}
         for kind, payload, source in plan:
             if kind == "rec":
-                records.append(payload)
-                hit_flags.append(True)
-                self._emit_variant(batch_index, payload, source)
-                continue
-            if payload not in fresh:
-                self._check_interrupt()
-                fresh[payload] = self._evaluate_scalar(batch_index,
-                                                       *tasks[payload])
-            record = fresh[payload]
-            records.append(record)
-            if payload in emitted:
-                hit_flags.append(True)
-                self._emit_variant(batch_index, record, "memory")
+                record, hit = payload, True
+            elif payload in resolved:
+                record, hit, source = resolved[payload], True, "memory"
             else:
-                hit_flags.append(False)
-                emitted.add(payload)
-                if swept:
-                    # Lanes interleave in a sweep, so a swept variant's
-                    # own wall time is unknown (like a worker-evaluated
-                    # one's); the wave's wall is on its lowering span.
+                hit = False
+                if executed is None:
+                    record = self._evaluate_scalar(batch_index,
+                                                   *tasks[payload])
+                    source = "fresh"
+                    stats.completed += 1
+                else:
+                    record, source = executed[payload]
+                    # Lanes interleave in a sweep and a worker's wall
+                    # never crosses the pipe, so a variant executed up
+                    # front traces with unknown wall.
                     self.tracer.emit_span(
                         "variant", wall_seconds=None,
                         sim_seconds=record.eval_wall_seconds,
                         attrs={"id": record.variant_id,
                                "outcome": record.outcome.name})
-                self._emit_variant(batch_index, record, "fresh")
-        stats.completed = len(fresh)
-        return records, hit_flags, stats
+                resolved[payload] = record
+            records.append(record)
+            hit_flags.append(hit)
+            self._emit_variant(batch_index, record, source)
+        return records, hit_flags
+
+    def _evaluate_scalar(self, batch_index: int,
+                         assignment: PrecisionAssignment,
+                         vid: int) -> VariantRecord:
+        """Evaluate one fresh variant on the scalar path and commit it.
+
+        Polls for an interrupt first: a serial batch can be hours of
+        real work, and completed variants are already journaled, so
+        stopping here loses nothing.  The variant span carries the
+        evaluation's real wall time."""
+        self._check_interrupt()
+        started = time.perf_counter()
+        record = self.evaluator.evaluate_assigned(assignment, vid)
+        self.tracer.emit_span(
+            "variant", wall_seconds=time.perf_counter() - started,
+            sim_seconds=record.eval_wall_seconds,
+            attrs={"id": record.variant_id,
+                   "outcome": record.outcome.name})
+        self._commit(batch_index, record)
+        return record
+
+    def _commit(self, batch_index: int, record: VariantRecord) -> None:
+        """Admit a fresh record, then persist it to the cache and the
+        journal."""
+        self.evaluator.admit(record)
+        if self.cache is not None:
+            self.cache.put(record)
+        if self.journal is not None:
+            self.journal.variant(batch_index, record)
 
     def _sweep(self, batch_index: int,
-               tasks: list[tuple[PrecisionAssignment, int]],
+               tasks: list[_Task],
                stats: _BatchStats) -> list[VariantRecord]:
         """Run *tasks* as one lockstep sweep and commit its records.
 
@@ -826,6 +822,7 @@ class BudgetedOracle:
         lanes stayed on the vector path, and why the others fell back."""
         started = time.perf_counter()
         records, sweep = self.evaluator.evaluate_assigned_batch(tasks)
+        stats.completed = len(records)
         stats.vector_lanes = sweep.vector_lanes
         stats.fallback_lanes = sweep.fallback_lanes
         self.tracer.emit_span(
@@ -847,16 +844,11 @@ def make_oracle(
     model,                                  # repro.models.base.ModelCase
     config: CampaignConfig,
     evaluator: Optional[Evaluator] = None,
-    seed: Optional[int] = None,
 ) -> BudgetedOracle:
-    """The oracle for *config*: serial, cached, and/or process-parallel.
-
-    *seed* overrides ``config.seed`` when given (kept for callers that
-    predate the config-first API)."""
+    """The oracle for *config*: serial, cached, and/or process-parallel."""
     if evaluator is None:
         evaluator = Evaluator(model, timeout_factor=config.timeout_factor,
-                              seed=config.seed if seed is None else seed,
-                              backend=config.backend)
+                              seed=config.seed, backend=config.backend)
     cache = None
     if config.cache_dir:
         cache = ResultCache.for_evaluator(config.cache_dir, evaluator)
@@ -998,57 +990,6 @@ class CampaignResult:
         }, sort_keys=True)
 
 
-#: Former ``run_campaign`` keyword parameters now owned by
-#: :class:`CampaignConfig` (or, for ``batch_callback``, superseded by
-#: ``config.subscribers``).  Still accepted with a DeprecationWarning.
-_LEGACY_KWARGS = ("seed", "workers", "cache_dir", "journal_dir",
-                  "resume_from", "batch_callback")
-
-
-def _telemetry_subscriber(callback: Callable[[BatchTelemetry], None]):
-    """Adapt a legacy ``batch_callback`` into a typed bus subscriber."""
-    @subscribes_to(BatchTelemetry)
-    def deliver(telemetry):
-        callback(telemetry)
-    return deliver
-
-
-def _apply_legacy_kwargs(config: CampaignConfig,
-                         legacy: dict) -> CampaignConfig:
-    """Fold deprecated ``run_campaign`` kwargs into the config.
-
-    Precedence is pinned by ``tests/test_campaign_api.py``: an explicit
-    kwarg wins over the corresponding config field (it is the more
-    specific statement of intent), and an explicit ``journal_dir`` wins
-    over ``resume_from`` for the directory choice — matching the old
-    signature's ``journal_dir or resume_from or config.journal_dir``.
-    """
-    unknown = set(legacy) - set(_LEGACY_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"run_campaign() got unexpected keyword argument(s): "
-            f"{sorted(unknown)}")
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if not supplied:
-        return config
-    warnings.warn(
-        f"run_campaign kwargs {sorted(supplied)} are deprecated; pass "
-        f"them on CampaignConfig instead (config.overriding(...), with "
-        f"resume_from -> journal_dir + resume=True and batch_callback "
-        f"-> subscribers)",
-        DeprecationWarning, stacklevel=3)
-    overrides = {k: supplied[k] for k in
-                 ("seed", "workers", "cache_dir", "journal_dir")
-                 if k in supplied}
-    if "resume_from" in supplied:
-        overrides.setdefault("journal_dir", supplied["resume_from"])
-        overrides["resume"] = True
-    if "batch_callback" in supplied:
-        overrides["subscribers"] = config.subscribers + (
-            _telemetry_subscriber(supplied["batch_callback"]),)
-    return config.overriding(**overrides)
-
-
 def _resolve_profile(model, config: CampaignConfig, algorithm):
     """Resolve the numerical profile the algorithm wants (or can use).
 
@@ -1090,7 +1031,6 @@ def run_campaign(
     config: Optional[CampaignConfig] = None,
     algorithm=None,
     evaluator: Optional[Evaluator] = None,
-    **legacy,
 ) -> CampaignResult:
     """Run the full tuning campaign for one model case.
 
@@ -1106,12 +1046,8 @@ def run_campaign(
     the exact batch where the previous process died, producing a result
     byte-identical to an uninterrupted run.  Journaling continues into
     the same directory.
-
-    The pre-redesign kwargs (``seed``/``workers``/``cache_dir``/
-    ``journal_dir``/``resume_from``/``batch_callback``) are still
-    accepted and folded into the config with a ``DeprecationWarning``.
     """
-    config = _apply_legacy_kwargs(config or CampaignConfig(), legacy)
+    config = config or CampaignConfig()
     journal_dir = config.journal_dir
     if config.resume and not journal_dir:
         raise CampaignError("resume requested but no journal directory "

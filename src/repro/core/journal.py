@@ -297,7 +297,7 @@ class CampaignJournal:
             if self.path.exists() and self.path.stat().st_size > 0:
                 raise JournalError(
                     f"campaign journal already exists at {self.path}; "
-                    f"resume it (resume_from=... / --resume) or point "
+                    f"resume it (resume=True / --resume) or point "
                     f"--journal-dir at a fresh directory")
             self._writer = JsonlAppender(self.path, kind="journal")
             crash_point("journal.header")

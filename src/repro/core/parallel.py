@@ -72,15 +72,14 @@ __all__ = ["WorkerSpec", "ParallelOracle"]
 class WorkerSpec:
     """Everything a worker process needs to rebuild the evaluator.
 
-    ``fault`` is the legacy one-shot hook for the fault-tolerance
-    suite: workers cannot be monkeypatched across the process boundary,
-    so fault injection travels with the spec.  ``chaos_faults`` is its
-    generalization, compiled from :attr:`CampaignConfig.chaos` by
-    :meth:`ParallelOracle.for_model`: per-variant ``(variant_id, mode,
-    marker_path)`` entries, where a non-empty marker path arms the
-    fault once (the marker file records that it fired; the retry
-    proceeds normally) and an empty one makes the variant *poison* —
-    every attempt fails.  Production callers leave both empty.
+    Workers cannot be monkeypatched across the process boundary, so
+    fault injection travels with the spec: ``chaos_faults`` is compiled
+    from :attr:`CampaignConfig.chaos` by :meth:`ParallelOracle.for_model`
+    into per-variant ``(variant_id, mode, marker_path)`` entries, where
+    a non-empty marker path arms the fault once (the marker file records
+    that it fired; the retry proceeds normally) and an empty one makes
+    the variant *poison* — every attempt fails.  Production callers
+    leave it empty.
     """
 
     model_name: str
@@ -88,7 +87,6 @@ class WorkerSpec:
     machine: MachineModel
     timeout_factor: float
     noise: NoiseModel
-    fault: Optional[tuple[str, str]] = None   # (mode, argument)
     backend: str = "compiled"                 # Fortran execution backend
     chaos_faults: tuple[tuple[int, str, str], ...] = ()
 
@@ -127,7 +125,6 @@ def _worker_init(spec: WorkerSpec) -> None:
         case, machine=spec.machine, timeout_factor=spec.timeout_factor,
         noise=spec.noise, backend=spec.backend)
     _WORKER["atoms"] = case.space.atoms
-    _WORKER["fault"] = spec.fault
     _WORKER["chaos_faults"] = {vid: (mode, marker)
                                for vid, mode, marker in spec.chaos_faults}
 
@@ -144,31 +141,20 @@ def _arm_once(marker: str) -> bool:
         return False
 
 
-def _fire(mode: str, detail: str) -> None:
+def _maybe_fault(vid: int) -> None:
+    """Fire the chaos fault armed for variant *vid*, if any."""
+    entry = _WORKER["chaos_faults"].get(vid)
+    if entry is None:
+        return
+    mode, marker = entry
+    if marker and not _arm_once(marker):
+        return
     if mode == "crash":
         os._exit(13)
     if mode == "hang":
         time.sleep(3600)
     if mode == "raise":
-        raise RuntimeError(detail or "injected worker fault")
-
-
-def _maybe_fault(vid: Optional[int] = None) -> None:
-    fault = _WORKER.get("fault")
-    if fault is not None:
-        mode, arg = fault
-        if mode.endswith("_once"):
-            # One-shot faults arm through a marker file so the retry
-            # (in a fresh worker) proceeds normally.
-            if _arm_once(arg):
-                _fire(mode[:-len("_once")], arg)
-        else:
-            _fire(mode, arg)
-    entry = (_WORKER.get("chaos_faults") or {}).get(vid)
-    if entry is not None:
-        mode, marker = entry
-        if not marker or _arm_once(marker):
-            _fire(mode, f"chaos fault armed for variant {vid}")
+        raise RuntimeError(f"chaos fault armed for variant {vid}")
 
 
 def _worker_evaluate(kinds: tuple[int, ...], vid: int) -> VariantRecord:
@@ -190,7 +176,11 @@ def _mp_context():
 
 @dataclass
 class ParallelOracle(BudgetedOracle):
-    """Budgeted oracle that fans cache misses out to worker processes."""
+    """Budgeted oracle that fans cache misses out to worker processes.
+
+    It plans and resolves batches exactly as :class:`BudgetedOracle`
+    does; apart from the pool's lifecycle it overrides only
+    :meth:`_execute`."""
 
     workers: int = 2
     spec: Optional[WorkerSpec] = None
@@ -217,13 +207,10 @@ class ParallelOracle(BudgetedOracle):
         config: CampaignConfig,
         evaluator: Optional[Evaluator] = None,
         cache: Optional[ResultCache] = None,
-        seed: Optional[int] = None,
-        fault: Optional[tuple[str, str]] = None,
     ) -> "ParallelOracle":
         if evaluator is None:
             evaluator = Evaluator(model, timeout_factor=config.timeout_factor,
-                                  seed=config.seed if seed is None else seed,
-                                  backend=config.backend)
+                                  seed=config.seed, backend=config.backend)
         chaos_faults: tuple[tuple[int, str, str], ...] = ()
         marker_dir: Optional[str] = None
         plan = getattr(config, "chaos", None)
@@ -241,7 +228,6 @@ class ParallelOracle(BudgetedOracle):
             machine=evaluator.machine,
             timeout_factor=evaluator.timeout_factor,
             noise=evaluator.noise,
-            fault=fault,
             backend=getattr(evaluator, "backend", config.backend),
             chaos_faults=chaos_faults,
         )
@@ -322,64 +308,24 @@ class ParallelOracle(BudgetedOracle):
         self._cleanup_fault_markers()
 
     def _cleanup_fault_markers(self) -> None:
-        """Remove one-shot fault marker files (legacy ``fault=*_once``
-        arg and the chaos marker directory).  Markers are scoped to the
-        oracle/pool lifetime: they must survive pool rebuilds between
-        retries — that is how "once" is remembered — but were previously
-        left behind in shared tmp dirs after close."""
-        spec = self.spec
-        if (spec is not None and spec.fault is not None
-                and spec.fault[0].endswith("_once") and spec.fault[1]):
-            try:
-                os.unlink(spec.fault[1])
-            except OSError:
-                pass
+        """Remove the chaos fault marker directory.  Markers are scoped
+        to the oracle/pool lifetime: they must survive pool rebuilds
+        between retries — that is how "once" is remembered — but never
+        outlive the oracle in a shared tmp dir."""
         marker_dir, self._marker_dir = self._marker_dir, None
         if marker_dir:
             shutil.rmtree(marker_dir, ignore_errors=True)
 
     # -- batch evaluation -----------------------------------------------
 
-    def _evaluate(self, assignments):
-        stats = _BatchStats()
-        batch_index = len(self.telemetry)
-        # Plan the batch in order: resolve journal-replay and cache hits
-        # and reserve variant ids for misses *before* dispatch, so ids
-        # (and therefore noise draws) are independent of completion
-        # order and worker count.
-        # ("rec", record, source) | ("task", i, None)
-        plan: list[tuple[str, object, Optional[str]]] = []
-        tasks: list[tuple[PrecisionAssignment, int]] = []
-        task_by_key: dict[tuple[int, ...], int] = {}
-        for assignment in assignments:
-            record = self.evaluator.lookup(assignment)
-            if record is not None:
-                stats.cache_hits += 1
-                plan.append(("rec", record, "memory"))
-                continue
-            key = assignment.key()
-            if key in task_by_key:
-                # Duplicate within the batch: one evaluation, both rows.
-                # Serial execution would serve the repeat from cache.
-                stats.cache_hits += 1
-                plan.append(("task", task_by_key[key], None))
-                continue
-            vid = self.evaluator.reserve_id()
-            record, source = self._external_record(key, vid)
-            if record is not None:
-                stats.cache_hits += 1
-                if source == "replay":
-                    stats.replayed += 1
-                else:
-                    stats.disk_hits += 1
-                self.evaluator.admit(record)
-                plan.append(("rec", record, source))
-                continue
-            task_by_key[key] = len(tasks)
-            tasks.append((assignment, vid))
-            plan.append(("task", len(tasks) - 1, None))
-        stats.dispatched = len(tasks)
+    def _execute(self, batch_index, tasks, stats):
+        """Fan *tasks* out to the worker pool, then commit the records
+        in task order.
 
+        A synthesized failure record describes transient worker
+        infrastructure, not the variant: it is admitted but never cached
+        or journaled (a resumed campaign should re-attempt the
+        evaluation instead), and resolves as ``"worker-failure"``."""
         # The pool must never outlive an exception here — in particular
         # a KeyboardInterrupt mid-dispatch used to leak live worker
         # processes (the executor's atexit hook then blocked on them).
@@ -388,55 +334,16 @@ class ParallelOracle(BudgetedOracle):
         except BaseException:
             self._kill_pool()
             raise
-        for (assignment, vid) in tasks:
+        executed = []
+        for _, vid in tasks:
             record = results[vid]
-            self.evaluator.admit(record)
-            # Synthesized failure records describe transient worker
-            # infrastructure, not the variant — never persist them
-            # (neither in the cache nor in the journal: a resumed
-            # campaign should re-attempt the evaluation instead).
             if vid in synthesized:
-                continue
-            if self.cache is not None:
-                self.cache.put(record)
-            if self.journal is not None:
-                self.journal.variant(batch_index, record)
-
-        # Resolve the plan in batch order, re-emitting each record's
-        # resolution on the parent's bus exactly as a serial oracle
-        # would: first task occurrences are "fresh" (or the synthesized
-        # "worker-failure"), repeats and pre-resolved rows are hits.
-        records, hit_flags = [], []
-        emitted: set[int] = set()
-        for kind, payload, source in plan:
-            if kind == "rec":
-                records.append(payload)
-                hit_flags.append(True)
-                self._emit_variant(batch_index, payload, source)
+                self.evaluator.admit(record)
+                executed.append((record, "worker-failure"))
             else:
-                _, vid = tasks[payload]
-                record = results[vid]
-                records.append(record)
-                # The first occurrence of a task is the miss that paid
-                # for the evaluation; repeats within the batch are hits.
-                if payload in emitted:
-                    hit_flags.append(True)
-                    self._emit_variant(batch_index, record, "memory")
-                else:
-                    hit_flags.append(False)
-                    emitted.add(payload)
-                    source = ("worker-failure" if vid in synthesized
-                              else "fresh")
-                    # Per-variant wall time never crosses the pipe (the
-                    # record carries only simulated cost), so worker
-                    # variants trace with unknown wall.
-                    self.tracer.emit_span(
-                        "variant", wall_seconds=None,
-                        sim_seconds=record.eval_wall_seconds,
-                        attrs={"id": record.variant_id,
-                               "outcome": record.outcome.name})
-                    self._emit_variant(batch_index, record, source)
-        return records, hit_flags, stats
+                self._commit(batch_index, record)
+                executed.append((record, "fresh"))
+        return executed
 
     def _run_tasks(self, tasks, stats: _BatchStats
                    ) -> tuple[dict[int, VariantRecord], set[int]]:

@@ -31,9 +31,7 @@ from typing import Callable, Iterable, Optional
 __all__ = ["EventBus", "Subscriber", "subscribes_to"]
 
 #: A subscriber is any callable taking one event.  Events are frozen
-#: dataclasses (:mod:`repro.obs.events`) plus, for backward
-#: compatibility, :class:`repro.core.campaign.BatchTelemetry`, which is
-#: emitted unchanged alongside its wrapping ``BatchCompleted`` event.
+#: dataclasses (:mod:`repro.obs.events`).
 Subscriber = Callable[[object], None]
 
 _TYPES_ATTR = "_obs_event_types"
@@ -46,9 +44,9 @@ def subscribes_to(*event_types: type):
     :attr:`CampaignConfig.subscribers` is filtered without its author
     ever touching the bus::
 
-        @subscribes_to(BatchTelemetry)
-        def log_batch(bt):
-            print(bt.batch_index, bt.sim_seconds)
+        @subscribes_to(BatchCompleted)
+        def log_batch(ev):
+            print(ev.telemetry.batch_index, ev.telemetry.sim_seconds)
     """
 
     def mark(fn: Subscriber) -> Subscriber:

@@ -3,9 +3,8 @@
 A :class:`ConsoleRenderer` subscribed to the campaign bus prints one
 line per committed batch — progress, cache behaviour, the current best
 accepted variant (the search frontier), budget spend and an ETA from
-the budget ledger — and a closing summary.  It replaces the ad-hoc
-``--batch-log`` prints the CLI used to hardwire into the oracle's
-callback slot, and writes to *stderr* by default so machine-readable
+the budget ledger — and a closing summary.  ``repro tune --progress``
+attaches one; it writes to *stderr* by default so machine-readable
 stdout (``repro tune --json``) stays clean.
 """
 

@@ -114,9 +114,7 @@ class BatchStarted:
 class BatchCompleted:
     """A batch committed.  ``telemetry`` is the campaign's
     :class:`~repro.core.campaign.BatchTelemetry` record (duck-typed here
-    to keep :mod:`repro.obs` import-free of :mod:`repro.core`); the same
-    object is also emitted *unchanged* on the bus for subscribers that
-    predate this event type."""
+    to keep :mod:`repro.obs` import-free of :mod:`repro.core`)."""
 
     telemetry: object
 

@@ -73,10 +73,6 @@ class _JobEventForwarder:
         self._job_id = job_id
 
     def __call__(self, event: object) -> None:
-        # BatchTelemetry is emitted unchanged alongside BatchCompleted
-        # for legacy subscribers; forwarding both would double-stream.
-        if type(event).__name__ == "BatchTelemetry":
-            return
         self._service._record_event(self._job_id, _event_payload(event))
 
 

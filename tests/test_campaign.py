@@ -77,9 +77,9 @@ class TestCampaign:
         assert result.summary().finished is False
 
     def test_batch_log_recorded(self, funarc_campaign):
-        assert funarc_campaign.oracle.batch_log
-        assert all(n > 0 and secs > 0
-                   for n, secs in funarc_campaign.oracle.batch_log)
+        telemetry = funarc_campaign.oracle.telemetry
+        assert telemetry
+        assert all(bt.size > 0 and bt.sim_seconds > 0 for bt in telemetry)
 
     def test_no_preprocessing_note_by_default(self, funarc_campaign):
         assert funarc_campaign.preprocessing_note == ""

@@ -1,11 +1,8 @@
-"""The config-first ``run_campaign`` API and its deprecation shim.
+"""The config-first ``run_campaign`` API.
 
-PR 3 moved the execution knobs (``seed``/``workers``/``cache_dir``/
-``journal_dir``/``resume_from``/``batch_callback``) from ``run_campaign``
-kwargs onto :class:`CampaignConfig`.  The old call sites must keep
-working — with a ``DeprecationWarning`` — for one deprecation cycle, and
-the precedence rules between kwargs and config fields are pinned here so
-migration bugs cannot hide.
+Every execution knob lives on :class:`CampaignConfig`; ``run_campaign``
+takes only the model, the config, and the injectable collaborators
+(``algorithm``, ``evaluator``).
 """
 
 from __future__ import annotations
@@ -14,14 +11,12 @@ import dataclasses
 
 import pytest
 
-from repro.core import (BatchTelemetry, CampaignConfig, DeltaDebugSearch,
-                        run_campaign)
+from repro.core import CampaignConfig, DeltaDebugSearch, run_campaign
 from repro.models import FunarcCase
-from repro.obs import subscribes_to
 
 
 def _funarc():
-    # Short trajectory: keep the shim tests cheap (12 evaluations).
+    # Short trajectory: 12 evaluations.
     return FunarcCase(n=80, error_threshold=1e-6)
 
 
@@ -53,130 +48,16 @@ class TestOverriding:
             _config().workers = 4
 
 
-class TestDeprecatedKwargs:
-    def test_each_legacy_kwarg_warns_and_lands_on_config(self, tmp_path):
-        # seed / workers / cache_dir: observable through the result.
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run_campaign(_funarc(), _config(), seed=7, workers=2,
-                                  cache_dir=str(tmp_path / "cache"))
-        modern = run_campaign(
-            _funarc(), _config(seed=7, workers=2,
-                               cache_dir=str(tmp_path / "cache2")))
-        assert legacy.to_json() == modern.to_json()
-
-    def test_unknown_kwarg_is_a_typeerror(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            run_campaign(_funarc(), _config(), cache_dri="/tmp/x")
-
-    def test_none_valued_kwargs_do_not_warn(self, recwarn):
-        run_campaign(_funarc(), _config(), journal_dir=None,
-                     batch_callback=None)
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_batch_callback_still_delivered(self):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="batch_callback"):
-            result = run_campaign(_funarc(), _config(),
-                                  batch_callback=seen.append)
-        assert [bt.batch_index for bt in seen] == \
-            [bt.batch_index for bt in result.oracle.telemetry]
-        assert all(isinstance(bt, BatchTelemetry) for bt in seen)
-
-    def test_batch_callback_composes_with_subscribers(self):
-        order = []
-
-        @subscribes_to(BatchTelemetry)
-        def typed(bt):
-            order.append("typed")
-
-        with pytest.warns(DeprecationWarning):
-            run_campaign(_funarc(),
-                         _config(subscribers=(typed,)),
-                         batch_callback=lambda bt: order.append("legacy"))
-        # Config subscribers attach first; the adapted callback follows.
-        assert order[:2] == ["typed", "legacy"]
-        assert order.count("typed") == order.count("legacy")
-
-    def test_seed_kwarg_matches_config_seed(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_campaign(_funarc(), _config(), seed=31)
-        assert legacy.to_json() == \
-            run_campaign(_funarc(), _config(seed=31)).to_json()
-        assert legacy.to_json() != \
-            run_campaign(_funarc(), _config(seed=32)).to_json()
-
-    def test_resume_from_resumes(self, tmp_path):
-        class Boom(Exception):
-            pass
-
-        @subscribes_to(BatchTelemetry)
-        def kill_first(bt):
-            raise Boom
-
-        journal_dir = str(tmp_path / "journal")
-        baseline = run_campaign(_funarc(), _config())
-        with pytest.raises(Boom):
-            run_campaign(_funarc(),
-                         _config(journal_dir=journal_dir,
-                                 subscribers=(kill_first,)))
-        with pytest.warns(DeprecationWarning, match="resume_from"):
-            resumed = run_campaign(_funarc(), _config(),
-                                   resume_from=journal_dir)
-        assert resumed.to_json() == baseline.to_json()
-        assert resumed.resumed_from_batch == 1
-
-
-class TestPrecedence:
-    """Regression: explicit kwarg beats config field, journal_dir beats
-    resume_from — the old signature's ``journal_dir or resume_from``."""
-
-    def test_journal_dir_kwarg_wins_over_config_field(self, tmp_path):
-        config_dir = tmp_path / "from-config"
-        kwarg_dir = tmp_path / "from-kwarg"
-        with pytest.warns(DeprecationWarning):
-            run_campaign(_funarc(),
-                         _config(journal_dir=str(config_dir)),
-                         journal_dir=str(kwarg_dir))
-        assert (kwarg_dir / "journal.jsonl").exists()
-        assert not config_dir.exists()
-
-    def test_journal_dir_kwarg_wins_over_resume_from(self, tmp_path):
-        # Old semantics: journal_dir or resume_from picks the directory,
-        # resume_from still switches resume on.
-        first_dir = str(tmp_path / "first")
-        run_campaign(_funarc(), _config(journal_dir=first_dir))
-        second_dir = tmp_path / "second"
-        with pytest.warns(DeprecationWarning):
-            resumed = run_campaign(_funarc(), _config(),
-                                   journal_dir=first_dir,
-                                   resume_from=str(second_dir))
-        # Resumed from `first_dir` (finished → pure replay); `second_dir`
-        # was never created.
-        assert resumed.oracle.wall_seconds_used == 0.0
-        assert not second_dir.exists()
-
-    def test_workers_kwarg_wins_over_config_field(self):
-        from repro.obs import CampaignStarted
-
-        seen = {}
-
-        @subscribes_to(CampaignStarted)
-        def record_workers(ev):
-            seen["workers"] = ev.workers
-
-        with pytest.warns(DeprecationWarning):
-            run_campaign(_funarc(),
-                         _config(workers=1, subscribers=(record_workers,)),
-                         workers=2)
-        assert seen["workers"] == 2
-
-
 class TestCollaborators:
     def test_algorithm_still_injectable(self):
         result = run_campaign(_funarc(), _config(),
                               algorithm=DeltaDebugSearch())
         assert result.search.algorithm == "delta-debug"
+
+    def test_former_kwarg_is_a_typeerror(self):
+        # Execution knobs are config fields, never run_campaign kwargs.
+        with pytest.raises(TypeError, match="seed"):
+            run_campaign(_funarc(), _config(), seed=7)
 
     def test_default_config_is_implicit(self):
         # run_campaign(model) alone must keep working (None config).

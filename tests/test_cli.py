@@ -143,13 +143,6 @@ class TestObservability:
         assert code == 0
         assert "batch" in err
 
-    def test_batch_log_is_deprecated_alias(self, capsys):
-        code, out, err = run_cli_both(capsys, "tune", "funarc",
-                                      "--max-evals", "40", "--batch-log")
-        assert code == 0
-        assert "--batch-log is deprecated" in err
-        assert "batch" in err
-
     def test_workers_flag_shared_by_assess_and_tune(self):
         parser = build_parser()
         tune = parser.parse_args(["tune", "funarc", "--workers", "2"])

@@ -1,36 +1,47 @@
 """Worker fault tolerance: crashes, hangs, retries, and downgrades.
 
-Faults are injected via ``WorkerSpec.fault`` (monkeypatching cannot
-cross the process boundary).  An irrecoverable infrastructure failure
-must downgrade the variant — ``RUNTIME_ERROR`` for a crash,
-``TIMEOUT`` for a hang — never kill the campaign, and never pollute
-the persistent cache.
+Faults are injected with chaos worker faults
+(``CampaignConfig(chaos=FaultPlan(worker_faults=...))``): monkeypatching
+cannot cross the process boundary, so the fault travels with the
+worker spec.  An irrecoverable infrastructure failure must downgrade
+the variant — ``RUNTIME_ERROR`` for a crash, ``TIMEOUT`` for a hang —
+never kill the campaign, and never pollute the persistent cache.  The
+downgrade tests set ``quarantine=False``: they pin the transient
+downgrade, not the poison-variant quarantine (tests/test_chaos.py).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.chaos import FaultPlan, WorkerFault
 from repro.core import (CampaignConfig, Evaluator, Outcome, ParallelOracle,
                         ResultCache)
 from repro.core.results import record_to_dict
 from repro.models import FunarcCase
 
 
-def _make_oracle(fault, cache=None, retries=1, timeout_seconds=15.0):
+def _faults(*faults) -> FaultPlan:
+    """A plan of ``(variant_id, mode, once)`` worker faults."""
+    return FaultPlan(worker_faults=tuple(WorkerFault(*f) for f in faults))
+
+
+def _make_oracle(plan, cache=None, retries=1, timeout_seconds=15.0):
     case = FunarcCase(n=150)
     config = CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600,
                             workers=2,
                             worker_timeout_seconds=timeout_seconds,
-                            worker_retries=retries)
-    oracle = ParallelOracle.for_model(case, config=config, cache=cache,
-                                      fault=fault)
+                            worker_retries=retries,
+                            quarantine=False, chaos=plan)
+    oracle = ParallelOracle.for_model(case, config=config, cache=cache)
     return case, oracle
 
 
 def test_worker_crash_downgrades_batch(tmp_path):
     cache = ResultCache(tmp_path, "fault-test-context")
-    case, oracle = _make_oracle(("crash", ""), cache=cache, retries=1)
+    case, oracle = _make_oracle(
+        _faults((0, "crash", False), (1, "crash", False)),
+        cache=cache, retries=1)
     try:
         records = oracle.evaluate_batch([case.space.baseline(),
                                          case.space.all_single()])
@@ -54,7 +65,7 @@ def test_worker_crash_downgrades_batch(tmp_path):
 
 
 def test_worker_hang_times_out(tmp_path):
-    case, oracle = _make_oracle(("hang", ""), retries=0,
+    case, oracle = _make_oracle(_faults((0, "hang", False)), retries=0,
                                 timeout_seconds=1.5)
     try:
         records = oracle.evaluate_batch([case.space.all_single()])
@@ -69,7 +80,7 @@ def test_worker_hang_times_out(tmp_path):
 
 
 def test_worker_exception_downgrades(tmp_path):
-    case, oracle = _make_oracle(("raise", "boom"), retries=1)
+    case, oracle = _make_oracle(_faults((0, "raise", False)), retries=1)
     try:
         records = oracle.evaluate_batch([case.space.all_single()])
     finally:
@@ -77,14 +88,13 @@ def test_worker_exception_downgrades(tmp_path):
 
     (record,) = records
     assert record.outcome is Outcome.RUNTIME_ERROR
-    assert "RuntimeError: boom" in record.note
+    assert "RuntimeError: chaos fault armed for variant 0" in record.note
     batch = oracle.telemetry[0]
     assert batch.retries == 1 and batch.failures == 1
 
 
 def test_transient_crash_recovers_bit_identically(tmp_path):
-    marker = tmp_path / "crash-once.marker"
-    case, oracle = _make_oracle(("crash_once", str(marker)), retries=1)
+    case, oracle = _make_oracle(_faults((0, "crash", True)), retries=1)
     assignment = case.space.all_single()
     try:
         records = oracle.evaluate_batch([assignment])
@@ -117,10 +127,9 @@ def test_campaign_survives_transient_crash(tmp_path):
         _case(), CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600))
 
     config = CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600,
-                            workers=2, worker_retries=1)
-    marker = tmp_path / "campaign-crash.marker"
-    faulty = ParallelOracle.for_model(
-        _case(), config=config, fault=("crash_once", str(marker)))
+                            workers=2, worker_retries=1,
+                            chaos=_faults((0, "crash", True)))
+    faulty = ParallelOracle.for_model(_case(), config=config)
     try:
         search = DeltaDebugSearch(min_speedup=config.min_speedup).run(
             faulty.evaluator.model.space, faulty)

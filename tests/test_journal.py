@@ -8,11 +8,8 @@ produces a ``CampaignResult.to_json()`` byte-identical to an
 uninterrupted run.  A journal written for a different campaign
 (model spec, algorithm, trajectory-relevant config) is refused.
 
-This suite uses the config-first API throughout: journal placement is
-``CampaignConfig.journal_dir``/``resume``, and crash injection rides
-the event bus as a ``BatchTelemetry`` subscriber.  Coverage of the
-deprecated ``journal_dir=``/``resume_from=``/``batch_callback=``
-kwargs lives in tests/test_campaign_api.py.
+Journal placement is ``CampaignConfig.journal_dir``/``resume``, and
+crash injection rides the event bus as a ``BatchCompleted`` subscriber.
 """
 
 from __future__ import annotations
@@ -23,12 +20,13 @@ import signal
 
 import pytest
 
-from repro.core import (BatchTelemetry, CampaignConfig, DeltaDebugSearch,
-                        Outcome, ParallelOracle, RandomSearch, run_campaign)
+from repro.chaos import FaultPlan, WorkerFault
+from repro.core import (CampaignConfig, DeltaDebugSearch, Outcome,
+                        ParallelOracle, RandomSearch, run_campaign)
 from repro.core.journal import CampaignJournal, JournalState, journal_header
 from repro.errors import CampaignError, JournalError
 from repro.models import FunarcCase, MpasCase
-from repro.obs import subscribes_to
+from repro.obs import BatchCompleted, subscribes_to
 
 
 def _funarc():
@@ -54,17 +52,23 @@ class Boom(Exception):
 def _kill_after(k: int):
     """Bus subscriber that dies once batch *k* has been committed."""
 
-    @subscribes_to(BatchTelemetry)
-    def subscriber(bt):
-        if bt.batch_index >= k:
+    @subscribes_to(BatchCompleted)
+    def subscriber(ev):
+        if ev.telemetry.batch_index >= k:
             raise Boom(f"killed after batch {k}")
 
     return subscriber
 
 
 def _on_batch(fn):
-    """Wrap *fn* as a ``BatchTelemetry``-only bus subscriber."""
-    return subscribes_to(BatchTelemetry)(fn)
+    """Wrap *fn* as a ``BatchCompleted`` subscriber taking the batch's
+    telemetry."""
+
+    @subscribes_to(BatchCompleted)
+    def subscriber(ev):
+        fn(ev.telemetry)
+
+    return subscriber
 
 
 def _assert_resumed(resumed, baseline, k: int) -> None:
@@ -486,15 +490,21 @@ class TestCorruptSnapshotResume:
         assert final["phase"] == "final"
 
 
+#: Every attempt at variant 0 (a lone batch's only fresh variant)
+#: crashes its worker.
+_POISON_CRASH = FaultPlan(worker_faults=(WorkerFault(0, "crash",
+                                                     once=False),))
+
+
 class TestRetryBackoff:
     def test_exponential_backoff_between_retry_rounds(self):
         case = FunarcCase(n=150)
         config = _config(workers=2, worker_retries=2,
                          worker_timeout_seconds=15.0,
                          retry_backoff_seconds=0.05,
-                         retry_backoff_max_seconds=0.08)
-        oracle = ParallelOracle.for_model(case, config=config,
-                                          fault=("crash", ""))
+                         retry_backoff_max_seconds=0.08,
+                         quarantine=False, chaos=_POISON_CRASH)
+        oracle = ParallelOracle.for_model(case, config=config)
         try:
             oracle.evaluate_batch([case.space.all_single()])
         finally:
@@ -508,9 +518,9 @@ class TestRetryBackoff:
         case = FunarcCase(n=150)
         config = _config(workers=2, worker_retries=1,
                          worker_timeout_seconds=15.0,
-                         retry_backoff_seconds=0.0)
-        oracle = ParallelOracle.for_model(case, config=config,
-                                          fault=("crash", ""))
+                         retry_backoff_seconds=0.0,
+                         quarantine=False, chaos=_POISON_CRASH)
+        oracle = ParallelOracle.for_model(case, config=config)
         try:
             oracle.evaluate_batch([case.space.all_single()])
         finally:
@@ -530,9 +540,9 @@ class TestRetryBackoff:
         case = FunarcCase(n=150)
         config = _config(workers=2, worker_retries=0,
                          worker_timeout_seconds=15.0,
-                         retry_backoff_seconds=0.0)
-        oracle = ParallelOracle.for_model(case, config=config,
-                                          fault=("crash", ""))
+                         retry_backoff_seconds=0.0,
+                         quarantine=False, chaos=_POISON_CRASH)
+        oracle = ParallelOracle.for_model(case, config=config)
         header = journal_header(oracle.evaluator, case.space,
                                 DeltaDebugSearch(), config)
         journal = CampaignJournal.create(str(tmp_path / "journal"), header)

@@ -281,14 +281,12 @@ class TestCampaignEvents:
             assert summary.stages[stage].sim_seconds > 0
 
     def test_trace_survives_crash_and_resume_appends_session(self, tmp_path):
-        from repro.core import BatchTelemetry
-
         class Boom(Exception):
             pass
 
-        @subscribes_to(BatchTelemetry)
-        def kill_after_1(bt):
-            if bt.batch_index >= 1:
+        @subscribes_to(BatchCompleted)
+        def kill_after_1(ev):
+            if ev.telemetry.batch_index >= 1:
                 raise Boom
 
         trace_dir = str(tmp_path / "trace")

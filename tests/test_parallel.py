@@ -13,9 +13,13 @@ import random
 
 import pytest
 
-from repro.core import CampaignConfig, Evaluator, ResultCache, run_campaign
+from repro.core import (CampaignConfig, CampaignJournal, DeltaDebugSearch,
+                        Evaluator, ResultCache, journal_header, make_oracle,
+                        run_campaign)
+from repro.core.campaign import MIN_SWEEP_LANES
 from repro.core.results import record_to_dict
 from repro.models import FunarcCase, MpasCase
+from repro.obs import VariantEvaluated
 
 
 def _funarc():
@@ -102,6 +106,109 @@ class TestMpasDeterminism:
                                              cache_dir=cache_dir))
         assert warm.to_json() == mpas_serial.to_json()
         assert sum(b.dispatched for b in warm.oracle.telemetry) == 0
+
+
+#: Executors of one batch plan: the compiled scalar path, one batched
+#: sweep (a wave of MIN_SWEEP_LANES fresh lanes), and a worker pool.
+_EXECUTORS = {"compiled": {"backend": "compiled"},
+              "sweep": {"backend": "batched"},
+              "pool": {"backend": "compiled", "workers": 2}}
+
+
+def _plan_batches(case) -> list[list]:
+    """Two batches: MIN_SWEEP_LANES fresh variants, then a batch with a
+    memory hit, in-batch duplicates, and three fresh misses."""
+    rng = random.Random(14)
+    fresh, keys = [], set()
+    while len(fresh) < MIN_SWEEP_LANES + 3:
+        assignment = case.space.baseline().with_kinds(
+            {a.qualified: 4 for a in case.space.atoms if rng.random() < 0.5})
+        if assignment.key() not in keys:
+            keys.add(assignment.key())
+            fresh.append(assignment)
+    first = fresh[:MIN_SWEEP_LANES]
+    a, b, c = fresh[MIN_SWEEP_LANES:]
+    return [first, [a, first[0], a, b, c, b]]
+
+
+def _run_executor(executor: str, cache_dir, journal_dir) -> dict:
+    case = _funarc()
+    config = _config(cache_dir=str(cache_dir), **_EXECUTORS[executor])
+    oracle = make_oracle(case, config)
+    oracle.journal = CampaignJournal.create(
+        str(journal_dir),
+        journal_header(oracle.evaluator, case.space, DeltaDebugSearch(),
+                       config))
+    events = []
+    oracle.bus.subscribe(
+        lambda ev: events.append((ev.batch_index, ev.variant_id, ev.source)),
+        (VariantEvaluated,))
+    try:
+        records = [record_to_dict(r) for batch in _plan_batches(case)
+                   for r in oracle.evaluate_batch(batch)]
+    finally:
+        oracle.close()
+        oracle.journal.close()
+    return {
+        "records": records,
+        "counts": [(b.dispatched, b.completed, b.cache_hits, b.disk_hits)
+                   for b in oracle.telemetry],
+        "events": events,
+        "journal": (journal_dir / "journal.jsonl").read_text().splitlines(),
+        "swept": [b.vector_lanes + b.fallback_lanes
+                  for b in oracle.telemetry],
+    }
+
+
+@pytest.fixture(scope="module")
+def executor_runs(tmp_path_factory):
+    """executor -> (cold run, warm rerun over the cold run's cache)."""
+    runs = {}
+    for executor in _EXECUTORS:
+        root = tmp_path_factory.mktemp(executor)
+        runs[executor] = tuple(
+            _run_executor(executor, root / "cache", root / f"journal-{pass_}")
+            for pass_ in ("cold", "warm"))
+    return runs
+
+
+class TestOnePlanAnyExecutor:
+    """The shared batch planner resolves identically whatever executes
+    its tasks: records, counters, the ordered variant events, and the
+    journal are the same bytes for all three executors, cold and over a
+    warm cache."""
+
+    @pytest.mark.parametrize("field", ["records", "counts", "events",
+                                       "journal"])
+    @pytest.mark.parametrize("executor", ["sweep", "pool"])
+    def test_matches_compiled(self, executor_runs, executor, field):
+        for run, reference in zip(executor_runs[executor],
+                                  executor_runs["compiled"]):
+            assert run[field] == reference[field]
+
+    def test_cold_plan_folds_duplicates_and_memory_hits(self,
+                                                        executor_runs):
+        cold, _ = executor_runs["compiled"]
+        n = MIN_SWEEP_LANES
+        assert cold["counts"] == [(n, n, 0, 0), (3, 3, 3, 0)]
+        assert [(vid, source) for batch, vid, source in cold["events"]
+                if batch == 1] == [(n, "fresh"), (0, "memory"),
+                                   (n, "memory"), (n + 1, "fresh"),
+                                   (n + 2, "fresh"), (n + 1, "memory")]
+
+    def test_warm_rerun_served_from_disk(self, executor_runs):
+        _, warm = executor_runs["compiled"]
+        n = MIN_SWEEP_LANES
+        assert warm["counts"] == [(0, 0, n, n), (0, 0, 6, 3)]
+        assert [source for batch, _, source in warm["events"]
+                if batch == 1] == ["disk", "memory", "memory", "disk",
+                                   "disk", "memory"]
+
+    def test_batched_run_swept(self, executor_runs):
+        cold, warm = executor_runs["sweep"]
+        assert cold["swept"] == [MIN_SWEEP_LANES, 0]
+        assert warm["swept"] == [0, 0]
+        assert executor_runs["compiled"][0]["swept"] == [0, 0]
 
 
 class TestCacheRoundTrip:
