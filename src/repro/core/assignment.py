@@ -46,19 +46,6 @@ class PrecisionAssignment:
         atoms = tuple(atoms)
         return cls(atoms=atoms, kinds=tuple(a.declared_kind for a in atoms))
 
-    @classmethod
-    def from_lowered(cls, atoms: Iterable[SearchAtom],
-                     lowered: set[str]) -> "PrecisionAssignment":
-        """All atoms at 64-bit except the qualified names in *lowered*."""
-        atoms = tuple(atoms)
-        return cls(
-            atoms=atoms,
-            kinds=tuple(
-                KIND_SINGLE if a.qualified in lowered else KIND_DOUBLE
-                for a in atoms
-            ),
-        )
-
     # -- queries --------------------------------------------------------------
 
     def kind_of(self, qualified: str) -> int:

@@ -23,9 +23,5 @@ class Outcome(str, Enum):
     TIMEOUT = "timeout"
     RUNTIME_ERROR = "error"
 
-    @property
-    def ran_to_completion(self) -> bool:
-        return self in (Outcome.PASS, Outcome.FAIL)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -406,9 +406,5 @@ class Evaluator:
 
     # ------------------------------------------------------------------
 
-    @property
-    def evaluated_count(self) -> int:
-        return self._next_id
-
     def records(self) -> list[VariantRecord]:
         return sorted(self._cache.values(), key=lambda r: r.variant_id)

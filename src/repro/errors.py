@@ -71,14 +71,6 @@ class FortranStopError(FortranRuntimeError):
         super().__init__(message or f"ERROR STOP {code}")
 
 
-class FloatingPointException(FortranRuntimeError):
-    """A NaN or infinity was produced where the program forbids it."""
-
-
-class NonConvergenceError(FortranRuntimeError):
-    """An iterative kernel exceeded its iteration cap without converging."""
-
-
 class InterpreterLimitError(FortranRuntimeError):
     """The interpreter hit a configured resource cap (ops or statements).
 

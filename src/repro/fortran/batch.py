@@ -34,10 +34,43 @@ campaign-result JSON bytes.  Three mechanisms carry that contract:
   bit-identical by the existing differential-fuzz gate.  Deactivation
   is always sound: it can cost wall-clock, never correctness.
 
+What the vector engine models
+-----------------------------
+Only what the four case-study models reach (``tests/test_batch.py``
+sweeps a random wave of each and requires every lane to stay
+vectorized): assignment to scalars and to array elements and sections,
+``call``, ``if`` blocks, ``do`` and ``do while`` with ``exit``,
+``stop``, ``print`` of scalars; real scalars and arrays of per-lane
+kind, integer scalars, integer and logical arrays; literals, names,
+arithmetic, comparisons, logical operators, user functions; and the
+intrinsics ``abs``, ``sqrt``, ``min``, ``max``, ``epsilon``, ``huge``
+and ``tiny``.
+
+Every other intrinsic goes **native**: each live lane makes the scalar
+interpreter's own call, so bytes and ledger charges match by
+construction and the lanes stay vectorized.  That is the
+transcendentals and reductions (not exactly rounded under widening)
+and those no model calls: ``sign``, ``mod``, ``merge``,
+``real``/``dble``/``sngl``/``float``, ``int``, ``nint``, ``floor``,
+``ceiling``, ``size``, ``lbound``, ``ubound``, ``ieee_is_nan``,
+``ieee_is_finite``, ``maxval``, ``minval`` and ``maxloc``.  A native
+result that is a NumPy integer falls back: it promotes unlike the
+engine's lane integers.
+
+Every other construct **falls back**: the engine raises
+``_Unsupported`` and the wave re-runs on private compiled interpreters,
+with a reason naming the construct in ``BatchStats.fallback_reasons``.
+That is derived types, ``where``, ``select case``, ``allocate``,
+whole-array assignment, array constructors, ``cycle``, ``return``,
+arrays in ``print``, logical and character scalars, initialized
+scalars (``parameter`` included), ``save`` locals, integer-array
+arithmetic, and array-element actual arguments that are gathered
+(per-lane subscripts), non-real, or written back.
+
 The public surface mirrors the scalar interpreters: each
-:meth:`VariantBatch.lane_views` element exposes ``call``/``ledger``/
-``stdout`` like an ``Interpreter``, so the evaluator drives a lane view
-exactly as it drives a scalar backend.
+:meth:`VariantBatch.lane` exposes ``call``/``ledger``/``stdout`` like an
+``Interpreter``, so the evaluator drives a lane exactly as it drives a
+scalar backend.
 """
 
 from __future__ import annotations
@@ -47,8 +80,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..errors import (FortranRuntimeError, FortranStopError,
-                      InterpreterLimitError, SemanticError)
+from ..errors import FortranRuntimeError, FortranStopError, SemanticError
 from . import ast_nodes as F
 from .compile import CompiledInterpreter
 from .instrumentation import CallKey, Ledger
@@ -221,15 +253,6 @@ class _BArr:
         return self.data.ndim - 1
 
 
-def _kv_of(value: Any) -> Optional[_KV]:
-    t = type(value)
-    if t is _LF:
-        return value.kv
-    if t is _BArr:
-        return value.kv
-    return None
-
-
 def _elems(value: Any) -> int:
     return value.size if type(value) is _BArr else 1
 
@@ -271,18 +294,10 @@ def _round_to(data: np.ndarray, kv: _KV) -> np.ndarray:
 
 
 class _LoopCtx:
-    __slots__ = ("exit", "cycle")
+    __slots__ = ("exit",)
 
     def __init__(self, empty: _Mask):
         self.exit = empty
-        self.cycle = empty
-
-
-class _Inv:
-    __slots__ = ("returned",)
-
-    def __init__(self, empty: _Mask):
-        self.returned = empty
 
 
 class BatchStats:
@@ -375,11 +390,9 @@ class _Engine:
         self.tick = 0
         self.devec: dict[int, np.ndarray] = {}
         self.loops: list[_LoopCtx] = []
-        self.invs: list[_Inv] = []
 
         self._module_frames: dict[str, _BFrame] = {}
         self._elaborating: set[str] = set()
-        self._saves: dict[str, dict[str, list]] = {}
         self._kv_syms: dict[str, _KV] = {}
         self._lits: dict[int, _LF] = {}
         self.n_dead = 0
@@ -397,8 +410,6 @@ class _Engine:
             F.DoLoop: self._exec_do,
             F.DoWhile: self._exec_do_while,
             F.ExitStmt: self._exec_exit,
-            F.CycleStmt: self._exec_cycle,
-            F.ReturnStmt: self._exec_return,
             F.StopStmt: self._exec_stop,
             F.PrintStmt: self._exec_print,
         }
@@ -411,7 +422,6 @@ class _Engine:
             F.UnaryOp: self._eval_unary,
             F.BinOp: self._eval_binop,
             F.Apply: self._eval_apply,
-            F.ArrayCons: self._eval_array_cons,
             F.RangeExpr: self._eval_range,
             F.KeywordArg: self._eval_keyword,
         }
@@ -666,29 +676,15 @@ class _Engine:
                 return None
             return self._allocate_array(sym, kv, frame, mask)
         if sym.init is not None:
-            val = self._eval(sym.init, frame, mask)
-            return self._coerce_scalar(val, sym, kv, mask)
+            raise _Unsupported(f"initialized scalar {sym.name!r}")
         if sym.type_ == "real":
             assert kv is not None
             return _LF(np.zeros(self.width, dtype=_F64), kv)
         if sym.type_ == "integer":
             return 0
-        if sym.type_ == "logical":
-            return False
-        if sym.type_ == "character":
-            return ""
+        if sym.type_ in ("logical", "character"):
+            raise _Unsupported(f"{sym.type_} scalar {sym.name!r}")
         raise SemanticError(f"cannot elaborate symbol {sym.qualified}")
-
-    def _coerce_scalar(self, val: Any, sym: Symbol, kv: Optional[_KV],
-                       mask: _Mask) -> Any:
-        if sym.type_ == "real":
-            assert kv is not None
-            return self.cast_lf(val, kv)
-        if sym.type_ == "integer":
-            return self.to_int(val)
-        if sym.type_ == "logical":
-            return self.to_bool(val)
-        return val
 
     def cast_lf(self, value: Any, kv: _KV) -> _LF:
         """Mirror ``cast_real``: round a scalar value to per-lane kinds."""
@@ -721,18 +717,6 @@ class _Engine:
         if t is _LB:
             return _LI(value.arr.astype(np.int64))
         raise _Unsupported(f"cannot convert {t.__name__} to integer")
-
-    def to_bool(self, value: Any) -> Any:
-        t = type(value)
-        if t is bool:
-            return value
-        if t is _LB:
-            return value
-        if t in (int, float):
-            return bool(value)
-        if t is _LI:
-            return _LB(value.arr != 0)
-        raise _Unsupported(f"cannot convert {t.__name__} to logical")
 
     def _allocate_array(self, sym: Symbol, kv: Optional[_KV],
                         frame: _BFrame, mask: _Mask) -> _BArr:
@@ -1058,9 +1042,7 @@ class _Engine:
                 if cur.n == 0:
                     break
                 self._store_loop_var(slot, stmt.var, i, cur)
-                body_ft = self._exec_block(stmt.body, frame, cur)
-                cur = self.intern.mask(body_ft.arr | ctx.cycle.arr)
-                ctx.cycle = self.intern.empty
+                cur = self._exec_block(stmt.body, frame, cur)
                 if ctx.exit.n:
                     ft_exit = self.intern.mask(ft_exit.arr | ctx.exit.arr)
                     ctx.exit = self.intern.empty
@@ -1092,9 +1074,7 @@ class _Engine:
                 cur = t
                 if cur.n == 0:
                     break
-                body_ft = self._exec_block(stmt.body, frame, cur)
-                cur = self.intern.mask(body_ft.arr | ctx.cycle.arr)
-                ctx.cycle = self.intern.empty
+                cur = self._exec_block(stmt.body, frame, cur)
                 if ctx.exit.n:
                     ft = self.intern.mask(ft.arr | ctx.exit.arr)
                     ctx.exit = self.intern.empty
@@ -1108,20 +1088,6 @@ class _Engine:
             raise _Unsupported("exit outside a loop")
         ctx = self.loops[-1]
         ctx.exit = self.intern.mask(ctx.exit.arr | mask.arr)
-        return self.intern.empty
-
-    def _exec_cycle(self, stmt: F.CycleStmt, frame: _BFrame,
-                    mask: _Mask) -> _Mask:
-        if not self.loops:
-            raise _Unsupported("cycle outside a loop")
-        ctx = self.loops[-1]
-        ctx.cycle = self.intern.mask(ctx.cycle.arr | mask.arr)
-        return self.intern.empty
-
-    def _exec_return(self, stmt: F.ReturnStmt, frame: _BFrame,
-                     mask: _Mask) -> _Mask:
-        # A returned lane simply drops out of every fallthrough mask up
-        # to the end of the procedure body — no unwinding needed.
         return self.intern.empty
 
     def _exec_stop(self, stmt: F.StopStmt, frame: _BFrame,
@@ -1155,15 +1121,14 @@ class _Engine:
     def _exec_print(self, stmt: F.PrintStmt, frame: _BFrame,
                     mask: _Mask) -> _Mask:
         vals = [self._eval(item, frame, mask) for item in stmt.items]
+        if any(type(val) is _BArr for val in vals):
+            raise _Unsupported("array item in print")
         mask = self._live(mask)
         for lane in np.flatnonzero(mask.arr):
             parts = []
             for val in vals:
                 t = type(val)
-                if t is _BArr:
-                    nat = self._lane_print_array(val, int(lane))
-                    parts.append(" ".join(str(x) for x in nat.ravel()))
-                elif t is _LF:
+                if t is _LF:
                     parts.append(str(self._native_scalar(val, int(lane))))
                 elif t is _LI:
                     parts.append(str(int(val.arr[lane])))
@@ -1174,19 +1139,12 @@ class _Engine:
             self.stdout[int(lane)].append(" ".join(parts))
         return mask
 
-    def _lane_print_array(self, v: _BArr, lane: int) -> np.ndarray:
-        # Print never hits the ufunc-path caveat: conversion is exact.
-        sl = v.data[lane]
-        if v.kv is not None and v.kv.at(lane) == KIND_SINGLE:
-            return sl.astype(_F32)
-        return sl
-
     # ------------------------------------------------------------------
     # Assignment targets
     # ------------------------------------------------------------------
 
     def _merge_scalar(self, old: Any, new: Any, mask: _Mask) -> Any:
-        """Masked select for scalar slots of any type."""
+        """Masked select for real and integer scalar slots."""
         tn = type(new)
         if tn is _LF:
             return self.merge_lf(old, new, mask)
@@ -1204,20 +1162,6 @@ class _Engine:
             narr = new.arr if tn is _LI else np.full(self.width, int(new),
                                                      dtype=np.int64)
             return _LI(np.where(mask.arr, narr, oarr))
-        if tn is _LB or tn is bool:
-            if tn is bool and type(old) is bool and new == old:
-                return old
-            oarr = (old.arr if to is _LB
-                    else np.full(self.width, bool(old), dtype=bool)
-                    if to is bool else np.zeros(self.width, dtype=bool))
-            narr = new.arr if tn is _LB else np.full(self.width, bool(new),
-                                                     dtype=bool)
-            return _LB(np.where(mask.arr, narr, oarr))
-        if tn is str and to is str and new == old:
-            return old
-        if tn is str:
-            # Divergent strings per lane are not modeled.
-            raise _Unsupported("divergent character assignment")
         return new
 
     def _assign(self, target: Any, value: Any, frame: _BFrame,
@@ -1241,8 +1185,7 @@ class _Engine:
         slot = frame.find_slot(name)
         current = slot[name]
         if type(current) is _BArr:
-            self._assign_whole_array(current, value, frame, mask)
-            return
+            raise _Unsupported("whole-array assignment")
         slot[name] = self._convert_like(current, value, frame.scope, mask)
 
     def _convert_like(self, current: Any, value: Any, scope: str,
@@ -1263,42 +1206,11 @@ class _Engine:
                                 self.intern.mask(diff & mask.arr))
             self.add_op(scope, "store", kd, self.cur, 1, mask)
             return self.merge_lf(current, self.cast_lf(value, kd), mask)
-        if type(current) is bool or type(current) is _LB:
-            return self._merge_scalar(current, self.to_bool(value), mask)
         if type(current) is int or type(current) is _LI:
             return self._merge_scalar(current, self.to_int(value), mask)
-        if type(current) is str:
-            if type(value) is str:
-                return self._merge_scalar(current, value, mask)
-            raise _Unsupported("non-string assigned to character")
         # Uninitialized slot: store as-is (mirrors the scalar fallthrough).
         return self._merge_scalar(current, value, mask) \
             if type(value) is _LF else value
-
-    def _assign_whole_array(self, arr: _BArr, value: Any, frame: _BFrame,
-                            mask: _Mask) -> None:
-        tv = type(value)
-        if tv is _BArr:
-            if value.shape != arr.shape:
-                self.deactivate_mask(
-                    mask, f"shape mismatch in array assignment: "
-                    f"{value.shape} -> {arr.shape}")
-                return
-            raw = value.data
-        elif tv in (_LF, _LI, _LB):
-            raw = _expand(value.data if tv is _LF else value.arr,
-                          arr.data.ndim)
-        else:
-            raw = value
-        if arr.kv is not None:
-            kv = self._kv_val(value)
-            if kv is not None and not self.rhs_literal:
-                diff = kv.arr != arr.kv.arr
-                if diff.any():
-                    self.add_op(frame.scope, "convert", arr.kv, True,
-                                arr.size, self.intern.mask(diff & mask.arr))
-            self.add_op(frame.scope, "store", arr.kv, True, arr.size, mask)
-        self._masked_array_store(arr, (), raw, mask)
 
     def _masked_array_store(self, arr: _BArr, key: tuple, raw: Any,
                             mask: _Mask) -> None:
@@ -1732,21 +1644,12 @@ class _Engine:
     def _np_compare(op: str, l: Any, r: Any) -> Any:
         return _CMP_FN[op](l, r)
 
-    @staticmethod
-    def _np_arith(op: str, l: Any, r: Any) -> Any:
-        fn = _ARITH_FN.get(op)
-        if fn is None:
-            raise _Unsupported(f"unsupported operation {op!r}")
-        return fn(l, r)
-
-    def _int_raw(self, v: Any, ndim: int) -> Any:
+    def _int_raw(self, v: Any) -> Any:
         t = type(v)
-        if t is _BArr:
-            return v.data
         if t is _LI:
-            return _expand(v.arr, ndim)
+            return v.arr
         if t is _LB:
-            return _expand(v.arr.astype(np.int64), ndim)
+            return v.arr.astype(np.int64)
         if t is bool:
             return int(v)
         return v
@@ -1756,35 +1659,10 @@ class _Engine:
         """Pure integer/logical arithmetic (free in the cost model)."""
         tl, tr = type(left), type(right)
         if tl is _BArr or tr is _BArr:
-            ndim = max(v.data.ndim for v in (left, right)
-                       if type(v) is _BArr)
-            l = self._int_raw(left, ndim)
-            r = self._int_raw(right, ndim)
-            template = left if tl is _BArr else right
-            try:
-                if op in _CMP_OPS:
-                    out = self._np_compare(op, l, r)
-                elif op == "/":
-                    out = l // r
-                elif op == "+":
-                    out = l + r
-                elif op == "-":
-                    out = l - r
-                elif op == "*":
-                    out = l * r
-                elif op == "**":
-                    out = l ** r
-                else:
-                    self.deactivate_mask(
-                        mask, f"unsupported integer operation {op!r}")
-                    out = np.zeros_like(template.data)
-            except Exception:
-                self.deactivate_mask(mask, "integer array operation failed")
-                out = np.zeros_like(template.data)
-            return _BArr(out, template.lbounds, None)
+            raise _Unsupported("integer-array arithmetic")
         if tl in (_LI, _LB) or tr in (_LI, _LB):
-            l = self._int_raw(left, 1)
-            r = self._int_raw(right, 1)
+            l = self._int_raw(left)
+            r = self._int_raw(right)
             if op in _CMP_OPS:
                 return _LB(np.broadcast_to(
                     self._np_compare(op, l, r), (self.width,)).copy())
@@ -2121,32 +1999,8 @@ class _Engine:
                 return self._intr_sqrt(args, mask)
             if name in ("min", "max"):
                 return self._intr_minmax(name, args, mask)
-            if name == "sign":
-                return self._intr_sign(args, mask)
-            if name == "mod":
-                return self._intr_mod(args, mask)
-            if name == "merge":
-                return self._intr_merge(args, mask)
-            if name in ("real", "dble", "sngl", "float"):
-                return self._intr_real(name, args, kwargs, mask)
-            if name == "int":
-                return self._intr_int(args, mask)
-            if name == "nint":
-                return self._intr_nint(args, mask)
-            if name in ("floor", "ceiling"):
-                return self._intr_floorceil(name, args, mask)
             if name in ("epsilon", "huge", "tiny"):
                 return self._intr_model_query(name, args, mask)
-            if name in ("size", "lbound", "ubound"):
-                return self._intr_inquiry(name, args, kwargs, mask)
-            if name == "ieee_is_nan":
-                return self._intr_isnan(args, mask)
-            if name == "ieee_is_finite":
-                return self._intr_isfinite(args, mask)
-            if name in ("maxval", "minval"):
-                return self._intr_extremum(name, args, mask)
-            if name == "maxloc":
-                return self._intr_maxloc(args, mask)
         except _AllLanesDead:
             raise
         except _Unsupported:
@@ -2155,8 +2009,9 @@ class _Engine:
         except Exception:
             self.deactivate_mask(mask, f"intrinsic {name} failed")
             return self._placeholder()
-        # sin/cos/.../atan2, sum/product/dot_product: not exactly rounded
-        # under widening -- reconstruct each lane's native call.
+        # The transcendentals and reductions (not exactly rounded under
+        # widening) and every intrinsic the models never call: each
+        # lane makes the scalar interpreter's own call.
         return self._native_intrinsic(intr, args, kwargs, mask)
 
     # -- vectorized intrinsic kernels (exact under widening) ------------
@@ -2213,7 +2068,7 @@ class _Engine:
                 return fn(int(a) for a in args)
             out = None
             for a in args:
-                r = self._int_raw(a, 1)
+                r = self._int_raw(a)
                 if out is None:
                     out = np.broadcast_to(np.asarray(r, dtype=np.int64),
                                           (self.width,)).copy()
@@ -2241,178 +2096,6 @@ class _Engine:
                 out = np.where(np.greater(r, out), r, out)
         return _LF(_round_to(out, kvp), kvp)
 
-    def _intr_sign(self, args: list, mask: _Mask) -> Any:
-        a, b = args
-        ta, tb = type(a), type(b)
-        is_arr = ta is _BArr or tb is _BArr
-        ndim = max((v.data.ndim for v in (a, b) if type(v) is _BArr),
-                   default=1)
-        ra = self._wide_raw(a, ndim)
-        rb = self._wide_raw(b, ndim)
-        out = np.where(np.greater_equal(rb, 0), np.abs(ra), -np.abs(ra))
-        if is_arr:
-            template = a if ta is _BArr else b
-            kv = self._kv_val(a)
-            if kv is None:
-                out = out.astype(np.int64)
-            return _BArr(out, template.lbounds, kv)
-        kva = self._kv_val(a)
-        if kva is not None:
-            out = np.broadcast_to(np.asarray(out, dtype=_F64),
-                                  (self.width,)).copy()
-            return _LF(_round_to(out, kva), kva)
-        out = np.broadcast_to(np.asarray(out), (self.width,))
-        if ta is int and tb in (int, bool):
-            return int(out[0])
-        return _LI(out.astype(np.int64))
-
-    def _intr_mod(self, args: list, mask: _Mask) -> Any:
-        a, b = args
-        ta, tb = type(a), type(b)
-        kva, kvb = self._kv_val(a), self._kv_val(b)
-        ndim = max((v.data.ndim for v in (a, b) if type(v) is _BArr),
-                   default=1)
-        ra = self._wide_raw(a, ndim)
-        rb = self._wide_raw(b, ndim)
-        out = np.fmod(ra, rb)
-        if ta is _BArr or tb is _BArr:
-            template = a if ta is _BArr else b
-            if kva is None and kvb is None:
-                # Scalar path keeps the float64 fmod result raw.
-                return _BArr(out, template.lbounds, self.intern.kv8)
-            return _BArr(out, template.lbounds,
-                         self._promote_kv(kva, kvb))
-        if kva is None and kvb is None:
-            finite = np.isfinite(np.asarray(out))
-            bad = ~np.broadcast_to(finite, (self.width,)) & mask.arr
-            if bad.any():
-                self.deactivate(bad.copy(), "mod by zero")
-            out = np.broadcast_to(
-                np.where(np.isfinite(out), out, 0.0), (self.width,))
-            if ta is int and tb in (int, bool):
-                return int(out[0])
-            return _LI(out.astype(np.int64))
-        out = np.broadcast_to(np.asarray(out, dtype=_F64),
-                              (self.width,)).copy()
-        return _LF(out, self._promote_kv(kva, kvb))
-
-    def _intr_merge(self, args: list, mask: _Mask) -> Any:
-        t_, f_, m_ = args
-        types = [type(v) for v in args]
-        ndim = max((v.data.ndim for v in args if type(v) is _BArr),
-                   default=1)
-        tm = type(m_)
-        if tm is _BArr:
-            rm = m_.data
-        elif tm is _LB:
-            rm = _expand(m_.arr, ndim)
-        elif tm is bool:
-            rm = m_
-        else:
-            raise _Unsupported("merge mask is not logical")
-        kvt, kvf = self._kv_val(t_), self._kv_val(f_)
-        if kvt is None and kvf is None:
-            rt = self._int_raw(t_, ndim)
-            rf = self._int_raw(f_, ndim)
-            out = np.where(rm, rt, rf)
-            if _BArr in types:
-                template = args[types.index(_BArr)]
-                return _BArr(out, template.lbounds, None)
-            out = np.broadcast_to(out, (self.width,))
-            if out.dtype == np.bool_:
-                return _LB(out.copy())
-            return _LI(out.astype(np.int64))
-        rt = self._wide_raw(t_, ndim)
-        rf = self._wide_raw(f_, ndim)
-        out = np.where(rm, rt, rf)
-        kvp = self._promote_kv(kvt, kvf)
-        if kvp is not None and (kvt is None or kvf is None):
-            # The scalar path casts the weak-int branch through the real
-            # branch's dtype on selection.
-            out = _round_to(np.asarray(out, dtype=_F64), kvp)
-        if _BArr in types:
-            template = args[types.index(_BArr)]
-            return _BArr(out, template.lbounds, kvp)
-        out = np.broadcast_to(np.asarray(out, dtype=_F64),
-                              (self.width,)).copy()
-        return _LF(_round_to(out, kvp), kvp)
-
-    def _intr_real(self, name: str, args: list, kwargs: dict,
-                   mask: _Mask) -> Any:
-        x = args[0]
-        if name == "dble":
-            k = KIND_DOUBLE
-        elif name in ("sngl", "float"):
-            k = KIND_SINGLE
-        else:
-            kind_arg = kwargs.get("kind")
-            if kind_arg is None and len(args) > 1:
-                kind_arg = args[1]
-            k = (KIND_SINGLE if kind_arg is None
-                 else self._uniform_int(kind_arg, mask, "real kind"))
-        kv = self.intern.kv_uniform(k)
-        if type(x) is _BArr:
-            if x.kv is None:
-                return _BArr(_round_to(x.data.astype(_F64), kv),
-                             x.lbounds, kv)
-            return _BArr(_round_to(x.data, kv), x.lbounds, kv)
-        return self.cast_lf(x, kv)
-
-    def _intr_int(self, args: list, mask: _Mask) -> Any:
-        (x,) = args
-        t = type(x)
-        if t is _BArr:
-            if x.kv is None:
-                return _BArr(np.trunc(x.data).astype(np.int64),
-                             x.lbounds, None)
-            return _BArr(np.trunc(x.data).astype(np.int64), x.lbounds,
-                         None)
-        if t is _LF:
-            bad = ~np.isfinite(x.data) & mask.arr
-            if bad.any():
-                self.deactivate(bad.copy(), "int() of non-finite value")
-            safe = np.where(np.isfinite(x.data), x.data, 0.0)
-            return _LI(np.trunc(safe).astype(np.int64))
-        if t is _LI:
-            return x
-        if t is _LB:
-            return _LI(x.arr.astype(np.int64))
-        return int(x)
-
-    def _intr_nint(self, args: list, mask: _Mask) -> Any:
-        (x,) = args
-        t = type(x)
-        if t is _BArr:
-            out = np.rint(x.data).astype(np.int64)
-            return _BArr(out, (1,) * (x.data.ndim - 1), None)
-        if t is _LF:
-            bad = ~np.isfinite(x.data) & mask.arr
-            if bad.any():
-                self.deactivate(bad.copy(), "nint() of non-finite value")
-            safe = np.where(np.isfinite(x.data), x.data, 0.0)
-            return _LI(np.rint(safe).astype(np.int64))
-        if t is _LI:
-            return _LI(np.rint(x.arr).astype(np.int64))
-        return int(np.rint(x))
-
-    def _intr_floorceil(self, name: str, args: list, mask: _Mask) -> Any:
-        (x,) = args
-        fn = np.floor if name == "floor" else np.ceil
-        t = type(x)
-        if t is _BArr:
-            self.deactivate_mask(mask, f"{name}() of an array")
-            return self._placeholder()
-        if t is _LF:
-            bad = ~np.isfinite(x.data) & mask.arr
-            if bad.any():
-                self.deactivate(bad.copy(),
-                                f"{name}() of non-finite value")
-            safe = np.where(np.isfinite(x.data), x.data, 0.0)
-            return _LI(fn(safe).astype(np.int64))
-        if t is _LI:
-            return _LI(fn(x.arr).astype(np.int64))
-        return int(fn(x))
-
     def _intr_model_query(self, name: str, args: list,
                           mask: _Mask) -> Any:
         (x,) = args
@@ -2424,81 +2107,7 @@ class _Engine:
         data = np.where(kv.m4, v4, v8)
         return _LF(data, kv)
 
-    def _intr_inquiry(self, name: str, args: list, kwargs: dict,
-                      mask: _Mask) -> Any:
-        a = args[0]
-        dim = kwargs.get("dim")
-        if dim is None and len(args) > 1:
-            dim = args[1]
-        if type(a) is not _BArr:
-            if name == "lbound":
-                return 1
-            self.deactivate_mask(mask, f"{name}() argument is not an array")
-            return 0
-        if name == "size":
-            if dim is None:
-                return a.size
-            d = self._uniform_int(dim, mask, "size dim")
-            return a.shape[d - 1]
-        d = self._uniform_int(dim, mask, f"{name} dim")
-        if name == "lbound":
-            return a.lbounds[d - 1]
-        return a.lbounds[d - 1] + a.shape[d - 1] - 1
-
-    def _intr_isnan(self, args: list, mask: _Mask) -> Any:
-        (x,) = args
-        t = type(x)
-        if t is _BArr:
-            return _BArr(np.isnan(x.data), (1,) * (x.data.ndim - 1), None)
-        if t is _LF:
-            return _LB(np.isnan(x.data))
-        if t is _LI:
-            return _LB(np.zeros(self.width, dtype=bool))
-        return bool(np.isnan(x))
-
-    def _intr_isfinite(self, args: list, mask: _Mask) -> Any:
-        (x,) = args
-        t = type(x)
-        if t is _BArr:
-            axes = tuple(range(1, x.data.ndim))
-            return _LB(np.all(np.isfinite(x.data), axis=axes))
-        if t is _LF:
-            return _LB(np.isfinite(x.data))
-        if t is _LI:
-            return _LB(np.ones(self.width, dtype=bool))
-        return bool(np.isfinite(x))
-
-    def _intr_extremum(self, name: str, args: list, mask: _Mask) -> Any:
-        (a,) = args
-        if type(a) is not _BArr:
-            self.deactivate_mask(mask, "reduction intrinsic needs an array")
-            return self._placeholder()
-        if a.size == 0:
-            self.deactivate_mask(mask, f"{name} of an empty array")
-            return self._placeholder()
-        axes = tuple(range(1, a.data.ndim))
-        fn = np.max if name == "maxval" else np.min
-        out = fn(a.data, axis=axes)
-        if a.kv is not None:
-            return _LF(out, a.kv)
-        if a.data.dtype == np.bool_:
-            self.deactivate_mask(mask, f"{name} of a logical array")
-            return self._placeholder()
-        return _LI(out)
-
-    def _intr_maxloc(self, args: list, mask: _Mask) -> Any:
-        (a,) = args
-        if type(a) is not _BArr:
-            self.deactivate_mask(mask, "reduction intrinsic needs an array")
-            return self._placeholder()
-        if a.size == 0:
-            self.deactivate_mask(mask, "maxloc of an empty array")
-            return self._placeholder()
-        flat = a.data.reshape(self.width, -1)
-        return _LI(np.argmax(flat, axis=1).astype(np.int64)
-                   + a.lbounds[0])
-
-    # -- per-lane native reconstruction for inexact intrinsics ----------
+    # -- per-lane native calls: inexact and unmodeled intrinsics --------
 
     def _native_intrinsic(self, intr, args: list, kwargs: dict,
                           mask: _Mask) -> Any:
@@ -2554,34 +2163,16 @@ class _Engine:
             for lane, res in results.items():
                 arr[lane] = bool(res)
             return _LB(arr)
-        if isinstance(first, (int, np.integer)):
+        # A NumPy integer (sum or maxval of an integer array, merge of
+        # integers) widens a float32 operand to float64, which the
+        # engine's per-lane integers, weak like Python ints, do not.
+        if type(first) is int:
             arr = np.zeros(self.width, dtype=np.int64)
             for lane, res in results.items():
                 arr[lane] = int(res)
             return _LI(arr)
         self.deactivate_mask(mask, f"{intr.name}: unsupported result type")
         return self._placeholder()
-
-    def _eval_array_cons(self, expr: F.ArrayCons, frame: _BFrame,
-                         mask: _Mask) -> _BArr:
-        items = [self._eval(i, frame, mask) for i in expr.items]
-        kvs = [self._kv_val(i) for i in items]
-        n = len(items)
-        if any(kv is not None for kv in kvs):
-            kvp = self.intern.kv4
-            for kv in kvs:
-                if kv is not None:
-                    kvp = self._promote_kv(kvp, kv)
-            data = np.zeros((self.width, n), dtype=_F64)
-            for j, item in enumerate(items):
-                data[:, j] = np.asarray(self._wide_raw(item, 1),
-                                        dtype=_F64)
-            return _BArr(_round_to(data, kvp), (1,), kvp)
-        data = np.zeros((self.width, n), dtype=np.int64)
-        for j, item in enumerate(items):
-            data[:, j] = np.asarray(self._int_raw(item, 1),
-                                    dtype=np.int64)
-        return _BArr(data, (1,), None)
 
     def _eval_range(self, expr: F.RangeExpr, frame: _BFrame,
                     mask: _Mask) -> Any:
@@ -2643,68 +2234,26 @@ class _Engine:
                     return self._placeholder(), None
                 key, _n, is_section, gather = keyinfo
                 if is_section:
+                    # An array dummy writes through the view; a scalar
+                    # dummy refuses a section before any write-back.
                     view = container.data[(slice(None), *key)]
                     lb = tuple(1 for _ in range(view.ndim - 1))
-                    val = _BArr(view, lb, container.kv)
-
-                    def set_section(new: Any, wmask: _Mask) -> None:
-                        raw = new.data if type(new) is _BArr else new
-                        self._masked_array_store(container, key, raw, wmask)
-
-                    return val, set_section
+                    return _BArr(view, lb, container.kv), None
                 if gather is not None:
-                    if container.kv is not None and self.suppress == 0:
-                        self.add_op(frame.scope, "load", container.kv,
-                                    self.cur, 1, mask)
-                    lanes = np.arange(self.width)
-                    vals = container.data[(lanes, *gather)]
-                    if container.kv is not None:
-                        val = _LF(vals.astype(_F64, copy=False),
-                                  container.kv)
-                    elif container.data.dtype == np.bool_:
-                        val = _LB(vals)
-                    else:
-                        val = _LI(vals)
-
-                    def set_gather(new: Any, wmask: _Mask) -> None:
-                        sel = np.flatnonzero(wmask.arr)
-                        raw = self._scalar_lane_data(new, container.kv)
-                        container.data[
-                            (sel, *(g[sel] for g in gather))] = raw[sel]
-
-                    return val, set_gather
-                full_key = (slice(None),) + key
-                raw = container.data[full_key]
-                if container.kv is not None:
-                    val = _LF(raw.astype(_F64), container.kv)
-                elif container.data.dtype == np.bool_:
-                    val = _LB(raw.copy())
-                else:
-                    val = _LI(raw.copy())
-
-                def set_element(new: Any, wmask: _Mask) -> None:
-                    dest = container.data[full_key]
-                    raw2 = self._scalar_lane_data(new, container.kv)
-                    dest[wmask.arr] = raw2[wmask.arr]
-
-                if container.kv is not None and self.suppress == 0:
+                    raise _Unsupported("gathered array-element argument")
+                if container.kv is None:
+                    raise _Unsupported("non-real array-element argument")
+                val = _LF(container.data[(slice(None), *key)].astype(_F64),
+                          container.kv)
+                if self.suppress == 0:
                     self.add_op(frame.scope, "load", container.kv,
                                 self.cur, 1, mask)
-                return val, set_element
-        return self._eval(expr, frame, mask), None
 
-    def _scalar_lane_data(self, new: Any, kv: Optional[_KV]) -> np.ndarray:
-        """[L] element data for a masked element/gather store."""
-        t = type(new)
-        if t is _LF:
-            data = new.data
-        elif t is _LI or t is _LB:
-            data = new.arr
-        else:
-            data = np.full(self.width, new)
-        if kv is not None:
-            return _round_to(np.asarray(data, dtype=_F64), kv)
-        return data
+                def refuse_write_back(new: Any, wmask: _Mask) -> None:
+                    raise _Unsupported("written-back array-element argument")
+
+                return val, refuse_write_back
+        return self._eval(expr, frame, mask), None
 
     # ------------------------------------------------------------------
     # Invocation
@@ -2785,12 +2334,8 @@ class _Engine:
                 frame.values[dummy_name] = self.to_int(value)
                 if setter is not None and writes_back(sym):
                     writebacks.append(("pl", dummy_name, None, setter))
-            elif sym.type_ == "logical":
-                frame.values[dummy_name] = self.to_bool(value)
-                if setter is not None and writes_back(sym):
-                    writebacks.append(("pl", dummy_name, None, setter))
             else:
-                frame.values[dummy_name] = value
+                raise _Unsupported(f"{sym.type_} scalar {dummy_name!r}")
 
         for dummy_name, sym, value, setter in array_binds:
             if sym.type_ == "derived":
@@ -2827,32 +2372,13 @@ class _Engine:
                 frame.values[dummy_name] = _BArr(value.data, lbounds,
                                                  value.kv)
 
-        saves = self._saves.setdefault(qual, {})
         for sym in scope_info.symbols.values():
             if sym.is_argument or sym.name in frame.values:
                 continue
-            is_saved = sym.decl is not None and (
-                "save" in sym.decl.attrs
-                or (sym.init is not None and not sym.is_parameter)
-            )
-            if is_saved:
-                entry = saves.get(sym.name)
-                if entry is None:
-                    entry = [None, np.zeros(self.width, dtype=bool)]
-                    saves[sym.name] = entry
-                newly = mask.arr & ~entry[1]
-                if newly.any():
-                    nm = self.intern.mask(newly)
-                    fresh = self._elaborate_symbol(sym, frame, nm)
-                    if entry[0] is None:
-                        entry[0] = fresh
-                    elif type(entry[0]) is _BArr:
-                        entry[0].data[newly] = fresh.data[newly]
-                    else:
-                        entry[0] = self._merge_scalar(entry[0], fresh, nm)
-                    entry[1] = entry[1] | newly
-                frame.values[sym.name] = entry[0]
-                continue
+            if sym.decl is not None and (
+                    "save" in sym.decl.attrs
+                    or (sym.init is not None and not sym.is_parameter)):
+                raise _Unsupported(f"SAVE local {sym.name!r}")
             frame.values[sym.name] = self._elaborate_symbol(sym, frame,
                                                             mask)
 
@@ -2878,9 +2404,6 @@ class _Engine:
         self.add_call(caller_scope, qual, w_canon, mask)
 
         self._exec_block(proc.body, frame, self._live(mask))
-
-        for name in saves:
-            saves[name][0] = frame.values[name]
 
         wmask = self._live(mask)
         if wmask.n:
@@ -2979,8 +2502,6 @@ class _Engine:
             return dtype_for_kind(k).type(value.data[lane])
         if t is _LI:
             return int(value.arr[lane])
-        if t is _LB:
-            return bool(value.arr[lane])
         if t is _BArr:
             if value.kv is None:
                 return FArray(value.data[lane].copy(), value.lbounds, None)

@@ -73,9 +73,6 @@ class CallGraphs:
     def sites_for_callee(self, callee: str) -> list[CallSite]:
         return [s for s in self.sites if s.callee == callee]
 
-    def sites_in(self, caller: str) -> list[CallSite]:
-        return [s for s in self.sites if s.caller == caller]
-
 
 def _static_array_size(sym: Symbol, index: ProgramIndex) -> int:
     """Best-effort static element count for penalty weighting."""

@@ -34,7 +34,7 @@ compiled code and skip re-lowering; the sorted ordering makes the key
 independent of overlay dict insertion order.
 
 The contract (pinned by ``tests/test_fuzz_differential.py``,
-``tests/test_backend_golden.py`` and the equivalence suite):
+``tests/test_golden_digest.py`` and the equivalence suite):
 observables, ledger charges, stdout, and error messages are
 bit-identical between backends.
 """

@@ -103,14 +103,8 @@ class Ledger:
         procs.update(self.allreduce)
         return procs
 
-    def ops_for(self, proc: str) -> dict[OpKey, int]:
-        return {k: v for k, v in self.ops.items() if k.proc == proc}
-
     def call_count(self, callee: str) -> int:
         return sum(v[0] for k, v in self.calls.items() if k.callee == callee)
-
-    def wrapped_call_count(self, callee: str) -> int:
-        return sum(v[1] for k, v in self.calls.items() if k.callee == callee)
 
     def convert_elements(self, proc: str | None = None) -> int:
         """Total converted elements (in-expression + boundary casts)."""

@@ -103,10 +103,6 @@ class FArray:
     def set(self, indices: tuple[int, ...], value: Any) -> None:
         self.data[self._offset(indices)] = value
 
-    def slice_view(self, key: tuple) -> np.ndarray:
-        """Return a NumPy view for a section (key already 0-based)."""
-        return self.data[key]
-
     def copy(self) -> "FArray":
         return FArray(self.data.copy(), self.lbounds, self.kind)
 

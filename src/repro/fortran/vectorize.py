@@ -36,7 +36,6 @@ Rules (deliberately close to what production compilers do):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import ast_nodes as F
 from .symbols import ProgramIndex
@@ -106,14 +105,6 @@ class ProgramVecInfo:
 
     def report(self) -> str:
         return "\n".join(info.report() for info in self.procs.values())
-
-    def vectorized_loop_count(self, qualproc: Optional[str] = None) -> int:
-        total = 0
-        for name, info in self.procs.items():
-            if qualproc is not None and name != qualproc:
-                continue
-            total += sum(1 for v in info.loops if v.vectorizable)
-        return total
 
 
 # ---------------------------------------------------------------------------

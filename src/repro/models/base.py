@@ -22,7 +22,6 @@ import numpy as np
 from ..fortran import (Interpreter, Ledger, ProgramIndex, analyze,
                        analyze_program, parse_source)
 from ..fortran.vectorize import ProgramVecInfo
-from .. import errors
 from ..core.atoms import SearchAtom, collect_atoms
 from ..core.assignment import PrecisionAssignment
 from ..core.searchspace import SearchSpace
@@ -182,11 +181,6 @@ class ModelCase:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-
-    def check_observable(self, observable: np.ndarray) -> None:
-        """Raise if the observable itself is unusable (NaN everywhere)."""
-        if observable.size == 0:
-            raise errors.EvaluationError(f"{self.name}: empty observable")
 
     def atom_count(self) -> int:
         return len(self.atoms)

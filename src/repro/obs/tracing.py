@@ -56,9 +56,6 @@ class Span:
         """Attach the simulated node-second charge for this scope."""
         self.sim_seconds = seconds
 
-    def annotate(self, **attrs: Any) -> None:
-        self.attrs.update(attrs)
-
 
 class Tracer:
     """Writer for one campaign's span trace (no-op when *trace_dir* is

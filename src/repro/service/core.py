@@ -38,6 +38,7 @@ from typing import Callable, Optional, Union
 from ..chaos.hooks import crash_point
 from ..core.algorithms import make_algorithm
 from ..core.campaign import CampaignResult, run_or_resume
+from ..core.evaluation import BACKENDS
 from ..core.ioutil import atomic_write
 from ..errors import JobNotFound, ServiceError, SpecError
 from ..models import get_model
@@ -196,15 +197,18 @@ class CampaignService:
     def submit(self, spec: JobSpec) -> tuple[JobRecord, bool]:
         """Accept a spec; returns ``(record, deduplicated)``.
 
-        The spec's model name and algorithm are validated *before*
-        anything becomes durable — a job that can never run must be
-        refused at the door, not discovered by a worker.
+        The spec's model name, algorithm and backend are validated
+        *before* anything becomes durable — a job that can never run
+        must be refused at the door, not discovered by a worker.
         """
         try:
             self.model_factory(spec.model)
         except KeyError as exc:
             raise SpecError(str(exc.args[0]) if exc.args
                             else f"unknown model {spec.model!r}") from exc
+        if spec.config.backend not in BACKENDS:
+            raise SpecError(f"unknown backend {spec.config.backend!r} "
+                            f"(known: {', '.join(BACKENDS)})")
         job_id = spec.digest()
         with self._lock:
             existing = self._journal.records.get(job_id)

@@ -16,6 +16,13 @@ pin the three shape properties the campaign integration relies on:
   consistent) are byte-identical to a pure compiled run, and lanes
   that stay vectorized are unaffected by their fallen-back neighbours.
 
+The engine models only what the case-study models use.  The route
+tests pin both ways out for everything else: intrinsics no model calls
+run as each lane's native call and stay vectorized, and constructs no
+model uses send the wave to the fallback with a reason naming them.
+The model sweeps pin the other side: a random wave of every model
+keeps every lane on the vector path.
+
 The oracle-level tests pin the executor choice: a batched wave sweeps
 only when it has at least ``MIN_SWEEP_LANES`` fresh lanes and otherwise
 runs on the compiled scalar path, with the same campaign bytes and with
@@ -37,7 +44,7 @@ from repro.core.evaluation import Evaluator
 from repro.fortran import (CompiledInterpreter, OutBox, VariantBatch,
                            analyze, analyze_program, parse_source)
 from repro.fortran.symbols import KIND_DOUBLE, KIND_SINGLE
-from repro.models import FunarcCase
+from repro.models import AdcircCase, FunarcCase, Mom6Case, MpasCase
 from repro.models.base import ModelCase
 from repro.obs.tracing import Tracer, load_trace
 from repro.perf import ledger_fingerprint
@@ -132,11 +139,11 @@ def _analyzed(source):
     return index, analyze_program(index)
 
 
-def _overlays(seed, count):
+def _overlays(seed, count, atoms=_ATOMS):
     rng = random.Random(seed)
     return [
         {atom: rng.choice((KIND_SINGLE, KIND_DOUBLE))
-         for atom in _ATOMS if rng.random() < 0.6}
+         for atom in atoms if rng.random() < 0.6}
         for _ in range(count)
     ]
 
@@ -399,3 +406,251 @@ class TestExecutorChoice:
         assert attrs["fallback_reasons"] == {
             "nan store: scalar nan semantics": 1}
         assert oracle.telemetry[0].fallback_lanes == 1
+
+
+#: Calls every intrinsic the engine leaves to the per-lane native call
+#: although no model uses it.  The values keep integer results and the
+#: branch conditions lane-uniform, so every lane stays vectorized.
+_NATIVE_INTRINSICS_SOURCE = """\
+module ni
+  implicit none
+contains
+  subroutine driver(out)
+    implicit none
+    real(kind=8), intent(out) :: out
+    real(kind=8) :: a, b, t
+    real(kind=4) :: s
+    real(kind=8) :: v(4)
+    integer :: i, k
+    a = 1.75d0
+    b = -0.5d0
+    s = 2.5
+    do i = 1, 4
+      v(i) = a * i - b * i * i
+    end do
+    t = sign(a, b) + sign(s, a)
+    t = t + mod(a * 3.0d0, 1.25d0) + mod(s, 0.75)
+    k = mod(7, 3) + sign(2, -1)
+    t = t + merge(a, b, a > b) + merge(s, 1.0, s < 1.0)
+    t = t + real(a) + dble(s) + sngl(a) + float(k) + real(k, kind=8)
+    k = k + int(a) + nint(s) + floor(b) + ceiling(a)
+    k = k + size(v) + lbound(v, 1) + ubound(v, 1)
+    if (ieee_is_nan(t)) then
+      t = 0.0d0
+    end if
+    if (ieee_is_finite(t)) then
+      t = t + 1.0d0
+    end if
+    t = t + maxval(v) - minval(v) + maxloc(v)
+    print *, t
+    print *, k
+    out = t + k
+  end subroutine driver
+end module ni
+"""
+
+_NATIVE_ATOMS = ("ni::driver::a", "ni::driver::b", "ni::driver::t",
+                 "ni::driver::s", "ni::driver::v")
+
+#: The driver every refused-construct program shares; each case fills
+#: in helper procedures, declarations and a body.
+_CONSTRUCT_TEMPLATE = """\
+module rc
+  implicit none
+contains
+{helpers}
+  subroutine driver(out)
+    implicit none
+    real(kind=8), intent(out) :: out
+    integer :: i, k
+    real(kind=8) :: a, t, v(4)
+{decls}
+    a = 1.25d0
+    t = 0.5d0
+    do i = 1, 4
+      v(i) = a * i
+    end do
+{body}
+    out = t + v(2)
+  end subroutine driver
+end module rc
+"""
+
+_CONSTRUCT_ATOMS = ("rc::driver::a", "rc::driver::t", "rc::driver::v")
+
+_HALF_FUNCTION = """\
+  function half(x) result(r)
+    implicit none
+    real(kind=8) :: x
+    real(kind=8) :: r
+    r = x * 0.5d0
+    if (x > 0.0d0) return
+    r = -r
+  end function half
+"""
+
+_TALLY_SUBROUTINE = """\
+  subroutine tally(x, r)
+    implicit none
+    real(kind=8), intent(in) :: x
+    real(kind=8), intent(out) :: r
+    real(kind=8), save :: total
+    total = total + x
+    r = total
+  end subroutine tally
+"""
+
+_DBL_FUNCTION = """\
+  function dbl(x) result(r)
+    implicit none
+    real(kind=8) :: x
+    real(kind=8) :: r
+    r = x + x
+  end function dbl
+"""
+
+_TWICE_FUNCTION = """\
+  function twice(n) result(r)
+    implicit none
+    integer :: n
+    real(kind=8) :: r
+    r = 2.0d0 * n
+  end function twice
+"""
+
+_BUMP_SUBROUTINE = """\
+  subroutine bump(x)
+    implicit none
+    real(kind=8), intent(inout) :: x
+    x = x + 1.0d0
+  end subroutine bump
+"""
+
+_INT_ARRAY = """\
+    iv(1) = 1
+    iv(2) = 2
+    iv(3) = 3
+"""
+
+#: construct -> (fallback reason it must give, helpers, decls, body).
+_REFUSED_CONSTRUCTS = {
+    "whole-array-assignment": (
+        "whole-array assignment", "", "", "    v = a * 0.5d0"),
+    "array-constructor": (
+        "ArrayCons", "", "", "    v(1:3) = (/ a, t, a /)"),
+    "cycle": (
+        "CycleStmt", "", "",
+        "    do i = 1, 4\n"
+        "      if (i == 2) cycle\n"
+        "      t = t + v(i)\n"
+        "    end do"),
+    "return": (
+        "ReturnStmt", _HALF_FUNCTION, "", "    t = t + half(a)"),
+    "array-in-print": (
+        "array item in print", "", "", "    print *, v"),
+    "logical-scalar": (
+        "logical scalar 'flag'", "", "    logical :: flag",
+        "    flag = a > t\n"
+        "    if (flag) then\n"
+        "      t = t + 1.0d0\n"
+        "    end if"),
+    "character-scalar": (
+        "character scalar 'label'", "", "    character(len=8) :: label",
+        "    label = 'rc'\n"
+        "    print *, label"),
+    "initialized-scalar": (
+        "initialized scalar 'half'", "",
+        "    real(kind=8), parameter :: half = 0.5d0", "    t = t + half"),
+    "save-local": (
+        "SAVE local 'total'", _TALLY_SUBROUTINE, "",
+        "    call tally(a, t)\n"
+        "    call tally(a, t)"),
+    "integer-array-arithmetic": (
+        "integer-array arithmetic", "", "    integer :: iv(3)",
+        _INT_ARRAY + "    t = t + sum(iv * 2)"),
+    "gathered-element-argument": (
+        "gathered array-element argument", _DBL_FUNCTION, "",
+        "    k = nint(a)\n"
+        "    t = t + dbl(v(k))"),
+    "non-real-element-argument": (
+        "non-real array-element argument", _TWICE_FUNCTION,
+        "    integer :: iv(3)", _INT_ARRAY + "    t = t + twice(iv(2))"),
+    "written-back-element-argument": (
+        "written-back array-element argument", _BUMP_SUBROUTINE, "",
+        "    call bump(v(2))"),
+}
+
+
+class TestRoutesOutOfTheVectorEngine:
+    def test_native_intrinsics_stay_vectorized(self):
+        index, vec = _analyzed(_NATIVE_INTRINSICS_SOURCE)
+        overlays = [{}] + _overlays("native-intrinsics", 11, _NATIVE_ATOMS)
+        batch, arts = _wave(index, vec, overlays)
+        stats = batch.stats()
+        assert (stats.vector_lanes, stats.fallback_lanes) == (
+            len(overlays), 0), stats.fallback_reasons
+        for lane, overlay in enumerate(overlays):
+            assert arts[lane] == _compiled(index, vec, overlay), (
+                f"lane {lane} diverges from compiled")
+
+    @pytest.mark.parametrize("construct", sorted(_REFUSED_CONSTRUCTS))
+    def test_refused_construct_falls_back_bit_for_bit(self, construct):
+        reason, helpers, decls, body = _REFUSED_CONSTRUCTS[construct]
+        index, vec = _analyzed(_CONSTRUCT_TEMPLATE.format(
+            helpers=helpers, decls=decls, body=body))
+        overlays = [{}] + _overlays(construct, 4, _CONSTRUCT_ATOMS)
+        batch, arts = _wave(index, vec, overlays)
+        stats = batch.stats()
+        assert stats.fallback_lanes == len(overlays)
+        assert stats.fallback_reasons, construct
+        for named in stats.fallback_reasons:
+            assert reason in named, stats.fallback_reasons
+        for lane, overlay in enumerate(overlays):
+            assert arts[lane] == _compiled(index, vec, overlay), (
+                f"lane {lane} diverges from compiled")
+
+    def test_numpy_integer_intrinsic_result_falls_back(self):
+        # sum() of an integer array returns a NumPy integer, which
+        # widens float32 ``t`` lanes to float64 in the scalar engine;
+        # modeled as a weak lane integer, it would not.
+        index, vec = _analyzed(_CONSTRUCT_TEMPLATE.format(
+            helpers="", decls="    integer :: iv(3)",
+            body=_INT_ARRAY + "    t = t + sum(iv)"))
+        overlays = [{}, {"rc::driver::t": KIND_SINGLE},
+                    {"rc::driver::t": KIND_SINGLE,
+                     "rc::driver::a": KIND_SINGLE}]
+        batch, arts = _wave(index, vec, overlays)
+        assert batch.stats().fallback_reasons == {
+            "sum: unsupported result type": len(overlays)}
+        for lane, overlay in enumerate(overlays):
+            assert arts[lane] == _compiled(index, vec, overlay), (
+                f"lane {lane} diverges from compiled")
+
+
+def _model_wave(model, count):
+    """*count* seeded random (assignment, vid) pairs over the model's
+    atoms, sweeping the lowering probability like RandomSearch."""
+    rng = random.Random(f"model-sweep-{model.name}")
+    atoms = model.space.atoms
+    tasks = []
+    for vid in range(count):
+        p = rng.uniform(0.05, 0.95)
+        kinds = tuple(KIND_SINGLE if rng.random() < p else KIND_DOUBLE
+                      for _ in atoms)
+        tasks.append((PrecisionAssignment(atoms=atoms, kinds=kinds), vid))
+    return tasks
+
+
+class TestModelSweepsStayVectorized:
+    @pytest.mark.parametrize("make_case", [
+        lambda: FunarcCase(n=150), MpasCase.small, AdcircCase.small,
+        Mom6Case.small], ids=["funarc", "mpas-a", "adcirc", "mom6"])
+    def test_random_wave_keeps_every_lane(self, make_case):
+        model = make_case()
+        evaluator = Evaluator(model, backend="batched")
+        tasks = _model_wave(model, 16)
+        records, stats = evaluator.evaluate_assigned_batch(tasks)
+        assert (stats.vector_lanes, stats.fallback_lanes) == (16, 0), (
+            stats.fallback_reasons)
+        for record, (assignment, vid) in zip(records, tasks):
+            assert record == evaluator.evaluate_assigned(assignment, vid)

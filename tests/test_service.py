@@ -67,9 +67,13 @@ class TestSubmission:
 
     def test_unknown_model_refused_before_durability(self, tmp_path,
                                                      service):
-        with pytest.raises(SpecError):
-            service.submit(JobSpec(model="nonesuch", config=_config()))
+        for spec in (JobSpec(model="nonesuch", config=_config()),
+                     _spec(config=_config(backend="turbo"))):
+            with pytest.raises(SpecError):
+                service.submit(spec)
         assert service.jobs() == []
+        records, next_seq, _ = load_service_state(tmp_path / "state")
+        assert records == {} and next_seq == 0
 
     def test_duplicate_spec_attaches(self, service):
         rec, _ = service.submit(_spec())

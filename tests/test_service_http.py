@@ -121,6 +121,8 @@ class TestHttp:
         with pytest.raises(SpecError, match="algorithm"):
             endpoint._request("POST", "/jobs", body=json.dumps(
                 {"model": "funarc", "algorithm": "quantum"}))
+        with pytest.raises(SpecError, match="unknown backend 'turbo'"):
+            endpoint.submit(_spec(config=_config(backend="turbo")))
 
     def test_unknown_job_is_404(self, endpoint):
         with pytest.raises(JobNotFound):
