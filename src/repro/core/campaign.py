@@ -399,8 +399,8 @@ class BatchTelemetry:
 #: replays and in-batch duplicates are resolved) runs as one
 #: :class:`~repro.fortran.batch.VariantBatch` sweep; a narrower one runs
 #: on the compiled scalar path, one variant at a time.  A sweep costs
-#: about as much as its longest lane plus a fixed tree-walk overhead
-#: worth several compiled runs, so narrow waves cannot pay it back.  The
+#: about as much as its longest lane plus a fixed per-statement overhead
+#: worth a few compiled runs, so narrow waves cannot pay it back.  The
 #: value minimises the worst slowdown against the faster engine over
 #: the four-model table in EXPERIMENTS.md ("Batched backend"), which
 #: ``benchmarks/wave_break_even.py`` regenerates.
@@ -819,7 +819,10 @@ class BudgetedOracle:
         """Run *tasks* as one lockstep sweep and commit its records.
 
         The lowering span records the wave's wall, its width, how many
-        lanes stayed on the vector path, and why the others fell back."""
+        lanes stayed on the vector path, and why the others fell back;
+        and how that wall split between the vector sweep and the
+        fallback lanes' replay, and how many procedures the sweep
+        lowered."""
         started = time.perf_counter()
         records, sweep = self.evaluator.evaluate_assigned_batch(tasks)
         stats.completed = len(records)
@@ -831,7 +834,10 @@ class BudgetedOracle:
             attrs={"batch": batch_index, "width": len(tasks),
                    "vector_lanes": sweep.vector_lanes,
                    "fallback_lanes": sweep.fallback_lanes,
-                   "fallback_reasons": dict(sweep.fallback_reasons)})
+                   "fallback_reasons": dict(sweep.fallback_reasons),
+                   "sweep_seconds": sweep.sweep_seconds,
+                   "replay_seconds": sweep.replay_seconds,
+                   "procedures_lowered": sweep.procedures_lowered})
         for record in records:
             self._commit(batch_index, record)
         return records

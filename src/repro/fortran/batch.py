@@ -15,17 +15,19 @@ campaign-result JSON bytes.  Three mechanisms carry that contract:
 
 * **Widened storage, native rounding.**  Real lane values are stored as
   ``float64`` but every operation result is rounded through the lane's
-  kind (a kind-4 lane computes in ``float32`` and re-widens), so each
-  lane holds exactly the bits the scalar interpreter would.  Operations
+  kind (a kind-4 lane computes in ``float32`` and re-widens; for
+  ``+ - * /`` on float32 operands, rounding the float64 result to
+  float32 gives the same bits), so each lane holds exactly the bits the
+  scalar interpreter would.  Operations
   that NumPy does not guarantee to be vectorization-invariant
   (transcendentals, ``**``, reductions) are evaluated per lane on the
   lane's native dtype — the same ufunc call the scalar backends make.
 * **Charge events.**  Every ledger charge is recorded once with the
   activity mask it occurred under; a per-lane
   :class:`~repro.fortran.instrumentation.Ledger` is reconstructed at
-  the end by replaying the lane's event subsequence in program order,
-  which reproduces both the counts and the first-touch key order of a
-  scalar run.
+  the end by replaying the lane's event subsequence in program order
+  (every lane in one pass over the events), which reproduces both the
+  counts and the first-touch key order of a scalar run.
 * **The fallback valve.**  Any lane that diverges beyond what the
   lockstep engine models — a runtime error, an over-budget trip, a
   divergent loop bound, an unsupported construct, or any engine
@@ -64,8 +66,29 @@ That is derived types, ``where``, ``select case``, ``allocate``,
 whole-array assignment, array constructors, ``cycle``, ``return``,
 arrays in ``print``, logical and character scalars, initialized
 scalars (``parameter`` included), ``save`` locals, integer-array
-arithmetic, and array-element actual arguments that are gathered
+arithmetic, ``abs`` of an integer (the scalar call returns a NumPy
+integer), and array-element actual arguments that are gathered
 (per-lane subscripts), non-real, or written back.
+
+Lowering
+--------
+Each procedure body is lowered once per wave, at the procedure's first
+call, into a tree of closures (:class:`_Lowerer`, the vector twin of
+:mod:`repro.fortran.compile`), kept on the wave's engine and dropped
+with it: a wave's kind vectors are its own.  Resolved at lowering:
+node dispatch (the closure is the handler), each declared name's
+values dict, literal lane vectors, procedure and intrinsic routing
+(vector kernel or per-lane native call), ledger-key parts, static
+statement vec flags, the binding plan of each procedure, and each
+declared symbol's kind vector with the promote / convert-lane /
+float32-lane decisions that follow from it (every site caches them
+against the operand kind vectors it last saw, seeded from the
+declarations).  A construct the engine does not model lowers to a
+closure that raises ``_Unsupported`` when it runs, so a wave falls back
+where and why it reaches one.  Dynamic at run time: activity masks and
+dead lanes, ``devec`` and ``vec_inherit``, values, the op budget (a
+running per-lane total), deactivation and its reasons, and the NaN
+guards at store boundaries.
 
 The public surface mirrors the scalar interpreters: each
 :meth:`VariantBatch.lane` exposes ``call``/``ledger``/``stdout`` like an
@@ -76,14 +99,15 @@ scalar backend.
 from __future__ import annotations
 
 import operator
+import time
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from ..errors import FortranRuntimeError, FortranStopError, SemanticError
 from . import ast_nodes as F
-from .compile import CompiledInterpreter
-from .instrumentation import CallKey, Ledger
+from .compile import CompiledInterpreter, _chain_module_names
+from .instrumentation import CallKey, Ledger, OpKey
 from .intrinsics import INTRINSICS
 from .symbols import KIND_DOUBLE, KIND_SINGLE, ProgramIndex, Symbol
 from .values import FArray, dtype_for_kind, kind_of
@@ -98,6 +122,8 @@ _CMP_OPS = {"==", "/=", "<", "<=", ">", ">="}
 
 _F32 = np.dtype(np.float32)
 _F64 = np.dtype(np.float64)
+_MINIMUM = np.minimum.reduce
+_MAXIMUM = np.maximum.reduce
 
 
 class _Unsupported(Exception):
@@ -154,6 +180,7 @@ class _Intern:
         self.width = width
         self._kvs: dict[bytes, _KV] = {}
         self._masks: dict[bytes, _Mask] = {}
+        self._uniform: dict[int, _KV] = {}
         self.full = self.mask(np.ones(width, dtype=bool))
         self.empty = self.mask(np.zeros(width, dtype=bool))
         self.kv4 = self.kv_uniform(KIND_SINGLE)
@@ -170,7 +197,11 @@ class _Intern:
         return got
 
     def kv_uniform(self, kind: int) -> _KV:
-        return self.kv(np.full(self.width, kind, dtype=np.int8))
+        got = self._uniform.get(kind)
+        if got is None:
+            got = self._uniform[kind] = self.kv(
+                np.full(self.width, kind, dtype=np.int8))
+        return got
 
     def mask(self, arr: np.ndarray) -> _Mask:
         arr = np.ascontiguousarray(arr, dtype=bool)
@@ -278,11 +309,6 @@ def _expand(arr1d: np.ndarray, ndim: int) -> np.ndarray:
     return arr1d.reshape(arr1d.shape + (1,) * (ndim - 1))
 
 
-def _expand_section(arr1d: np.ndarray, dest: np.ndarray) -> np.ndarray:
-    """Broadcast a [L] lane vector across a section destination."""
-    return _expand(arr1d, dest.ndim)
-
-
 def _round_to(data: np.ndarray, kv: _KV) -> np.ndarray:
     """Round widened float64 data through the per-lane kind."""
     if kv.u == KIND_DOUBLE:
@@ -301,10 +327,17 @@ class _LoopCtx:
 
 
 class BatchStats:
-    """Execution statistics for one :class:`VariantBatch`."""
+    """Execution statistics for one :class:`VariantBatch`.
+
+    ``sweep_seconds`` is the wall spent in vectorized calls (lowering
+    included), ``replay_seconds`` the wall the fallback lanes spent on
+    their private compiled interpreters, and ``procedures_lowered`` how
+    many procedure bodies the wave lowered (each once, at its first
+    call)."""
 
     __slots__ = ("width", "vector_lanes", "fallback_lanes", "calls",
-                 "fallback_reasons")
+                 "fallback_reasons", "sweep_seconds", "replay_seconds",
+                 "procedures_lowered")
 
     def __init__(self) -> None:
         self.width = 0
@@ -312,6 +345,24 @@ class BatchStats:
         self.fallback_lanes = 0
         self.calls = 0
         self.fallback_reasons: dict[str, int] = {}
+        self.sweep_seconds = 0.0
+        self.replay_seconds = 0.0
+        self.procedures_lowered = 0
+
+
+def _op_parts(kv: _KV, vec: Any) -> list:
+    """``(kind, vec flag, lanes)`` for each ledger key an op charged at
+    kinds *kv* and vec context *vec* takes; lanes None means all."""
+    if kv.u is not None and type(vec) is bool:
+        return [(kv.u, vec, None)]
+    vecs = np.full(kv.arr.size, vec) if type(vec) is bool else vec.arr
+    parts = []
+    for kind in np.unique(kv.arr).tolist():
+        for v in (False, True):
+            part = (kv.arr == kind) & (vecs == v)
+            if part.any():
+                parts.append((kind, v, part))
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +371,11 @@ class BatchStats:
 
 
 class _BFrame:
+    """One activation.  Lowered code reads declared names straight from
+    ``values`` or a module's dict; the chain walk below serves only the
+    names lowering could not place (undeclared loop variables) and the
+    expressions evaluated while a frame is still being elaborated."""
+
     __slots__ = ("scope", "values", "chain", "vec_inherit")
 
     def __init__(self, scope: str, chain_dicts: list[dict],
@@ -327,7 +383,7 @@ class _BFrame:
         self.scope = scope
         self.values: dict[str, Any] = {}
         self.chain: list[dict] = [self.values, *chain_dicts]
-        self.vec_inherit = vec_inherit       # False | True | bool[L]
+        self.vec_inherit = vec_inherit       # False | True | _Mask
 
     def find(self, name: str) -> Any:
         for d in self.chain:
@@ -345,13 +401,26 @@ class _BFrame:
         return any(name in d for d in self.chain)
 
 
+class _Proc:
+    """One procedure lowered for one wave: its binding plan and body."""
+
+    __slots__ = ("qual", "name", "is_function", "result",
+                 "inlinable", "chain", "scalars", "arrays", "locals",
+                 "body")
+
+
 # ---------------------------------------------------------------------------
 # The lockstep engine
 # ---------------------------------------------------------------------------
 
 
 class _Engine:
-    """Executes the program once for all lanes under activity masks."""
+    """Executes the program once for all lanes under activity masks.
+
+    Each procedure body is lowered into closures (:class:`_Lowerer`) at
+    the procedure's first call and kept in ``procs`` for the rest of the
+    wave; the methods here are the run-time kernels those closures call.
+    """
 
     def __init__(self, index: ProgramIndex,
                  overlays: list[dict[str, int]],
@@ -365,6 +434,7 @@ class _Engine:
         self.intern = _Intern(self.width)
 
         self.alive = np.ones(self.width, dtype=bool)
+        self.lane_index = np.arange(self.width)
         self.epoch = 0
         self.dead = False
         self.fallback_reason: dict[int, str] = {}
@@ -376,55 +446,38 @@ class _Engine:
         self.call_no = -1
 
         # Charge-event journal: key -> [accumulated n, first sequence no].
-        # Replayed per lane at finalize; see `ledger_for`.
+        # Replayed into per-lane ledgers; see `ledger_for`.
         self.events: dict[tuple, list[int]] = {}
         self._seq = 0
-        # Per-mask total_ops accumulation (budget checks only).
+        self._ledgers: list[Ledger] = []
+        self._ledgers_seq = -1
+        # Op totals per mask since the last budget check, folded into
+        # the per-lane running totals at each check.
         self.totals: dict[_Mask, int] = {}
+        self.lane_ops = np.zeros(self.width, dtype=np.int64)
         self.stdout: list[list[str]] = [[] for _ in range(self.width)]
 
-        self.cur: Any = False                # vec context: False|True|bool[L]
+        self.cur: Any = False                # vec context: False|True|_Mask
         self.cur_sid = 0
-        self.rhs_literal = False
         self.suppress = 0
         self.tick = 0
         self.devec: dict[int, np.ndarray] = {}
         self.loops: list[_LoopCtx] = []
 
+        self.procs: dict[str, _Proc] = {}
+        self.procedures_lowered = 0
         self._module_frames: dict[str, _BFrame] = {}
         self._elaborating: set[str] = set()
         self._kv_syms: dict[str, _KV] = {}
-        self._lits: dict[int, _LF] = {}
         self.n_dead = 0
         self._live_cache: dict[_Mask, _Mask] = {}
+        self._covers_cache: dict[_Mask, bool] = {}
         self._live_epoch = -1
         self._promote_cache: dict[tuple, _KV] = {}
         self._m4_cache: dict[tuple, tuple] = {}
         self._cvt_cache: dict[tuple, tuple] = {}
-        self._stmt_flags: dict[str, dict[int, bool]] = {}
-
-        self._exec_table: dict[type, Callable[..., _Mask]] = {
-            F.Assignment: self._exec_assignment,
-            F.CallStmt: self._exec_call_stmt,
-            F.IfBlock: self._exec_if,
-            F.DoLoop: self._exec_do,
-            F.DoWhile: self._exec_do_while,
-            F.ExitStmt: self._exec_exit,
-            F.StopStmt: self._exec_stop,
-            F.PrintStmt: self._exec_print,
-        }
-        self._eval_table: dict[type, Callable[..., Any]] = {
-            F.IntLit: self._eval_int_lit,
-            F.RealLit: self._eval_real_lit,
-            F.LogicalLit: self._eval_logical_lit,
-            F.StringLit: self._eval_string_lit,
-            F.Name: self._eval_name,
-            F.UnaryOp: self._eval_unary,
-            F.BinOp: self._eval_binop,
-            F.Apply: self._eval_apply,
-            F.RangeExpr: self._eval_range,
-            F.KeywordArg: self._eval_keyword,
-        }
+        self._diff_cache: dict[tuple, Optional[_Mask]] = {}
+        self._and_cache: dict[tuple, _Mask] = {}
 
     # -- lane lifecycle -------------------------------------------------
 
@@ -443,6 +496,11 @@ class _Engine:
 
     def deactivate_mask(self, mask: _Mask, reason: str) -> None:
         self.deactivate(mask.arr.copy(), reason)
+
+    def deactivate_at(self, lane: int, reason: str) -> None:
+        lanes = np.zeros(self.width, dtype=bool)
+        lanes[lane] = True
+        self.deactivate(lanes, reason)
 
     def stop_lanes(self, lanes: np.ndarray, message: str,
                    codes: np.ndarray) -> None:
@@ -505,63 +563,238 @@ class _Engine:
         self.totals[mask] = self.totals.get(mask, 0) + elements
 
     def ledger_for(self, lane: int) -> Ledger:
-        """Replay the lane's charge-event subsequence into a Ledger.
+        """The lane's ledger: its charge-event subsequence, replayed.
 
-        Entries are applied in first-touch order so the reconstructed
-        dicts have the same insertion order a scalar run produces.
+        Events are keyed in first-touch order (a key enters ``events``
+        with the then-current sequence number, which only grows), so
+        one pass over them builds every lane's ledger with the dicts in
+        the insertion order a scalar run produces.  The ledgers are
+        rebuilt only when events arrived since the last build.
         """
-        rows = []
-        for key, (n, seq) in self.events.items():
+        if self._ledgers_seq != self._seq:
+            self._ledgers = self._replay_events()
+            self._ledgers_seq = self._seq
+        return self._ledgers[lane]
+
+    def _replay_events(self) -> list[Ledger]:
+        leds = [Ledger() for _ in range(self.width)]
+        parts_of: dict[tuple, list] = {}
+        for key, (n, _seq) in self.events.items():
             mask: _Mask = key[-1]
-            if not mask.arr[lane]:
-                continue
-            rows.append((seq, key, n))
-        rows.sort()
-        led = Ledger()
-        for _seq, key, n in rows:
             tag = key[0]
             if tag == "op":
                 _t, scope, opclass, kv, vec, _m = key
-                v = vec if isinstance(vec, bool) else bool(vec.arr[lane])
-                led.add_op(scope, opclass, kv.at(lane), v, n)
-            elif tag == "call":
+                parts = parts_of.get((kv, vec))
+                if parts is None:
+                    parts = parts_of[(kv, vec)] = _op_parts(kv, vec)
+                for kind, v, part in parts:
+                    lanes = np.flatnonzero(
+                        mask.arr if part is None else part & mask.arr)
+                    if not lanes.size:
+                        continue
+                    okey = OpKey(scope, opclass, kind, v)
+                    for lane in lanes.tolist():
+                        led = leds[lane]
+                        led.ops[okey] += n
+                        led.total_ops += n
+                continue
+            lanes = np.flatnonzero(mask.arr).tolist()
+            if tag == "call":
                 _t, caller, callee, wrapped, _m = key
-                w = wrapped if isinstance(wrapped, bool) \
-                    else bool(wrapped.arr[lane])
-                e = led.calls[CallKey(caller, callee)]
-                e[0] += n
-                e[1] += n if w else 0
+                ckey = CallKey(caller, callee)
+                for lane in lanes:
+                    w = wrapped if type(wrapped) is bool \
+                        else bool(wrapped.arr[lane])
+                    e = leds[lane].calls[ckey]
+                    e[0] += n
+                    e[1] += n if w else 0
             elif tag == "bc":
                 _t, caller, callee, _m = key
-                led.add_boundary_cast(caller, callee, n)
-                led.total_ops += n
+                for lane in lanes:
+                    led = leds[lane]
+                    led.add_boundary_cast(caller, callee, n)
+                    led.total_ops += n
             else:  # ar
                 _t, scope, elements, _m = key
-                for _ in range(n):
-                    led.add_allreduce(scope, elements)
-        return led
+                for lane in lanes:
+                    led = leds[lane]
+                    for _ in range(n):
+                        led.add_allreduce(scope, elements)
+        return leds
 
-    def lane_totals(self) -> np.ndarray:
-        tt = np.zeros(self.width, dtype=np.int64)
+    def _check_budget(self) -> None:
+        if self.max_ops is None:
+            return
+        ops = self.lane_ops
         for mask, n in self.totals.items():
-            tt[mask.arr] += n
-        return tt
+            ops[mask.arr] += n
+        self.totals.clear()
+        over = self.alive & (ops > self.max_ops)
+        if over.any():
+            self.deactivate(over, "operation budget exceeded")
 
     # -- kind vectors ---------------------------------------------------
 
     def kv_for(self, sym: Symbol) -> Optional[_KV]:
         if sym.type_ != "real":
             return None
-        got = self._kv_syms.get(sym.qualified)
+        qual = sym.qualified
+        got = self._kv_syms.get(qual)
         if got is None:
-            qual = sym.qualified
             base = sym.kind
             got = self.intern.kv(np.array(
                 [ov.get(qual, base) for ov in self.overlays], dtype=np.int8))
             self._kv_syms[qual] = got
         return got
 
-    # -- uniform helpers ------------------------------------------------
+    def _promote_kv(self, a: Optional[_KV], b: Optional[_KV]) -> Optional[_KV]:
+        if a is None:
+            return b
+        if b is None:
+            return a
+        if a is b:
+            return a
+        key = (a, b)
+        got = self._promote_cache.get(key)
+        if got is None:
+            if b.u == KIND_SINGLE:
+                got = a
+            elif a.u == KIND_SINGLE:
+                got = b
+            else:
+                got = self.intern.kv(np.maximum(a.arr, b.arr))
+            self._promote_cache[key] = got
+        return got
+
+    def _kv_diff(self, a: _KV, b: _KV) -> Optional[_Mask]:
+        """Lanes where two kind vectors differ, or None.  Kind vectors
+        are interned, so they differ somewhere exactly when ``a is not
+        b``."""
+        if a is b:
+            return None
+        key = (a, b)
+        got = self._diff_cache.get(key)
+        if got is None:
+            got = self._diff_cache[key] = self.intern.mask(a.arr != b.arr)
+        return got
+
+    def _cvt(self, kvl: _KV, kvr: _KV) -> tuple:
+        """Lanes where the left / the right operand of a binary op is
+        the narrower one and gets converted (interned masks or None)."""
+        key = (kvl, kvr)
+        got = self._cvt_cache.get(key)
+        if got is None:
+            lo = kvl.arr < kvr.arr
+            hi = kvl.arr > kvr.arr
+            got = (self.intern.mask(lo) if lo.any() else None,
+                   self.intern.mask(hi) if hi.any() else None)
+            self._cvt_cache[key] = got
+        return got
+
+    def _m4(self, kl: Optional[_KV], kr: Optional[_KV]) -> tuple:
+        """``(m4c, kv_out)`` for real operands of kinds *kl*/*kr*: the
+        lanes the scalar interpreter computes in float32 (None, True or
+        a bool[L]) and the result's kind vector.  Exactly the lanes
+        where every strong (non-weak) real operand is kind 4."""
+        if ((kl is None and kr is None)
+                or (kl is not None and not kl.any4)
+                or (kr is not None and not kr.any4)):
+            return None, self.intern.kv8
+        key = (kl, kr)
+        got = self._m4_cache.get(key)
+        if got is None:
+            if kl is None:
+                m4c = kr.m4
+            elif kr is None:
+                m4c = kl.m4
+            else:
+                m4c = kl.m4 & kr.m4
+            if not m4c.any():
+                got = (None, self.intern.kv8)
+            elif m4c.all():
+                got = (True, self.intern.kv4)
+            else:
+                got = (m4c, self.intern.kv(
+                    np.where(m4c, KIND_SINGLE, KIND_DOUBLE)))
+            self._m4_cache[key] = got
+        return got
+
+    def _kv_val(self, v: Any) -> Optional[_KV]:
+        t = type(v)
+        if t is _LF or t is _BArr:
+            return v.kv
+        if t is int or t is _LI or t is _LB or t is bool:
+            return None
+        if t is float:
+            return self.intern.kv8
+        k = kind_of(v) if not isinstance(v, (int, bool, str)) else None
+        return None if k is None else self.intern.kv_uniform(k)
+
+    # -- masks ----------------------------------------------------------
+
+    def _live(self, mask: _Mask) -> _Mask:
+        if self.n_dead == 0:
+            return mask
+        if self._live_epoch != self.epoch:
+            self._live_cache = {}
+            self._covers_cache = {}
+            self._live_epoch = self.epoch
+        got = self._live_cache.get(mask)
+        if got is None:
+            got = self.intern.mask(mask.arr & self.alive)
+            self._live_cache[mask] = got
+        return got
+
+    def covers_alive(self, mask: _Mask) -> bool:
+        nd = self.n_dead
+        if nd == 0:
+            return mask.n == self.width
+        if mask.n == self.width:
+            return True
+        if mask.n < self.width - nd:
+            return False
+        if self._live_epoch != self.epoch:
+            self._live_cache = {}
+            self._covers_cache = {}
+            self._live_epoch = self.epoch
+        got = self._covers_cache.get(mask)
+        if got is None:
+            got = self._covers_cache[mask] = bool(
+                np.all(mask.arr[self.alive]))
+        return got
+
+    def _and(self, a: _Mask, b: _Mask) -> _Mask:
+        if a is b or b.n == self.width:
+            return a
+        if a.n == self.width:
+            return b
+        key = (a, b)
+        got = self._and_cache.get(key)
+        if got is None:
+            got = self._and_cache[key] = self.intern.mask(a.arr & b.arr)
+        return got
+
+    def _or(self, a: _Mask, b: _Mask) -> _Mask:
+        if a is b or b.n == 0:
+            return a
+        if a.n == 0:
+            return b
+        return self.intern.mask(a.arr | b.arr)
+
+    def _andnot(self, a: _Mask, b: _Mask) -> _Mask:
+        """``a & ~b``."""
+        if b.n == 0:
+            return a
+        if a is b:
+            return self.intern.empty
+        return self.intern.mask(a.arr & ~b.arr)
+
+    def _canon_vec(self, arr: np.ndarray) -> Any:
+        if not arr.any():
+            return False
+        if arr.all():
+            return True
+        return self.intern.mask(arr)
 
     def _truthmask(self, cond: Any, mask: _Mask) -> _Mask:
         """Lanes of *mask* where *cond* is true (mirrors ``_truth``)."""
@@ -616,6 +849,9 @@ class _Engine:
                        self.intern.kv_uniform(k))
         return value
 
+    def _placeholder(self) -> _LF:
+        return _LF(np.zeros(self.width, dtype=_F64), self.intern.kv8)
+
     def merge_lf(self, old: Any, new: _LF, mask: _Mask) -> _LF:
         """Masked select of two real lane scalars.
 
@@ -631,65 +867,36 @@ class _Engine:
             kv = self.intern.kv(np.where(mask.arr, new.kv.arr, old.kv.arr))
         return _LF(data, kv)
 
-    def covers_alive(self, mask: _Mask) -> bool:
-        nd = self.n_dead
-        if nd == 0:
-            return mask.n == self.width
-        if mask.n == self.width:
-            return True
-        if mask.n < self.width - nd:
-            return False
-        return bool(np.all(mask.arr[self.alive]))
-
-    # ------------------------------------------------------------------
-    # Elaboration
-    # ------------------------------------------------------------------
-
-    def _module_frame(self, name: str, mask: _Mask) -> _BFrame:
-        frame = self._module_frames.get(name)
-        if frame is not None:
-            return frame
-        if name in self._elaborating:
-            raise SemanticError(f"circular module dependency at {name!r}")
-        self._elaborating.add(name)
-        try:
-            scope = self.index.modules.get(name)
-            if scope is None:
-                raise SemanticError(f"no module named {name!r}")
-            chain = [self._module_frame(u, mask).values for u in scope.uses]
-            frame = _BFrame(name, chain)
-            self._module_frames[name] = frame
-            for sym in scope.symbols.values():
-                frame.values[sym.name] = self._elaborate_symbol(
-                    sym, frame, mask)
-        finally:
-            self._elaborating.discard(name)
-        return frame
-
-    def _elaborate_symbol(self, sym: Symbol, frame: _BFrame,
-                          mask: _Mask) -> Any:
-        kv = self.kv_for(sym)
-        if sym.type_ == "derived":
-            raise _Unsupported("derived-type variables")
-        if sym.is_array:
-            if sym.is_allocatable:
-                return None
-            return self._allocate_array(sym, kv, frame, mask)
-        if sym.init is not None:
-            raise _Unsupported(f"initialized scalar {sym.name!r}")
-        if sym.type_ == "real":
-            assert kv is not None
-            return _LF(np.zeros(self.width, dtype=_F64), kv)
-        if sym.type_ == "integer":
-            return 0
-        if sym.type_ in ("logical", "character"):
-            raise _Unsupported(f"{sym.type_} scalar {sym.name!r}")
-        raise SemanticError(f"cannot elaborate symbol {sym.qualified}")
+    def _merge_scalar(self, old: Any, new: Any, mask: _Mask) -> Any:
+        """Masked select for real and integer scalar slots."""
+        tn = type(new)
+        if tn is _LF:
+            return self.merge_lf(old, new, mask)
+        if self.covers_alive(mask):
+            return new
+        to = type(old)
+        if tn is _LI or tn is int or tn is bool and to in (int, bool) \
+                or to is _LI:
+            if tn in (int, bool) and to in (int, bool) and int(new) == int(old):
+                return old
+            oarr = (old.arr if to is _LI
+                    else np.full(self.width, int(old), dtype=np.int64)
+                    if to in (int, bool)
+                    else np.zeros(self.width, dtype=np.int64))
+            narr = new.arr if tn is _LI else np.full(self.width, int(new),
+                                                     dtype=np.int64)
+            return _LI(np.where(mask.arr, narr, oarr))
+        return new
 
     def cast_lf(self, value: Any, kv: _KV) -> _LF:
-        """Mirror ``cast_real``: round a scalar value to per-lane kinds."""
+        """Mirror ``cast_real``: round a scalar value to per-lane kinds.
+
+        A real lane scalar already of kind vector *kv* holds exactly
+        those roundings (the ``_LF`` invariant), so it passes as is."""
         t = type(value)
         if t is _LF:
+            if value.kv is kv:
+                return value
             return _LF(_round_to(value.data, kv), kv)
         if t is _LI:
             return _LF(_round_to(value.arr.astype(_F64), kv), kv)
@@ -718,139 +925,39 @@ class _Engine:
             return _LI(value.arr.astype(np.int64))
         raise _Unsupported(f"cannot convert {t.__name__} to integer")
 
-    def _allocate_array(self, sym: Symbol, kv: Optional[_KV],
-                        frame: _BFrame, mask: _Mask) -> _BArr:
-        assert sym.dims is not None
-        shape = []
-        lbounds = []
-        for dim in sym.dims:
-            if dim.assumed or dim.deferred:
-                raise FortranRuntimeError(
-                    f"array {sym.name!r} has assumed shape but no actual "
-                    "argument to take it from"
-                )
-            lb = 1 if dim.lower is None else self._uniform_int(
-                self._eval(dim.lower, frame, mask), mask, "array bound")
-            ub = self._uniform_int(
-                self._eval(dim.upper, frame, mask), mask, "array bound")
-            lbounds.append(lb)
-            shape.append(max(0, ub - lb + 1))
-        full = (self.width, *shape)
-        if sym.type_ == "real":
-            assert kv is not None
-            return _BArr(np.zeros(full, dtype=_F64), tuple(lbounds), kv)
-        if sym.type_ == "integer":
-            return _BArr(np.zeros(full, dtype=np.int64), tuple(lbounds), None)
-        if sym.type_ == "logical":
-            return _BArr(np.zeros(full, dtype=np.bool_), tuple(lbounds), None)
-        raise SemanticError(f"cannot allocate array of type {sym.type_}")
-
-    def _make_frame(self, scope_name: str, scope_info, vec_inherit: Any,
-                    mask: _Mask) -> _BFrame:
-        chain: list[dict] = []
-        info = scope_info
-        parent = info.parent
-        while parent is not None:
-            if parent.is_procedure:
-                parent = parent.parent
-                continue
-            chain.append(self._module_frame(parent.name, mask).values)
-            parent = parent.parent
-        for used in info.uses:
-            if used in self.index.modules:
-                chain.append(self._module_frame(used, mask).values)
-        for mod in self.index.modules:
-            mf = self._module_frame(mod, mask).values
-            if all(mf is not c for c in chain):
-                chain.append(mf)
-        return _BFrame(scope_name, chain, vec_inherit=vec_inherit)
-
-    # ------------------------------------------------------------------
-    # Mask / vec-context helpers
-    # ------------------------------------------------------------------
-
-    def _live(self, mask: _Mask) -> _Mask:
-        if self.n_dead == 0:
-            return mask
-        if self._live_epoch != self.epoch:
-            self._live_cache = {}
-            self._live_epoch = self.epoch
-        got = self._live_cache.get(mask)
-        if got is None:
-            got = self.intern.mask(mask.arr & self.alive)
-            self._live_cache[mask] = got
-        return got
-
-    def _canon_vec(self, arr: np.ndarray) -> Any:
-        if not arr.any():
-            return False
-        if arr.all():
-            return True
-        return self.intern.mask(arr)
-
-    @staticmethod
-    def _vec_or(vec: Any, n: int) -> Any:
-        return True if n > 1 else vec
-
-    def _scope_flags(self, scope: str) -> dict[int, bool]:
-        flags = self._stmt_flags.get(scope)
-        if flags is None:
-            assert self.vec_info is not None
-            flags = self.vec_info.stmt_vec(scope)
-            self._stmt_flags[scope] = flags
-        return flags
-
-    def _stmt_vec_mask(self, stmt: F.Stmt, frame: _BFrame) -> Any:
-        """Per-lane vectorization context: False, True, or a _Mask."""
-        if self.vec_info is None:
-            base = frame.vec_inherit
-        elif self._scope_flags(frame.scope).get(id(stmt), False):
-            base = True
-        else:
-            base = frame.vec_inherit
-        dv = self.devec.get(id(stmt))
-        if dv is None or not dv.any():
-            return base
-        if base is False:
-            return False
-        if base is True:
-            return self._canon_vec(~dv)
-        return self._canon_vec(base.arr & ~dv)
-
-    def _check_budget(self) -> None:
-        if self.max_ops is None:
+    def _store_loop_var(self, slot: dict, var: str, i: int,
+                        cur: _Mask) -> None:
+        # Mirrors the scalar `slot[var] = i`: direct store, no charges.
+        # Lanes that already left the loop keep their exit-time value.
+        if self.covers_alive(cur):
+            slot[var] = i
             return
-        over = self.alive & (self.lane_totals() > self.max_ops)
-        if over.any():
-            self.deactivate(over, "operation budget exceeded")
+        old = slot.get(var, 0)
+        if type(old) is _LI:
+            arr = old.arr.copy()
+        else:
+            arr = np.full(self.width,
+                          int(old) if type(old) in (int, bool) else 0,
+                          dtype=np.int64)
+        arr[cur.arr] = i
+        slot[var] = _LI(arr)
 
-    def _promote_kv(self, a: Optional[_KV], b: Optional[_KV]) -> Optional[_KV]:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a is b:
-            return a
-        key = (a, b)
-        got = self._promote_cache.get(key)
-        if got is None:
-            if b.u == KIND_SINGLE:
-                got = a
-            elif a.u == KIND_SINGLE:
-                got = b
+    def _name_setter(self, slot: dict, name: str) -> Callable:
+        """Masked write-back into a named actual argument's slot."""
+
+        def set_name(new: Any, wmask: _Mask) -> None:
+            cur = slot[name]
+            if type(cur) is _BArr and type(new) is _BArr:
+                data = (new.data if cur.kv is None
+                        else _round_to(new.data, cur.kv))
+                if self.covers_alive(wmask):
+                    cur.data[...] = data
+                else:
+                    cur.data[wmask.arr] = data[wmask.arr]
             else:
-                got = self.intern.kv(np.maximum(a.arr, b.arr))
-            self._promote_cache[key] = got
-        return got
+                slot[name] = self._merge_scalar(cur, new, wmask)
 
-    def _kv_val(self, v: Any) -> Optional[_KV]:
-        t = type(v)
-        if t is _LF or t is _BArr:
-            return v.kv
-        if t is float:
-            return self.intern.kv8
-        k = kind_of(v) if not isinstance(v, (int, bool, str)) else None
-        return None if k is None else self.intern.kv_uniform(k)
+        return set_name
 
     # -- per-lane native reconstruction (for non-exactly-rounded ops) ---
 
@@ -881,348 +988,263 @@ class _Engine:
             return sl.astype(_F32)
         return sl
 
-    def _native_value(self, v: Any, lane: int,
-                      lbounds_out: Optional[list] = None) -> Any:
+    def _native_value(self, v: Any, lane: int) -> Any:
         if type(v) is _BArr:
-            if lbounds_out is not None:
-                lbounds_out.append(v.lbounds)
             return FArray(self._native_array(v, lane), v.lbounds,
                           None if v.kv is None else v.kv.at(lane))
         return self._native_scalar(v, lane)
 
     # ------------------------------------------------------------------
-    # Statement execution
+    # Elaboration and invocation
     # ------------------------------------------------------------------
 
-    def _exec_block(self, stmts: list, frame: _BFrame, mask: _Mask) -> _Mask:
-        table = self._exec_table
-        epoch = self.epoch
-        for stmt in stmts:
-            if self.epoch != epoch:
-                epoch = self.epoch
-                mask = self._live(mask)
-            if mask.n == 0:
-                return mask
-            self.tick += 1
-            if self.tick >= _BUDGET_CHECK_INTERVAL:
-                self.tick = 0
-                self._check_budget()
-                if self.epoch != epoch:
-                    epoch = self.epoch
-                    mask = self._live(mask)
-                    if mask.n == 0:
-                        return mask
-            handler = table.get(type(stmt))
-            if handler is None:
-                raise _Unsupported(
-                    f"statement {type(stmt).__name__}")
-            mask = handler(stmt, frame, mask)
-        return mask
-
-    def _exec_assignment(self, stmt: F.Assignment, frame: _BFrame,
-                         mask: _Mask) -> _Mask:
-        prev, prev_id, prev_lit = self.cur, self.cur_sid, self.rhs_literal
-        self.cur = self._stmt_vec_mask(stmt, frame)
-        self.cur_sid = id(stmt)
-        self.rhs_literal = isinstance(stmt.value, (F.RealLit, F.IntLit))
+    def _module_frame(self, name: str, mask: _Mask) -> _BFrame:
+        frame = self._module_frames.get(name)
+        if frame is not None:
+            return frame
+        if name in self._elaborating:
+            raise SemanticError(f"circular module dependency at {name!r}")
+        self._elaborating.add(name)
         try:
-            value = self._eval(stmt.value, frame, mask)
-            self._assign(stmt.target, value, frame, mask)
-        finally:
-            self.cur, self.cur_sid, self.rhs_literal = prev, prev_id, prev_lit
-        return self._live(mask)
-
-    def _exec_call_stmt(self, stmt: F.CallStmt, frame: _BFrame,
-                        mask: _Mask) -> _Mask:
-        prev, prev_id = self.cur, self.cur_sid
-        self.cur = self._stmt_vec_mask(stmt, frame)
-        self.cur_sid = id(stmt)
-        try:
-            if stmt.name in ("mpi_allreduce_sum", "mpi_allreduce_max",
-                             "mpi_allreduce_min"):
-                args = [self._eval(a, frame, mask) for a in stmt.args]
-                if not args:
-                    self.deactivate_mask(mask,
-                                         "mpi_allreduce_* needs an argument")
-                    return self._live(mask)
-                self.add_ar(frame.scope, _elems(args[0]), mask)
-                return self._live(mask)
-            scope = self.index.find_procedure(stmt.name)
+            scope = self.index.modules.get(name)
             if scope is None:
-                self.deactivate_mask(
-                    mask, f"call to undefined subroutine {stmt.name!r}")
-                return self._live(mask)
-            proc = scope.node
-            actuals = self._prepare_actuals(proc, stmt.args, frame, mask)
-            if actuals is None:
-                return self._live(mask)
-            self._binvoke(scope.name, proc, actuals,
-                          caller_scope=frame.scope, vec_ctx=self.cur,
-                          mask=self._live(mask))
+                raise SemanticError(f"no module named {name!r}")
+            chain = [self._module_frame(u, mask).values for u in scope.uses]
+            frame = _BFrame(name, chain)
+            self._module_frames[name] = frame
+            lower = _Lowerer(self, scope, None)
+            for sym in scope.symbols.values():
+                frame.values[sym.name] = lower.elaborator(sym)(frame, mask)
         finally:
-            self.cur, self.cur_sid = prev, prev_id
-        return self._live(mask)
+            self._elaborating.discard(name)
+        return frame
 
-    def _exec_if(self, stmt: F.IfBlock, frame: _BFrame,
-                 mask: _Mask) -> _Mask:
-        remaining = self._live(mask)
-        done = self.intern.empty
-        for arm in stmt.arms:
-            if remaining.n == 0:
-                break
-            if arm.cond is None:
-                ft = self._exec_block(arm.body, frame, remaining)
-                done = self.intern.mask(done.arr | ft.arr)
-                remaining = self.intern.empty
-                break
-            prev = self.cur
-            self.cur = self._stmt_vec_mask(stmt, frame)
-            try:
-                cond = self._eval(arm.cond, frame, remaining)
-            finally:
-                self.cur = prev
-            remaining = self._live(remaining)
-            t = self._truthmask(cond, remaining)
-            if t.n:
-                ft = self._exec_block(arm.body, frame, t)
-                done = self.intern.mask(done.arr | ft.arr)
-            remaining = self.intern.mask(remaining.arr & ~t.arr)
-        return self._live(self.intern.mask(done.arr | remaining.arr))
+    def _lower(self, qual: str, proc: F.ProcedureUnit,
+               mask: _Mask) -> _Proc:
+        """Lower *proc* for this wave (its first call elaborates the
+        modules its frames chain to, in the scalar interpreter's
+        order)."""
+        info = self.index.scopes[qual]
+        modules = _chain_module_names(self.index, info)
+        chain = [self._module_frame(m, mask).values for m in modules]
+        code = _Lowerer(self, info, modules).procedure(proc, chain)
+        self.procs[qual] = code
+        self.procedures_lowered += 1
+        return code
 
-    def _store_loop_var(self, slot: dict, var: str, i: int,
-                        cur: _Mask) -> None:
-        # Mirrors the scalar `slot[var] = i`: direct store, no charges.
-        # Lanes that already left the loop keep their exit-time value.
-        if self.covers_alive(cur):
-            slot[var] = i
-            return
-        old = slot.get(var, 0)
-        if type(old) is _LI:
-            arr = old.arr.copy()
-        else:
-            arr = np.full(self.width,
-                          int(old) if type(old) in (int, bool) else 0,
-                          dtype=np.int64)
-        arr[cur.arr] = i
-        slot[var] = _LI(arr)
-
-    def _exec_do(self, stmt: F.DoLoop, frame: _BFrame,
-                 mask: _Mask) -> _Mask:
-        start = self._uniform_int(self._eval(stmt.start, frame, mask),
-                                  mask, "divergent do-loop bound")
+    def _binvoke(self, qual: str, proc: F.ProcedureUnit, actuals: list,
+                 caller_scope: str, vec_ctx: Any, mask: _Mask) -> Any:
         mask = self._live(mask)
         if mask.n == 0:
-            return mask
-        stop = self._uniform_int(self._eval(stmt.stop, frame, mask),
-                                 mask, "divergent do-loop bound")
-        mask = self._live(mask)
-        if mask.n == 0:
-            return mask
-        if stmt.step is not None:
-            step = self._uniform_int(self._eval(stmt.step, frame, mask),
-                                     mask, "divergent do-loop step")
-            mask = self._live(mask)
-            if mask.n == 0:
-                return mask
-        else:
-            step = 1
-        if step == 0:
-            self.deactivate_mask(mask, "do-loop step is zero")
-            return self._live(mask)
-        slot = (frame.find_slot(stmt.var) if frame.has(stmt.var)
-                else frame.values)
-        ctx = _LoopCtx(self.intern.empty)
-        self.loops.append(ctx)
-        try:
-            cur = mask
-            ft_exit = self.intern.empty
-            i = start
-            while (i <= stop) if step > 0 else (i >= stop):
-                cur = self._live(cur)
-                if cur.n == 0:
-                    break
-                self._store_loop_var(slot, stmt.var, i, cur)
-                cur = self._exec_block(stmt.body, frame, cur)
-                if ctx.exit.n:
-                    ft_exit = self.intern.mask(ft_exit.arr | ctx.exit.arr)
-                    ctx.exit = self.intern.empty
-                i += step
-        finally:
-            self.loops.pop()
-        return self._live(self.intern.mask(cur.arr | ft_exit.arr))
+            return self._placeholder() if isinstance(proc, F.Function) \
+                else None
+        code = self.procs.get(qual)
+        if code is None:
+            code = self._lower(qual, proc, mask)
+        is_function = code.is_function
+        frame = _BFrame(qual, code.chain)
+        values = frame.values
+        wrapped_arr = np.zeros(self.width, dtype=bool)
+        real_actual_kvs: list[_KV] = []
+        writebacks: list[tuple] = []
 
-    def _exec_do_while(self, stmt: F.DoWhile, frame: _BFrame,
-                       mask: _Mask) -> _Mask:
-        ctx = _LoopCtx(self.intern.empty)
-        self.loops.append(ctx)
-        try:
-            cur = self._live(mask)
-            ft = self.intern.empty
-            while True:
-                cur = self._live(cur)
-                if cur.n == 0:
-                    break
-                prev = self.cur
-                self.cur = False
-                try:
-                    cond = self._eval(stmt.cond, frame, cur)
-                finally:
-                    self.cur = prev
-                cur = self._live(cur)
-                t = self._truthmask(cond, cur)
-                ft = self.intern.mask(ft.arr | (cur.arr & ~t.arr))
-                cur = t
-                if cur.n == 0:
-                    break
-                cur = self._exec_block(stmt.body, frame, cur)
-                if ctx.exit.n:
-                    ft = self.intern.mask(ft.arr | ctx.exit.arr)
-                    ctx.exit = self.intern.empty
-        finally:
-            self.loops.pop()
-        return self._live(ft)
-
-    def _exec_exit(self, stmt: F.ExitStmt, frame: _BFrame,
-                   mask: _Mask) -> _Mask:
-        if not self.loops:
-            raise _Unsupported("exit outside a loop")
-        ctx = self.loops[-1]
-        ctx.exit = self.intern.mask(ctx.exit.arr | mask.arr)
-        return self.intern.empty
-
-    def _exec_stop(self, stmt: F.StopStmt, frame: _BFrame,
-                   mask: _Mask) -> _Mask:
-        codes = np.zeros(self.width, dtype=np.int64)
-        if stmt.code is not None:
-            val = self._eval(stmt.code, frame, mask)
-            mask = self._live(mask)
-            if mask.n == 0:
-                return mask
-            t = type(val)
-            if t is int or t is bool:
-                codes[:] = int(val)
-            elif t is _LI:
-                codes = val.arr
-            elif t is _LF:
-                codes = np.trunc(val.data).astype(np.int64)
-            else:
-                raise _Unsupported("non-integer stop code")
-        if stmt.is_error:
-            err = mask.arr.copy()
-        else:
-            err = mask.arr & (codes != 0)
-        if err.any():
-            # The message is static and the code is recorded per lane,
-            # so the harness re-raises the exact scalar FortranStopError
-            # without leaving the vector path.
-            self.stop_lanes(err, stmt.message or "", codes)
-        return self.intern.empty  # plain STOP behaves like RETURN
-
-    def _exec_print(self, stmt: F.PrintStmt, frame: _BFrame,
-                    mask: _Mask) -> _Mask:
-        vals = [self._eval(item, frame, mask) for item in stmt.items]
-        if any(type(val) is _BArr for val in vals):
-            raise _Unsupported("array item in print")
-        mask = self._live(mask)
-        for lane in np.flatnonzero(mask.arr):
-            parts = []
-            for val in vals:
-                t = type(val)
-                if t is _LF:
-                    parts.append(str(self._native_scalar(val, int(lane))))
-                elif t is _LI:
-                    parts.append(str(int(val.arr[lane])))
-                elif t is _LB:
-                    parts.append(str(bool(val.arr[lane])))
+        for pos, dummy_name, type_, kd_kv, writes_back in code.scalars:
+            value, setter = actuals[pos]
+            if type_ == "real":
+                if value is None:
+                    value = 0.0
+                    ka_kv = kd_kv
                 else:
-                    parts.append(str(val))
-            self.stdout[int(lane)].append(" ".join(parts))
-        return mask
-
-    # ------------------------------------------------------------------
-    # Assignment targets
-    # ------------------------------------------------------------------
-
-    def _merge_scalar(self, old: Any, new: Any, mask: _Mask) -> Any:
-        """Masked select for real and integer scalar slots."""
-        tn = type(new)
-        if tn is _LF:
-            return self.merge_lf(old, new, mask)
-        if self.covers_alive(mask):
-            return new
-        to = type(old)
-        if tn is _LI or tn is int or tn is bool and to in (int, bool) \
-                or to is _LI:
-            if tn in (int, bool) and to in (int, bool) and int(new) == int(old):
-                return old
-            oarr = (old.arr if to is _LI
-                    else np.full(self.width, int(old), dtype=np.int64)
-                    if to in (int, bool)
-                    else np.zeros(self.width, dtype=np.int64))
-            narr = new.arr if tn is _LI else np.full(self.width, int(new),
-                                                     dtype=np.int64)
-            return _LI(np.where(mask.arr, narr, oarr))
-        return new
-
-    def _assign(self, target: Any, value: Any, frame: _BFrame,
-                mask: _Mask) -> None:
-        if isinstance(target, F.Name):
-            self._assign_name(target.name, value, frame, mask)
-            return
-        if isinstance(target, F.Apply):
-            container = frame.find(target.name)
-            if type(container) is not _BArr:
-                self.deactivate_mask(
-                    mask,
-                    f"subscripted assignment to non-array {target.name!r}")
-                return
-            self._assign_indexed(container, target.args, value, frame, mask)
-            return
-        raise _Unsupported(f"cannot assign to {type(target).__name__}")
-
-    def _assign_name(self, name: str, value: Any, frame: _BFrame,
-                     mask: _Mask) -> None:
-        slot = frame.find_slot(name)
-        current = slot[name]
-        if type(current) is _BArr:
-            raise _Unsupported("whole-array assignment")
-        slot[name] = self._convert_like(current, value, frame.scope, mask)
-
-    def _convert_like(self, current: Any, value: Any, scope: str,
-                      mask: _Mask) -> Any:
-        """Cast *value* to the slot's declared type; mirrors the scalar
-        charges (convert iff the value kind differs, store always)."""
-        if type(current) is _LF:
-            if type(value) is _LF:
-                self._nan_guard(value.data, mask)
+                    ka_kv = self._kv_val(value)
+                    if ka_kv is None:
+                        ka_kv = kd_kv
+                real_actual_kvs.append(ka_kv)
+                if ka_kv is not kd_kv:
+                    mm = self._and(self._kv_diff(ka_kv, kd_kv), mask)
+                    if mm.n:
+                        wrapped_arr |= mm.arr
+                        self.add_bc(caller_scope, qual, 1, mm)
+                values[dummy_name] = self.cast_lf(value, kd_kv)
+                if setter is not None and writes_back:
+                    writebacks.append(("rs", dummy_name, ka_kv, setter))
+            elif type_ == "integer":
+                values[dummy_name] = self.to_int(value)
+                if setter is not None and writes_back:
+                    writebacks.append(("pl", dummy_name, None, setter))
             else:
-                self._nan_guard(value, mask)
-            kd = current.kv
-            kv = self._kv_val(value)
-            if kv is not None and not self.rhs_literal:
-                diff = kv.arr != kd.arr
-                if diff.any():
-                    self.add_op(scope, "convert", kd, self.cur, 1,
-                                self.intern.mask(diff & mask.arr))
-            self.add_op(scope, "store", kd, self.cur, 1, mask)
-            return self.merge_lf(current, self.cast_lf(value, kd), mask)
-        if type(current) is int or type(current) is _LI:
-            return self._merge_scalar(current, self.to_int(value), mask)
-        # Uninitialized slot: store as-is (mirrors the scalar fallthrough).
-        return self._merge_scalar(current, value, mask) \
-            if type(value) is _LF else value
+                raise _Unsupported(f"{type_} scalar {dummy_name!r}")
+
+        for pos, dummy_name, sym, kd_kv, writes_back, lbs in code.arrays:
+            value = actuals[pos][0]
+            if sym.type_ == "derived":
+                values[dummy_name] = value
+                continue
+            if type(value) is not _BArr:
+                self.deactivate_mask(
+                    mask, f"argument {dummy_name!r} of {code.name!r} "
+                    "must be an array")
+                return self._placeholder() if is_function else None
+            if len(lbs) != value.rank:
+                self.deactivate_mask(
+                    mask, f"rank mismatch binding {sym.name!r}: dummy rank "
+                    f"{len(lbs)}, actual rank {value.rank}")
+                return self._placeholder() if is_function else None
+            lbounds = tuple(
+                1 if lower is None else self._uniform_int(
+                    lower(frame, mask), mask, "dummy array bound")
+                for lower in lbs)
+            if sym.type_ == "real":
+                assert kd_kv is not None and value.kv is not None
+                real_actual_kvs.append(value.kv)
+                mm = self._and(self._kv_diff(value.kv, kd_kv), mask) \
+                    if value.kv is not kd_kv else self.intern.empty
+                if not mm.n:
+                    values[dummy_name] = _BArr(value.data, lbounds, kd_kv)
+                else:
+                    wrapped_arr |= mm.arr
+                    self.add_bc(caller_scope, qual, value.size, mm)
+                    data = _round_to(value.data, kd_kv)
+                    if data is value.data:
+                        data = data.copy()
+                    values[dummy_name] = _BArr(data, lbounds, kd_kv)
+                    writebacks.append(
+                        ("ra", dummy_name, value,
+                         mm.arr.copy() if writes_back else None))
+            else:
+                values[dummy_name] = _BArr(value.data, lbounds, value.kv)
+
+        for name, elaborate in code.locals:
+            values[name] = elaborate(frame, mask)
+
+        if vec_ctx is False or not code.inlinable:
+            frame.vec_inherit = False
+        else:
+            base = (np.ones(self.width, dtype=bool) if vec_ctx is True
+                    else vec_ctx.arr)
+            frame.vec_inherit = self._canon_vec(base & ~wrapped_arr)
+        if wrapped_arr.any() and self.cur_sid:
+            dv = self.devec.get(self.cur_sid)
+            if dv is None:
+                self.devec[self.cur_sid] = wrapped_arr.copy()
+            else:
+                dv |= wrapped_arr
+        sub = wrapped_arr[mask.arr]
+        if not sub.any():
+            w_canon: Any = False
+        elif sub.all():
+            w_canon = True
+        else:
+            w_canon = self.intern.mask(wrapped_arr & mask.arr)
+        self.add_call(caller_scope, qual, w_canon, mask)
+
+        code.body(frame, self._live(mask))
+
+        wmask = self._live(mask)
+        if wmask.n:
+            for tag, dummy_name, extra, *rest in writebacks:
+                final = values[dummy_name]
+                if tag == "rs":
+                    ka_kv = extra
+                    setter = rest[0]
+                    if type(final) is not _LF:
+                        final = self.cast_lf(final, ka_kv)
+                    mm2 = (final.kv.arr != ka_kv.arr) & wmask.arr
+                    if mm2.any():
+                        self.add_bc(caller_scope, qual, 1,
+                                    self.intern.mask(mm2))
+                    setter(self.cast_lf(final, ka_kv), wmask)
+                elif tag == "pl":
+                    rest[0](final, wmask)
+                else:  # "ra"
+                    orig = extra
+                    mm = rest[0]
+                    matched = (wmask.arr
+                               & ~(final.kv.arr != orig.kv.arr))
+                    if matched.any():
+                        orig.data[matched] = final.data[matched]
+                    if mm is not None:
+                        sel2 = wmask.arr & mm
+                        if sel2.any():
+                            self.add_bc(caller_scope, qual, final.size,
+                                        self.intern.mask(sel2))
+                            orig.data[sel2] = _round_to(
+                                final.data, orig.kv)[sel2]
+
+        if is_function:
+            result = values.get(code.result)
+            if wrapped_arr.any() and real_actual_kvs:
+                rkv = self._kv_val(result)
+                if rkv is not None:
+                    k0 = real_actual_kvs[0].arr
+                    agree = np.ones(self.width, dtype=bool)
+                    for kv in real_actual_kvs[1:]:
+                        agree &= kv.arr == k0
+                    cond = (wrapped_arr & agree & (k0 != rkv.arr)
+                            & wmask.arr)
+                    if cond.any():
+                        k0_kv = self.intern.kv(k0)
+                        self.add_op(caller_scope, "convert", k0_kv, False,
+                                    _elems(result), self.intern.mask(cond))
+                        out_kv = self.intern.kv(
+                            np.where(cond, k0, rkv.arr))
+                        if type(result) is _LF:
+                            data = np.where(
+                                cond, _round_to(result.data, k0_kv),
+                                result.data)
+                            result = _LF(data, out_kv)
+                        elif type(result) is _BArr:
+                            sel = _expand(cond, result.data.ndim)
+                            data = np.where(
+                                sel, _round_to(result.data, k0_kv),
+                                result.data)
+                            result = _BArr(data, result.lbounds, out_kv)
+            return result
+        return None
+
+    def execute_call(self, name: str, pairs: list) -> Any:
+        """Engine entry point: invoke *name* for every live lane.
+
+        *pairs* is a list of ``(lifted value, masked setter or None)``;
+        uniform structural errors (unknown procedure, arity) raise to
+        the harness, which sends every lane to the scalar fallback.
+        """
+        scope = self.index.find_procedure(name)
+        if scope is None:
+            raise SemanticError(f"no procedure named {name!r}")
+        proc = scope.node
+        assert isinstance(proc, F.ProcedureUnit)
+        if len(pairs) != len(proc.args):
+            raise FortranRuntimeError(
+                f"{name} expects {len(proc.args)} arguments, "
+                f"got {len(pairs)}")
+        self.call_no += 1
+        mask = self.intern.mask(self.alive.copy())
+        with np.errstate(all="ignore"):
+            result = self._binvoke(scope.name, proc, pairs,
+                                   caller_scope="<harness>",
+                                   vec_ctx=False, mask=mask)
+        self._check_budget()
+        return result
+
+    # ------------------------------------------------------------------
+    # Run-time kernels of the lowered code
+    # ------------------------------------------------------------------
 
     def _masked_array_store(self, arr: _BArr, key: tuple, raw: Any,
-                            mask: _Mask) -> None:
+                            mask: _Mask, exact: bool = False) -> None:
         """Store *raw* into ``arr.data[:, *key]`` for the mask's lanes,
-        rounding through the array's per-lane kind."""
+        rounding through the array's per-lane kind (unless *exact*: raw
+        already holds those roundings)."""
         dest = arr.data[(slice(None), *key)] if key else arr.data
         try:
             if arr.kv is not None:
                 self._nan_guard(raw, mask)
                 if isinstance(raw, np.ndarray):
-                    src = _round_to(raw.astype(_F64, copy=False), arr.kv) \
-                        if raw.dtype != _F64 else _round_to(raw, arr.kv)
+                    if exact:
+                        src = raw
+                    else:
+                        src = _round_to(raw.astype(_F64, copy=False), arr.kv) \
+                            if raw.dtype != _F64 else _round_to(raw, arr.kv)
                 else:
                     src = _round_to(
                         np.full(self.width, float(raw), dtype=_F64), arr.kv)
@@ -1239,410 +1261,68 @@ class _Engine:
         except (ValueError, IndexError, TypeError) as exc:
             self.deactivate_mask(mask, f"array store failed: {exc}")
 
-    def _assign_indexed(self, arr: _BArr, args: list, value: Any,
-                        frame: _BFrame, mask: _Mask) -> None:
-        keyinfo = self._index_key(arr, args, frame, mask)
-        if keyinfo is None:
-            return
-        key, n_elements, is_section, gather = keyinfo
-        mask = self._live(mask)
-        if mask.n == 0:
-            return
-        if arr.kv is not None:
-            kv = self._kv_val(value)
-            vec = True if is_section else self.cur
-            if kv is not None and not self.rhs_literal:
-                diff = kv.arr != arr.kv.arr
-                if diff.any():
-                    self.add_op(frame.scope, "convert", arr.kv, vec,
-                                n_elements,
-                                self.intern.mask(diff & mask.arr))
-            self.add_op(frame.scope, "store", arr.kv, vec, n_elements, mask)
+    def _scatter(self, arr: _BArr, gather: tuple, value: Any,
+                 mask: _Mask) -> None:
+        """Per-lane store with divergent integer indices."""
+        lanes = np.flatnonzero(mask.arr)
+        where = (lanes, *(g[lanes] for g in gather))
         tv = type(value)
-        if gather is not None:
-            # Per-lane scatter with divergent integer indices.
-            lanes = np.flatnonzero(mask.arr)
-            if tv is _LF:
-                vals = _round_to(value.data, arr.kv) if arr.kv is not None \
-                    else value.data
-                arr.data[(lanes, *(g[lanes] for g in gather))] = vals[lanes]
-            elif tv is _LI:
-                arr.data[(lanes, *(g[lanes] for g in gather))] = \
-                    value.arr[lanes]
-            elif tv is _LB:
-                arr.data[(lanes, *(g[lanes] for g in gather))] = \
-                    value.arr[lanes]
-            elif tv in (int, float, bool):
-                if arr.kv is not None:
-                    v = _round_to(np.full(self.width, float(value),
-                                          dtype=_F64), arr.kv)
-                    arr.data[(lanes, *(g[lanes] for g in gather))] = v[lanes]
-                else:
-                    arr.data[(lanes, *(g[lanes] for g in gather))] = value
-            else:
-                self.deactivate_mask(mask, "unsupported scatter value")
-            return
-        if tv is _BArr:
-            raw: Any = value.data
-        elif tv is _LF:
-            raw = value.data if not is_section else \
-                _expand_section(value.data, arr.data[(slice(None), *key)])
-        elif tv in (_LI, _LB):
-            raw = value.arr if not is_section else \
-                _expand_section(value.arr, arr.data[(slice(None), *key)])
-        else:
-            raw = value
-        self._masked_array_store(arr, key, raw, mask)
-
-    # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-
-    def _index_key(self, arr: _BArr, args: list, frame: _BFrame,
-                   mask: _Mask):
-        """Mirror of the scalar ``_index_key``.
-
-        Returns ``(key, n_elements, is_section, gather)`` or None when
-        every lane of *mask* was deactivated.  ``gather`` is non-None for
-        divergent integer element indices: a tuple of per-lane int64[L]
-        index vectors (one per dimension), used for per-lane
-        gather/scatter instead of a uniform key.
-        """
-        data = arr.data
-        if data.ndim == 2 and len(args) == 1 \
-                and type(args[0]) is not F.RangeExpr:
-            idx_val = self._eval(args[0], frame, mask)
-            t = type(idx_val)
-            extent = data.shape[1]
-            lb = arr.lbounds[0]
-            if t is _LF:
-                idx_val = self.to_int(idx_val)
-                t = _LI
-            if t is _LI:
-                j = idx_val.arr - lb
-                oob = ((j < 0) | (j >= extent)) & mask.arr
-                if oob.any():
-                    self.deactivate(oob.copy(), "index out of bounds")
-                hi = extent - 1 if extent > 0 else 0
-                jc = np.minimum(np.maximum(j, 0), hi)
-                mask = self._live(mask)
-                if mask.n == 0:
-                    return None
-                return (jc,), 1, False, (jc,)
-            if t is _BArr:
-                if idx_val.kv is not None:
-                    self.deactivate_mask(mask, "real vector subscript")
-                    return None
-                first = idx_val.data[0]
-                if not bool(np.all(idx_val.data == first[None])):
-                    self.deactivate_mask(mask, "divergent vector subscript")
-                    return None
-                mask = self._live(mask)
-                if mask.n == 0:
-                    return None
-                return ((first.astype(np.int64) - lb,), int(first.size),
-                        True, None)
-            j = int(idx_val) - lb
-            if 0 <= j < extent:
-                mask = self._live(mask)
-                if mask.n == 0:
-                    return None
-                return (j,), 1, False, None
-            self.deactivate_mask(
-                mask, f"index {int(idx_val)} out of bounds "
-                f"[{lb}:{lb + extent - 1}]")
-            return None
-        if len(args) != arr.rank:
-            self.deactivate_mask(
-                mask, f"rank mismatch: {len(args)} subscripts for "
-                f"rank-{arr.rank} array")
-            return None
-        key: list[Any] = []
-        idx_vecs: list[np.ndarray] = []
-        divergent = False
-        is_section = False
-        n_elements = 1
-        for arg, lb, extent in zip(args, arr.lbounds, arr.shape):
-            if isinstance(arg, F.RangeExpr):
-                is_section = True
-                lo = (self._uniform_int(self._eval(arg.lo, frame, mask),
-                                        mask, "divergent section bound") - lb
-                      if arg.lo is not None else 0)
-                hi = (self._uniform_int(self._eval(arg.hi, frame, mask),
-                                        mask, "divergent section bound")
-                      - lb + 1 if arg.hi is not None else extent)
-                step = (self._uniform_int(self._eval(arg.step, frame, mask),
-                                          mask, "divergent section step")
-                        if arg.step is not None else 1)
-                if lo < 0 or hi > extent:
-                    self.deactivate_mask(
-                        mask, f"section [{lo + lb}:{hi + lb - 1}] out of "
-                        f"bounds [{lb}:{lb + extent - 1}]")
-                    return None
-                count = max(0, (hi - lo + (step - 1)) // step)
-                n_elements *= count
-                key.append(slice(lo, hi, step))
-                idx_vecs.append(None)  # type: ignore[arg-type]
-                continue
-            idx_val = self._eval(arg, frame, mask)
-            t = type(idx_val)
-            if t is _BArr:
-                # Vector subscript (gather) — must be lane-uniform.
-                if idx_val.kv is not None:
-                    self.deactivate_mask(mask, "real vector subscript")
-                    return None
-                first = idx_val.data[0]
-                if not bool(np.all(idx_val.data == first[None])):
-                    self.deactivate_mask(mask, "divergent vector subscript")
-                    return None
-                is_section = True
-                n_elements *= int(first.size)
-                key.append(first.astype(np.int64) - lb)
-                idx_vecs.append(None)  # type: ignore[arg-type]
-                continue
-            if t is _LF:
-                idx_val = self.to_int(idx_val)
-                t = _LI
-            if t is _LI or type(idx_val) is _LI:
-                j = idx_val.arr - lb
-                oob = ((j < 0) | (j >= extent)) & mask.arr
-                if oob.any():
-                    self.deactivate(oob.copy(), "index out of bounds")
-                divergent = True
-                hi = extent - 1 if extent > 0 else 0
-                key.append(np.minimum(np.maximum(j, 0), hi))
-                idx_vecs.append(key[-1])
-                continue
-            j = int(idx_val) - lb
-            if j < 0 or j >= extent:
-                self.deactivate_mask(
-                    mask, f"index {int(idx_val)} out of bounds "
-                    f"[{lb}:{lb + extent - 1}]")
-                return None
-            key.append(j)
-            idx_vecs.append(None)  # type: ignore[arg-type]
-        mask = self._live(mask)
-        if mask.n == 0:
-            return None
-        if divergent:
-            if is_section:
-                # Mixed divergent elements + sections: make them uniform.
-                for d, vec in enumerate(idx_vecs):
-                    if vec is None or not isinstance(key[d], np.ndarray):
-                        continue
-                    first = int(vec[np.flatnonzero(mask.arr)[0]])
-                    diff = mask.arr & (vec != first)
-                    if diff.any():
-                        self.deactivate(diff.copy(), "divergent index")
-                    key[d] = first
-                mask = self._live(mask)
-                if mask.n == 0:
-                    return None
-                return tuple(key), n_elements, is_section, None
-            gather = tuple(
-                vec if vec is not None
-                else np.full(self.width, key[d], dtype=np.int64)
-                for d, vec in enumerate(idx_vecs))
-            return tuple(key), n_elements, False, gather
-        return tuple(key), n_elements, is_section, None
-
-    def _eval_array_ref(self, arr: _BArr, args: list, frame: _BFrame,
-                        mask: _Mask) -> Any:
-        keyinfo = self._index_key(arr, args, frame, mask)
-        if keyinfo is None:
-            return _LF(np.zeros(self.width, dtype=_F64), self.intern.kv8)
-        key, n_elements, is_section, gather = keyinfo
-        if arr.kv is not None and self.suppress == 0:
-            self.add_op(frame.scope, "load", arr.kv,
-                        True if is_section else self.cur, n_elements, mask)
-        if gather is not None:
-            lanes = np.arange(self.width)
-            vals = arr.data[(lanes, *gather)]
+        if tv is _LF:
+            vals = _round_to(value.data, arr.kv) if arr.kv is not None \
+                else value.data
+            arr.data[where] = vals[lanes]
+        elif tv is _LI or tv is _LB:
+            arr.data[where] = value.arr[lanes]
+        elif tv in (int, float, bool):
             if arr.kv is not None:
-                return _LF(vals.astype(_F64, copy=False), arr.kv)
-            if arr.data.dtype == np.bool_:
-                return _LB(vals)
-            return _LI(vals)
-        if is_section:
-            view = arr.data[(slice(None), *key)]
-            lbounds = tuple(1 for _ in range(view.ndim - 1))
-            return _BArr(view, lbounds, arr.kv)
-        vals = arr.data[(slice(None), *key)]
-        if arr.kv is not None:
-            return _LF(vals.copy(), arr.kv)
-        if arr.data.dtype == np.bool_:
-            return _LB(vals.copy())
-        return _LI(vals.copy())
-
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-
-    def _eval(self, expr: Any, frame: _BFrame, mask: _Mask) -> Any:
-        method = self._eval_table.get(type(expr))
-        if method is None:
-            raise _Unsupported(f"cannot evaluate {type(expr).__name__}")
-        return method(expr, frame, mask)
-
-    def _eval_int_lit(self, expr: F.IntLit, frame: _BFrame,
-                      mask: _Mask) -> int:
-        return expr.value
-
-    def _eval_real_lit(self, expr: F.RealLit, frame: _BFrame,
-                       mask: _Mask) -> _LF:
-        lf = self._lits.get(id(expr))
-        if lf is None:
-            v = float(dtype_for_kind(expr.kind).type(expr.value))
-            lf = _LF(np.full(self.width, v, dtype=_F64),
-                     self.intern.kv_uniform(expr.kind))
-            self._lits[id(expr)] = lf
-        return lf
-
-    def _eval_logical_lit(self, expr: F.LogicalLit, frame: _BFrame,
-                          mask: _Mask) -> bool:
-        return expr.value
-
-    def _eval_string_lit(self, expr: F.StringLit, frame: _BFrame,
-                         mask: _Mask) -> str:
-        return expr.value
-
-    def _eval_name(self, expr: F.Name, frame: _BFrame, mask: _Mask) -> Any:
-        val = frame.find(expr.name)
-        if self.suppress == 0:
-            t = type(val)
-            if t is _LF:
-                self.add_op(frame.scope, "load", val.kv, self.cur, 1, mask)
-            elif t is _BArr:
-                if val.kv is not None:
-                    self.add_op(frame.scope, "load", val.kv, True,
-                                val.size, mask)
+                v = _round_to(np.full(self.width, float(value), dtype=_F64),
+                              arr.kv)
+                arr.data[where] = v[lanes]
             else:
-                kv = self._kv_val(val)
-                if kv is not None:
-                    self.add_op(frame.scope, "load", kv, self.cur, 1, mask)
-        return val
-
-    def _eval_unary(self, expr: F.UnaryOp, frame: _BFrame,
-                    mask: _Mask) -> Any:
-        val = self._eval(expr.operand, frame, mask)
-        if expr.op == ".not.":
-            t = self._truthmask(val, mask)
-            if t.n == 0:
-                return True
-            if t.n == mask.n:
-                return False
-            return _LB(mask.arr & ~t.arr)
-        if expr.op == "+":
-            return val
-        t = type(val)
-        kv = self._kv_val(val)
-        if kv is not None:
-            vec = True if t is _BArr else self.cur
-            self.add_op(frame.scope, "arith", kv, vec, _elems(val), mask)
-        if t is _LF:
-            return _LF(-val.data, val.kv)  # negation is exact
-        if t is _LI:
-            return _LI(-val.arr)
-        if t is _BArr:
-            if val.data.dtype == np.bool_:
-                self.deactivate_mask(mask, "negation of a logical value")
-                return val
-            return _BArr(-val.data, val.lbounds, val.kv)
-        if t is bool or t is _LB:
-            self.deactivate_mask(mask, "negation of a logical value")
-            return val
-        return -val  # python int
-
-    def _eval_binop(self, expr: F.BinOp, frame: _BFrame,
-                    mask: _Mask) -> Any:
-        op = expr.op
-        if op == ".and.":
-            left = self._eval(expr.left, frame, mask)
-            lt = self._truthmask(left, mask)
-            if lt.n == 0:
-                return False
-            right = self._eval(expr.right, frame, lt)
-            rt = self._truthmask(right, lt)
-            if rt.n == 0:
-                return False
-            if rt.n == mask.n:
-                return True
-            return _LB(rt.arr.copy())
-        if op == ".or.":
-            left = self._eval(expr.left, frame, mask)
-            lt = self._truthmask(left, mask)
-            if lt.n == mask.n:
-                return True
-            sub = self.intern.mask(mask.arr & ~lt.arr)
-            right = self._eval(expr.right, frame, sub)
-            rt = self._truthmask(right, sub)
-            out = lt.arr | rt.arr
-            n = int((out & mask.arr).sum())
-            if n == 0:
-                return False
-            if n == mask.n:
-                return True
-            return _LB(out)
-        if op in (".eqv.", ".neqv."):
-            lt = self._truthmask(self._eval(expr.left, frame, mask), mask)
-            rt = self._truthmask(self._eval(expr.right, frame, mask), mask)
-            eq = ~(lt.arr ^ rt.arr) if op == ".eqv." else (lt.arr ^ rt.arr)
-            n = int((eq & mask.arr).sum())
-            if n == 0:
-                return False
-            if n == mask.n:
-                return True
-            return _LB(eq & mask.arr)
-
-        left = self._eval(expr.left, frame, mask)
-        right = self._eval(expr.right, frame, mask)
-        kvl = self._kv_val(left)
-        kvr = self._kv_val(right)
-
-        if kvl is None and kvr is None:
-            return self._int_binop(op, left, right, frame, mask)
-
-        tl_b = type(left) is _BArr
-        tr_b = type(right) is _BArr
-        if tl_b or tr_b:
-            n = max(left.size if tl_b else 1,
-                    right.size if tr_b else 1)
+                arr.data[where] = value
         else:
-            n = 1
-        vec = self._vec_or(self.cur, n)
-        wide = self._promote_kv(kvl, kvr)
-        assert wide is not None
-        if kvl is not None and kvr is not None and kvl is not kvr:
-            ckey = (kvl, kvr)
-            got = self._cvt_cache.get(ckey)
-            if got is None:
-                lo = kvl.arr < kvr.arr
-                hi = kvl.arr > kvr.arr
-                got = (lo if lo.any() else None, hi if hi.any() else None)
-                self._cvt_cache[ckey] = got
-            lo, hi = got
-            if lo is not None and not isinstance(expr.left,
-                                                 (F.RealLit, F.IntLit)):
-                self.add_op(frame.scope, "convert", wide, vec, _elems(left),
-                            self.intern.mask(lo & mask.arr))
-            if hi is not None and not isinstance(expr.right,
-                                                 (F.RealLit, F.IntLit)):
-                self.add_op(frame.scope, "convert", wide, vec, _elems(right),
-                            self.intern.mask(hi & mask.arr))
+            self.deactivate_mask(mask, "unsupported scatter value")
 
-        if op in _CMP_OPS:
-            self.add_op(frame.scope, "cmp", wide, vec, n, mask)
-            return self._real_compare(op, left, right, mask)
-        self.add_op(frame.scope, _ARITH_CLASS[op], wide, vec, n, mask)
-        return self._real_arith(op, expr, left, right, wide, frame, mask)
+    def _nan_guard(self, out: Any, mask: _Mask) -> None:
+        """Send lanes about to *store* a NaN to the scalar fallback.
 
-    # ------------------------------------------------------------------
-    # Numeric kernels
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _np_compare(op: str, l: Any, r: Any) -> Any:
-        return _CMP_FN[op](l, r)
+        NaN creation is bit-identical between NumPy's scalar and array
+        inner loops (the invalid-operation QNaN), but propagation is
+        not: with two NaN operands the scalar loop keeps the second
+        NaN where the array loop keeps the first, and ``np.sin`` of a
+        float32 scalar ``-nan`` returns ``+nan`` while the array loop
+        preserves the sign.  A NaN therefore cannot feed any further
+        vectorized op bit-exactly — so it must never enter engine
+        state.  Guarding at the store boundary (scalar assignment,
+        array store, int conversion) keeps the hot arithmetic path
+        check-free: values that only pass *through* an expression
+        (comparisons, prints, single-NaN chains) are payload-stable.
+        NaNs mean the variant is numerically broken anyway, so this
+        valve costs nothing on healthy campaigns.
+        """
+        if isinstance(out, np.ndarray):
+            if out.dtype.kind != "f" or not out.size:
+                return
+            least = _MINIMUM(out, axis=None)     # NaN iff any NaN
+            if least == least:
+                return
+            bad = np.isnan(out)
+            if out.ndim and out.shape[0] == self.width:
+                if bad.ndim > 1:
+                    bad = bad.any(axis=tuple(range(1, bad.ndim)))
+            else:
+                bad = None          # uniform payload: all masked lanes
+        elif isinstance(out, (float, np.floating)):
+            if out == out:
+                return
+            bad = None
+        else:
+            return
+        sel = mask.arr & self.alive
+        if bad is not None:
+            sel = sel & bad
+        if sel.any():
+            self.deactivate(sel, "nan store: scalar nan semantics")
 
     def _int_raw(self, v: Any) -> Any:
         t = type(v)
@@ -1654,7 +1334,7 @@ class _Engine:
             return int(v)
         return v
 
-    def _int_binop(self, op: str, left: Any, right: Any, frame: _BFrame,
+    def _int_binop(self, op: str, left: Any, right: Any,
                    mask: _Mask) -> Any:
         """Pure integer/logical arithmetic (free in the cost model)."""
         tl, tr = type(left), type(right)
@@ -1664,8 +1344,10 @@ class _Engine:
             l = self._int_raw(left)
             r = self._int_raw(right)
             if op in _CMP_OPS:
-                return _LB(np.broadcast_to(
-                    self._np_compare(op, l, r), (self.width,)).copy())
+                out = _CMP_FN[op](l, r)
+                if out.shape == (self.width,):
+                    return _LB(out)
+                return _LB(np.broadcast_to(out, (self.width,)).copy())
             if op == "/":
                 l64 = np.asarray(l, dtype=np.int64)
                 r64 = np.asarray(r, dtype=np.int64)
@@ -1698,11 +1380,13 @@ class _Engine:
                 self.deactivate_mask(
                     mask, f"unsupported integer operation {op!r}")
                 out = np.zeros(self.width, dtype=np.int64)
+            if out.shape == (self.width,) and out.dtype == np.int64:
+                return _LI(out)
             return _LI(np.broadcast_to(out, (self.width,)).astype(np.int64))
         # Lane-uniform Python operands: exact Python semantics (unbounded
         # ints, truncating division).
         if op in _CMP_OPS:
-            return bool(self._np_compare(op, left, right))
+            return bool(_CMP_FN[op](left, right))
         if op == "/":
             if right == 0:
                 self.deactivate_mask(mask, "integer division by zero")
@@ -1758,8 +1442,7 @@ class _Engine:
             return int(v)
         return v
 
-    def _real_compare(self, op: str, left: Any, right: Any,
-                      mask: _Mask) -> Any:
+    def _real_compare(self, op: str, left: Any, right: Any) -> Any:
         tl, tr = type(left), type(right)
         has_arr = tl is _BArr or tr is _BArr
         if tl is _BArr:
@@ -1778,53 +1461,10 @@ class _Engine:
             return _LB(out)
         return bool(out)
 
-    def _nan_guard(self, out: Any, mask: _Mask) -> None:
-        """Send lanes about to *store* a NaN to the scalar fallback.
-
-        NaN creation is bit-identical between NumPy's scalar and array
-        inner loops (the invalid-operation QNaN), but propagation is
-        not: with two NaN operands the scalar loop keeps the second
-        NaN where the array loop keeps the first, and ``np.sin`` of a
-        float32 scalar ``-nan`` returns ``+nan`` while the array loop
-        preserves the sign.  A NaN therefore cannot feed any further
-        vectorized op bit-exactly — so it must never enter engine
-        state.  Guarding at the store boundary (scalar assignment,
-        array store, int conversion) keeps the hot arithmetic path
-        check-free: values that only pass *through* an expression
-        (comparisons, prints, single-NaN chains) are payload-stable.
-        NaNs mean the variant is numerically broken anyway, so this
-        valve costs nothing on healthy campaigns.
-        """
-        if isinstance(out, np.ndarray):
-            if out.dtype.kind != "f":
-                return
-            if out.size > 64:
-                if not np.isnan(np.min(out)):
-                    return
-            bad = np.isnan(out)
-            if not bad.any():
-                return
-            if out.ndim and out.shape[0] == self.width:
-                if bad.ndim > 1:
-                    bad = bad.any(axis=tuple(range(1, bad.ndim)))
-            else:
-                bad = None          # uniform payload: all masked lanes
-        elif isinstance(out, (float, np.floating)):
-            if out == out:
-                return
-            bad = None
-        else:
-            return
-        sel = mask.arr & self.alive
-        if bad is not None:
-            sel = sel & bad
-        if sel.any():
-            self.deactivate(sel, "nan store: scalar nan semantics")
-
-    def _real_arith(self, op: str, expr: F.BinOp, left: Any, right: Any,
-                    wide: _KV, frame: _BFrame, mask: _Mask) -> Any:
+    def _real_arith(self, op: str, left: Any, right: Any,
+                    mask: _Mask) -> Any:
         if op == "**":
-            return self._pow_native(left, right, frame, mask)
+            return self._pow_native(left, right, mask)
         tl, tr = type(left), type(right)
         has_int_arr = ((tl is _BArr and left.kv is None)
                        or (tr is _BArr and right.kv is None))
@@ -1839,34 +1479,12 @@ class _Engine:
         if fn is None:
             raise _Unsupported(f"unsupported operation {op!r}")
         out = fn(self._wide_raw(left, ndim), self._wide_raw(right, ndim))
-        # Which lanes did the scalar interpreter compute in float32?
-        # Exactly those where every *strong* (non-weak) real operand is
-        # kind 4; a strong int64 array promotes the whole op to float64.
         kl = left.kv if (tl is _LF or tl is _BArr) else None
         kr = right.kv if (tr is _LF or tr is _BArr) else None
-        if (has_int_arr or (kl is None and kr is None)
-                or (kl is not None and not kl.any4)
-                or (kr is not None and not kr.any4)):
+        if has_int_arr:
             kv_out = self.intern.kv8
         else:
-            key = (kl, kr)
-            got = self._m4_cache.get(key)
-            if got is None:
-                if kl is None:
-                    m4c = kr.m4
-                elif kr is None:
-                    m4c = kl.m4
-                else:
-                    m4c = kl.m4 & kr.m4
-                if not m4c.any():
-                    got = (None, self.intern.kv8)
-                elif m4c.all():
-                    got = (True, self.intern.kv4)
-                else:
-                    got = (m4c, self.intern.kv(
-                        np.where(m4c, KIND_SINGLE, KIND_DOUBLE)))
-                self._m4_cache[key] = got
-            m4c, kv_out = got
+            m4c, kv_out = self._m4(kl, kr)
             if m4c is not None and isinstance(out, np.ndarray) and out.ndim:
                 out32 = fn(self._f32_raw(left, ndim),
                            self._f32_raw(right, ndim)).astype(_F64)
@@ -1884,8 +1502,7 @@ class _Engine:
             out = np.full(self.width, float(out), dtype=_F64)
         return _LF(out, kv_out)
 
-    def _pow_native(self, left: Any, right: Any, frame: _BFrame,
-                    mask: _Mask) -> Any:
+    def _pow_native(self, left: Any, right: Any, mask: _Mask) -> Any:
         """Per-lane native exponentiation (not exactly rounded)."""
         tl, tr = type(left), type(right)
         is_arr = tl is _BArr or tr is _BArr
@@ -1923,97 +1540,6 @@ class _Engine:
             return _BArr(out, template.lbounds, self.intern.kv(kvarr))
         return _LF(out, self.intern.kv(kvarr))
 
-    def deactivate_at(self, lane: int, reason: str) -> None:
-        lanes = np.zeros(self.width, dtype=bool)
-        lanes[lane] = True
-        self.deactivate(lanes, reason)
-
-    # ------------------------------------------------------------------
-    # Function application and intrinsics
-    # ------------------------------------------------------------------
-
-    def _placeholder(self) -> _LF:
-        return _LF(np.zeros(self.width, dtype=_F64), self.intern.kv8)
-
-    def _eval_apply(self, expr: F.Apply, frame: _BFrame, mask: _Mask) -> Any:
-        name = expr.name
-        if frame.has(name):
-            val = frame.find(name)
-            if type(val) is _BArr:
-                return self._eval_array_ref(val, expr.args, frame, mask)
-            if val is None:
-                self.deactivate_mask(
-                    mask, f"use of unallocated array {name!r}")
-                return self._placeholder()
-        scope = self.index.find_procedure(name)
-        if scope is not None and isinstance(scope.node, F.Function):
-            proc = scope.node
-            actuals = self._prepare_actuals(proc, expr.args, frame, mask)
-            if actuals is None:
-                return self._placeholder()
-            return self._binvoke(scope.name, proc, actuals,
-                                 caller_scope=frame.scope,
-                                 vec_ctx=self.cur, mask=self._live(mask))
-        intr = INTRINSICS.get(name)
-        if intr is not None:
-            return self._eval_intrinsic(intr, expr, frame, mask)
-        self.deactivate_mask(mask, f"unknown function or array {name!r}")
-        return self._placeholder()
-
-    def _eval_intrinsic(self, intr, expr: F.Apply, frame: _BFrame,
-                        mask: _Mask) -> Any:
-        args: list[Any] = []
-        kwargs: dict[str, Any] = {}
-        suppress = intr.opclass == "none"
-        if suppress:
-            self.suppress += 1
-        try:
-            for a in expr.args:
-                if isinstance(a, F.KeywordArg):
-                    kwargs[a.name] = self._eval(a.value, frame, mask)
-                else:
-                    args.append(self._eval(a, frame, mask))
-        finally:
-            if suppress:
-                self.suppress -= 1
-        result = self._intrinsic_dispatch(intr, args, kwargs, frame, mask)
-        if intr.opclass != "none":
-            n = max((_elems(a) for a in args), default=1)
-            kv = self._kv_val(result)
-            if kv is None:
-                kv = next((self._kv_val(a) for a in args
-                           if self._kv_val(a) is not None), None)
-            if kv is not None:
-                vec = self._vec_or(self.cur, n)
-                self.add_op(frame.scope, intr.opclass, kv, vec, n,
-                            self._live(mask))
-        return result
-
-    def _intrinsic_dispatch(self, intr, args: list, kwargs: dict,
-                            frame: _BFrame, mask: _Mask) -> Any:
-        name = intr.name
-        try:
-            if name == "abs":
-                return self._intr_abs(args, mask)
-            if name == "sqrt":
-                return self._intr_sqrt(args, mask)
-            if name in ("min", "max"):
-                return self._intr_minmax(name, args, mask)
-            if name in ("epsilon", "huge", "tiny"):
-                return self._intr_model_query(name, args, mask)
-        except _AllLanesDead:
-            raise
-        except _Unsupported:
-            self.deactivate_mask(mask, f"unsupported {name} arguments")
-            return self._placeholder()
-        except Exception:
-            self.deactivate_mask(mask, f"intrinsic {name} failed")
-            return self._placeholder()
-        # The transcendentals and reductions (not exactly rounded under
-        # widening) and every intrinsic the models never call: each
-        # lane makes the scalar interpreter's own call.
-        return self._native_intrinsic(intr, args, kwargs, mask)
-
     # -- vectorized intrinsic kernels (exact under widening) ------------
 
     def _intr_abs(self, args: list, mask: _Mask) -> Any:
@@ -2023,10 +1549,11 @@ class _Engine:
             return _LF(np.abs(x.data), x.kv)
         if t is _BArr:
             return _BArr(np.abs(x.data), x.lbounds, x.kv)
-        if t is _LI:
-            return _LI(np.abs(x.arr))
-        if t is bool or t is int:
-            return int(np.abs(x))
+        if t is _LI or t is bool or t is int:
+            # The scalar call returns a NumPy integer, which widens a
+            # float32 operand to float64; the engine's lane integers,
+            # weak like Python ints, would not.
+            raise _Unsupported("integer abs")
         return _LF(np.full(self.width, float(np.abs(x)), dtype=_F64),
                    self.intern.kv8)
 
@@ -2047,12 +1574,12 @@ class _Engine:
                    self.intern.kv8)
 
     def _sqrt_dual(self, data: np.ndarray, kv: _KV) -> np.ndarray:
+        if kv.u == KIND_SINGLE:
+            return np.sqrt(data.astype(_F32)).astype(_F64)
         out = np.sqrt(data)
         if kv.u == KIND_DOUBLE:
             return out
         r32 = np.sqrt(data.astype(_F32)).astype(_F64)
-        if kv.u == KIND_SINGLE:
-            return r32
         return np.where(_expand(kv.m4, data.ndim), r32, out)
 
     def _intr_minmax(self, name: str, args: list, mask: _Mask) -> Any:
@@ -2174,324 +1701,6 @@ class _Engine:
         self.deactivate_mask(mask, f"{intr.name}: unsupported result type")
         return self._placeholder()
 
-    def _eval_range(self, expr: F.RangeExpr, frame: _BFrame,
-                    mask: _Mask) -> Any:
-        self.deactivate_mask(mask, "array section outside a subscript")
-        return self._placeholder()
-
-    def _eval_keyword(self, expr: F.KeywordArg, frame: _BFrame,
-                      mask: _Mask) -> Any:
-        self.deactivate_mask(mask, "keyword argument in invalid position")
-        return self._placeholder()
-
-    # ------------------------------------------------------------------
-    # Argument references
-    # ------------------------------------------------------------------
-
-    def _prepare_actuals(self, proc: F.ProcedureUnit, args: list,
-                         frame: _BFrame, mask: _Mask):
-        """Mirror of the scalar ``_prepare_actuals``; None on failure."""
-        if len(args) != len(proc.args):
-            self.deactivate_mask(
-                mask, f"{proc.name} expects {len(proc.args)} arguments, "
-                f"got {len(args)}")
-            return None
-        actuals = []
-        for arg in args:
-            if isinstance(arg, F.KeywordArg):
-                self.deactivate_mask(
-                    mask, "keyword arguments to user procedures are "
-                    "not supported")
-                return None
-            actuals.append(self._beval_ref(arg, frame, mask))
-        return actuals
-
-    def _beval_ref(self, expr: F.Expr, frame: _BFrame, mask: _Mask):
-        """Evaluate an actual argument: (value, masked-setter-or-None)."""
-        if isinstance(expr, F.Name):
-            val = frame.find(expr.name)
-            slot = frame.find_slot(expr.name)
-            name = expr.name
-
-            def set_name(new: Any, wmask: _Mask) -> None:
-                cur = slot[name]
-                if type(cur) is _BArr and type(new) is _BArr:
-                    data = (new.data if cur.kv is None
-                            else _round_to(new.data, cur.kv))
-                    if self.covers_alive(wmask):
-                        cur.data[...] = data
-                    else:
-                        cur.data[wmask.arr] = data[wmask.arr]
-                else:
-                    slot[name] = self._merge_scalar(cur, new, wmask)
-
-            return val, set_name
-        if isinstance(expr, F.Apply) and frame.has(expr.name):
-            container = frame.find(expr.name)
-            if type(container) is _BArr:
-                keyinfo = self._index_key(container, expr.args, frame, mask)
-                if keyinfo is None:
-                    return self._placeholder(), None
-                key, _n, is_section, gather = keyinfo
-                if is_section:
-                    # An array dummy writes through the view; a scalar
-                    # dummy refuses a section before any write-back.
-                    view = container.data[(slice(None), *key)]
-                    lb = tuple(1 for _ in range(view.ndim - 1))
-                    return _BArr(view, lb, container.kv), None
-                if gather is not None:
-                    raise _Unsupported("gathered array-element argument")
-                if container.kv is None:
-                    raise _Unsupported("non-real array-element argument")
-                val = _LF(container.data[(slice(None), *key)].astype(_F64),
-                          container.kv)
-                if self.suppress == 0:
-                    self.add_op(frame.scope, "load", container.kv,
-                                self.cur, 1, mask)
-
-                def refuse_write_back(new: Any, wmask: _Mask) -> None:
-                    raise _Unsupported("written-back array-element argument")
-
-                return val, refuse_write_back
-        return self._eval(expr, frame, mask), None
-
-    # ------------------------------------------------------------------
-    # Invocation
-    # ------------------------------------------------------------------
-
-    def _dummy_lbounds_b(self, sym: Symbol, actual: _BArr, frame: _BFrame,
-                         mask: _Mask):
-        assert sym.dims is not None
-        if len(sym.dims) != actual.rank:
-            self.deactivate_mask(
-                mask, f"rank mismatch binding {sym.name!r}: dummy rank "
-                f"{len(sym.dims)}, actual rank {actual.rank}")
-            return None
-        lbounds = []
-        for dim in sym.dims:
-            if dim.assumed or (dim.lower is None and dim.upper is None):
-                lbounds.append(1)
-            elif dim.lower is not None:
-                lbounds.append(self._uniform_int(
-                    self._eval(dim.lower, frame, mask), mask,
-                    "dummy array bound"))
-            else:
-                lbounds.append(1)
-        return tuple(lbounds)
-
-    def _binvoke(self, qual: str, proc: F.ProcedureUnit, actuals: list,
-                 caller_scope: str, vec_ctx: Any, mask: _Mask) -> Any:
-        mask = self._live(mask)
-        if mask.n == 0:
-            return self._placeholder() if isinstance(proc, F.Function) \
-                else None
-        scope_info = self.index.scopes[qual]
-        inlinable = (self.vec_info.is_inlinable(proc.name)
-                     if self.vec_info is not None else False)
-        is_function = isinstance(proc, F.Function)
-
-        def writes_back(sym: Symbol) -> bool:
-            if sym.intent in ("out", "inout"):
-                return True
-            return sym.intent is None and not is_function
-
-        frame = self._make_frame(qual, scope_info, vec_inherit=False,
-                                 mask=mask)
-        wrapped_arr = np.zeros(self.width, dtype=bool)
-        real_actual_kvs: list[_KV] = []
-        writebacks: list[tuple] = []
-
-        scalar_binds = []
-        array_binds = []
-        for dummy_name, (value, setter) in zip(proc.args, actuals):
-            sym = scope_info.symbols[dummy_name]
-            if sym.is_array or sym.type_ == "derived":
-                array_binds.append((dummy_name, sym, value, setter))
-            else:
-                scalar_binds.append((dummy_name, sym, value, setter))
-
-        for dummy_name, sym, value, setter in scalar_binds:
-            if sym.type_ == "real":
-                kd_kv = self.kv_for(sym)
-                assert kd_kv is not None
-                if value is None:
-                    value = 0.0
-                    ka_kv = kd_kv
-                else:
-                    ka_kv = self._kv_val(value)
-                    if ka_kv is None:
-                        ka_kv = kd_kv
-                real_actual_kvs.append(ka_kv)
-                mm = (ka_kv.arr != kd_kv.arr) & mask.arr
-                if mm.any():
-                    wrapped_arr |= mm
-                    self.add_bc(caller_scope, qual, 1,
-                                self.intern.mask(mm))
-                frame.values[dummy_name] = self.cast_lf(value, kd_kv)
-                if setter is not None and writes_back(sym):
-                    writebacks.append(("rs", dummy_name, ka_kv, setter))
-            elif sym.type_ == "integer":
-                frame.values[dummy_name] = self.to_int(value)
-                if setter is not None and writes_back(sym):
-                    writebacks.append(("pl", dummy_name, None, setter))
-            else:
-                raise _Unsupported(f"{sym.type_} scalar {dummy_name!r}")
-
-        for dummy_name, sym, value, setter in array_binds:
-            if sym.type_ == "derived":
-                frame.values[dummy_name] = value
-                continue
-            if type(value) is not _BArr:
-                self.deactivate_mask(
-                    mask, f"argument {dummy_name!r} of {proc.name!r} "
-                    "must be an array")
-                return self._placeholder() if is_function else None
-            lbounds = self._dummy_lbounds_b(sym, value, frame, mask)
-            if lbounds is None:
-                return self._placeholder() if is_function else None
-            if sym.type_ == "real":
-                kd_kv = self.kv_for(sym)
-                assert kd_kv is not None and value.kv is not None
-                real_actual_kvs.append(value.kv)
-                mm = (value.kv.arr != kd_kv.arr) & mask.arr
-                if not mm.any():
-                    frame.values[dummy_name] = _BArr(value.data, lbounds,
-                                                     kd_kv)
-                else:
-                    wrapped_arr |= mm
-                    self.add_bc(caller_scope, qual, value.size,
-                                self.intern.mask(mm))
-                    data = _round_to(value.data, kd_kv)
-                    if data is value.data:
-                        data = data.copy()
-                    frame.values[dummy_name] = _BArr(data, lbounds, kd_kv)
-                    writebacks.append(
-                        ("ra", dummy_name, value,
-                         mm.copy() if writes_back(sym) else None))
-            else:
-                frame.values[dummy_name] = _BArr(value.data, lbounds,
-                                                 value.kv)
-
-        for sym in scope_info.symbols.values():
-            if sym.is_argument or sym.name in frame.values:
-                continue
-            if sym.decl is not None and (
-                    "save" in sym.decl.attrs
-                    or (sym.init is not None and not sym.is_parameter)):
-                raise _Unsupported(f"SAVE local {sym.name!r}")
-            frame.values[sym.name] = self._elaborate_symbol(sym, frame,
-                                                            mask)
-
-        if vec_ctx is False or not inlinable:
-            frame.vec_inherit = False
-        else:
-            base = (np.ones(self.width, dtype=bool) if vec_ctx is True
-                    else vec_ctx.arr)
-            frame.vec_inherit = self._canon_vec(base & ~wrapped_arr)
-        if wrapped_arr.any() and self.cur_sid:
-            dv = self.devec.get(self.cur_sid)
-            if dv is None:
-                self.devec[self.cur_sid] = wrapped_arr.copy()
-            else:
-                dv |= wrapped_arr
-        sub = wrapped_arr[mask.arr]
-        if not sub.any():
-            w_canon: Any = False
-        elif sub.all():
-            w_canon = True
-        else:
-            w_canon = self.intern.mask(wrapped_arr & mask.arr)
-        self.add_call(caller_scope, qual, w_canon, mask)
-
-        self._exec_block(proc.body, frame, self._live(mask))
-
-        wmask = self._live(mask)
-        if wmask.n:
-            for tag, dummy_name, extra, *rest in writebacks:
-                final = frame.values[dummy_name]
-                if tag == "rs":
-                    ka_kv = extra
-                    setter = rest[0]
-                    if type(final) is not _LF:
-                        final = self.cast_lf(final, ka_kv)
-                    mm2 = (final.kv.arr != ka_kv.arr) & wmask.arr
-                    if mm2.any():
-                        self.add_bc(caller_scope, qual, 1,
-                                    self.intern.mask(mm2))
-                    setter(self.cast_lf(final, ka_kv), wmask)
-                elif tag == "pl":
-                    rest[0](final, wmask)
-                else:  # "ra"
-                    orig = extra
-                    mm = rest[0]
-                    matched = (wmask.arr
-                               & ~(final.kv.arr != orig.kv.arr))
-                    if matched.any():
-                        orig.data[matched] = final.data[matched]
-                    if mm is not None:
-                        sel2 = wmask.arr & mm
-                        if sel2.any():
-                            self.add_bc(caller_scope, qual, final.size,
-                                        self.intern.mask(sel2))
-                            orig.data[sel2] = _round_to(
-                                final.data, orig.kv)[sel2]
-
-        if is_function:
-            result = frame.values.get(proc.result)
-            if wrapped_arr.any() and real_actual_kvs:
-                rkv = self._kv_val(result)
-                if rkv is not None:
-                    k0 = real_actual_kvs[0].arr
-                    agree = np.ones(self.width, dtype=bool)
-                    for kv in real_actual_kvs[1:]:
-                        agree &= kv.arr == k0
-                    cond = (wrapped_arr & agree & (k0 != rkv.arr)
-                            & wmask.arr)
-                    if cond.any():
-                        k0_kv = self.intern.kv(k0)
-                        self.add_op(caller_scope, "convert", k0_kv, False,
-                                    _elems(result), self.intern.mask(cond))
-                        out_kv = self.intern.kv(
-                            np.where(cond, k0, rkv.arr))
-                        if type(result) is _LF:
-                            data = np.where(
-                                cond, _round_to(result.data, k0_kv),
-                                result.data)
-                            result = _LF(data, out_kv)
-                        elif type(result) is _BArr:
-                            sel = _expand(cond, result.data.ndim)
-                            data = np.where(
-                                sel, _round_to(result.data, k0_kv),
-                                result.data)
-                            result = _BArr(data, result.lbounds, out_kv)
-            return result
-        return None
-
-    def execute_call(self, name: str, pairs: list) -> Any:
-        """Engine entry point: invoke *name* for every live lane.
-
-        *pairs* is a list of ``(lifted value, masked setter or None)``;
-        uniform structural errors (unknown procedure, arity) raise to
-        the harness, which sends every lane to the scalar fallback.
-        """
-        scope = self.index.find_procedure(name)
-        if scope is None:
-            raise SemanticError(f"no procedure named {name!r}")
-        proc = scope.node
-        assert isinstance(proc, F.ProcedureUnit)
-        if len(pairs) != len(proc.args):
-            raise FortranRuntimeError(
-                f"{name} expects {len(proc.args)} arguments, "
-                f"got {len(pairs)}")
-        self.call_no += 1
-        mask = self.intern.mask(self.alive.copy())
-        with np.errstate(all="ignore"):
-            result = self._binvoke(scope.name, proc, pairs,
-                                   caller_scope="<harness>",
-                                   vec_ctx=False, mask=mask)
-        self._check_budget()
-        return result
-
     # -- lane extraction ------------------------------------------------
 
     def lane_value(self, value: Any, lane: int) -> Any:
@@ -2509,6 +1718,1385 @@ class _Engine:
             return FArray(value.data[lane].astype(dtype_for_kind(k)),
                           value.lbounds, k)
         return value
+
+
+# ---------------------------------------------------------------------------
+# Lowering: procedure bodies become closures, once per wave
+# ---------------------------------------------------------------------------
+
+#: ``_Lowerer._where`` result for a name resolved by the frame-chain walk.
+_DYNAMIC = "dynamic"
+#: ``_Lowerer._where`` result for a name in the procedure's own values.
+_LOCAL = "local"
+_LITERALS = (F.RealLit, F.IntLit)
+#: ``general``'s marker for "no subscript evaluated yet".
+_UNSET = object()
+_ALLREDUCE = frozenset(
+    {"mpi_allreduce_sum", "mpi_allreduce_max", "mpi_allreduce_min"})
+
+
+def _raiser(message: str, exc_type: type = _Unsupported) -> Callable:
+    """A closure for a construct the engine does not model: it raises
+    only when executed, so a wave falls back where it reaches it."""
+
+    def raise_it(*_ignored):
+        raise exc_type(message)
+
+    return raise_it
+
+
+class _Lowerer:
+    """Lowers one scope's statements and expressions into closures.
+
+    Statement closures take ``(frame, mask)`` and return the mask of
+    lanes that fall through; expression closures take ``(frame, mask)``
+    and return a lane value.  Resolved here, once per wave: node
+    dispatch, name to values dict, literal lane vectors, procedure and
+    intrinsic routing, static vec flags, ledger-key parts, and the
+    declared kind vectors with the promote / convert-lane / float32-lane
+    decisions that follow from them (each site caches them against the
+    operand kind vectors it last saw, which are seeded from the declared
+    kinds).  Activity masks, dead lanes, ``devec``, ``vec_inherit``,
+    values, the op budget and the NaN guards stay dynamic.
+
+    *modules* lists the module names a procedure frame chains to, in
+    lookup order; None lowers every name to the frame-chain walk, for
+    expressions evaluated while a frame is still being elaborated.
+    """
+
+    def __init__(self, engine: _Engine, info, modules: Optional[list[str]]):
+        self.E = engine
+        self.info = info
+        self.scope = info.name
+        self.modules = modules
+        self.flags = (engine.vec_info.stmt_vec(info.name)
+                      if engine.vec_info is not None else None)
+
+    # -- names ----------------------------------------------------------
+
+    def _where(self, name: str) -> Any:
+        """``_LOCAL``, a module's values dict, or ``_DYNAMIC``."""
+        if self.modules is None:
+            return _DYNAMIC
+        if name in self.info.symbols:
+            return _LOCAL
+        for mod in self.modules:
+            if name in self.E.index.modules[mod].symbols:
+                return self.E._module_frames[mod].values
+        return _DYNAMIC
+
+    def _symbol(self, name: str) -> Optional[Symbol]:
+        if self.modules is None:
+            return None
+        sym = self.info.symbols.get(name)
+        if sym is None:
+            for mod in self.modules:
+                sym = self.E.index.modules[mod].symbols.get(name)
+                if sym is not None:
+                    break
+        return sym
+
+    def _fetch(self, name: str) -> Callable:
+        where = self._where(name)
+        if where is _LOCAL:
+            return lambda frame: frame.values[name]
+        if where is _DYNAMIC:
+            return lambda frame: frame.find(name)
+        return lambda frame: where[name]
+
+    def _slot(self, name: str) -> Callable:
+        where = self._where(name)
+        if where is _LOCAL:
+            return lambda frame: frame.values
+        if where is _DYNAMIC:
+            return lambda frame: frame.find_slot(name)
+        return lambda frame: where
+
+    def _static_kv(self, e: F.Expr) -> Optional[_KV]:
+        """The kind vector *e* evaluates with, if the declarations fix
+        it (seeds the per-site caches; a value arriving with another
+        kind vector recomputes them)."""
+        t = type(e)
+        if t is F.RealLit:
+            return self.E.intern.kv_uniform(e.kind)
+        if t is F.Name or t is F.Apply:
+            sym = self._symbol(e.name)
+            if sym is None or sym.type_ != "real":
+                return None
+            if t is F.Apply and (sym.is_array is False or any(
+                    isinstance(a, F.RangeExpr) for a in e.args)):
+                return None
+            return self.E.kv_for(sym)
+        if t is F.UnaryOp and e.op == "-":
+            return self._static_kv(e.operand)
+        if t is F.BinOp and e.op in _ARITH_FN:
+            kl = self._static_kv(e.left)
+            kr = self._static_kv(e.right)
+            if kl is not None and kr is not None:
+                return self.E._m4(kl, kr)[1]
+        return None
+
+    def _vec(self, s: F.Stmt) -> Callable:
+        """Compiled ``_stmt_vec_mask``: the static flag, then the
+        run-time ``vec_inherit`` and ``devec`` lanes."""
+        E = self.E
+        sid = id(s)
+        static = self.flags is not None and self.flags.get(sid, False)
+        devec = E.devec
+        canon = E._canon_vec
+        if static:
+            def vec(frame):
+                dv = devec.get(sid)
+                if dv is None or not dv.any():
+                    return True
+                return canon(~dv)
+        else:
+            def vec(frame):
+                base = frame.vec_inherit
+                dv = devec.get(sid)
+                if dv is None or not dv.any():
+                    return base
+                if base is False:
+                    return False
+                if base is True:
+                    return canon(~dv)
+                return canon(base.arr & ~dv)
+        return vec
+
+    # -- procedures and elaboration --------------------------------------
+
+    def procedure(self, proc: F.ProcedureUnit, chain: list[dict]) -> _Proc:
+        E = self.E
+        info = self.info
+        code = _Proc()
+        code.qual = info.name
+        code.name = proc.name
+        code.is_function = isinstance(proc, F.Function)
+        code.result = proc.result if code.is_function else None
+        code.inlinable = (E.vec_info.is_inlinable(proc.name)
+                          if E.vec_info is not None else False)
+        code.chain = chain
+        elab = _Lowerer(E, info, None)
+        code.scalars = []
+        code.arrays = []
+        for pos, dummy_name in enumerate(proc.args):
+            sym = info.symbols[dummy_name]
+            writes_back = (sym.intent in ("out", "inout")
+                           or (sym.intent is None and not code.is_function))
+            if sym.is_array or sym.type_ == "derived":
+                lbs = None
+                if sym.type_ != "derived":
+                    lbs = [None if dim.assumed or dim.lower is None
+                           else elab.expr(dim.lower) for dim in sym.dims]
+                code.arrays.append((pos, dummy_name, sym, E.kv_for(sym),
+                                    writes_back, lbs))
+            else:
+                code.scalars.append((pos, dummy_name, sym.type_,
+                                     E.kv_for(sym), writes_back))
+        code.locals = []
+        bound = set(proc.args)
+        for sym in info.symbols.values():
+            if sym.is_argument or sym.name in bound:
+                continue
+            if sym.decl is not None and (
+                    "save" in sym.decl.attrs
+                    or (sym.init is not None and not sym.is_parameter)):
+                code.locals.append(
+                    (sym.name, _raiser(f"SAVE local {sym.name!r}")))
+            else:
+                code.locals.append((sym.name, elab.elaborator(sym)))
+        code.body = self.block(proc.body)
+        return code
+
+    def elaborator(self, sym: Symbol) -> Callable:
+        """``(frame, mask) -> initial value`` of a declared symbol."""
+        E = self.E
+        kv = E.kv_for(sym)
+        if sym.type_ == "derived":
+            return _raiser("derived-type variables")
+        if sym.is_array:
+            if sym.is_allocatable:
+                return lambda frame, mask: None
+            return self._allocator(sym, kv)
+        if sym.init is not None:
+            return _raiser(f"initialized scalar {sym.name!r}")
+        if sym.type_ == "real":
+            width = E.width
+            return lambda frame, mask: _LF(np.zeros(width, dtype=_F64), kv)
+        if sym.type_ == "integer":
+            return lambda frame, mask: 0
+        if sym.type_ in ("logical", "character"):
+            return _raiser(f"{sym.type_} scalar {sym.name!r}")
+        return _raiser(f"cannot elaborate symbol {sym.qualified}",
+                       SemanticError)
+
+    def _allocator(self, sym: Symbol, kv: Optional[_KV]) -> Callable:
+        E = self.E
+        assumed = (f"array {sym.name!r} has assumed shape but no actual "
+                   "argument to take it from")
+        dims = [None if dim.assumed or dim.deferred else
+                (None if dim.lower is None else self.expr(dim.lower),
+                 self.expr(dim.upper))
+                for dim in sym.dims]
+        dtype = {"real": _F64, "integer": np.int64,
+                 "logical": np.bool_}.get(sym.type_)
+        arr_kv = kv if sym.type_ == "real" else None
+
+        def alloc(frame, mask):
+            shape = []
+            lbounds = []
+            for dim in dims:
+                if dim is None:
+                    raise FortranRuntimeError(assumed)
+                lower, upper = dim
+                lb = 1 if lower is None else E._uniform_int(
+                    lower(frame, mask), mask, "array bound")
+                ub = E._uniform_int(upper(frame, mask), mask, "array bound")
+                lbounds.append(lb)
+                shape.append(max(0, ub - lb + 1))
+            if dtype is None:
+                raise SemanticError(
+                    f"cannot allocate array of type {sym.type_}")
+            return _BArr(np.zeros((E.width, *shape), dtype=dtype),
+                         tuple(lbounds), arr_kv)
+
+        return alloc
+
+    # -- statements -----------------------------------------------------
+
+    def block(self, stmts: list) -> Callable:
+        E = self.E
+        fns = [self.stmt(s) for s in stmts]
+        live = E._live
+
+        def run(frame, mask):
+            epoch = E.epoch
+            for fn in fns:
+                if E.epoch != epoch:
+                    epoch = E.epoch
+                    mask = live(mask)
+                if mask.n == 0:
+                    return mask
+                E.tick += 1
+                if E.tick >= _BUDGET_CHECK_INTERVAL:
+                    E.tick = 0
+                    E._check_budget()
+                    if E.epoch != epoch:
+                        epoch = E.epoch
+                        mask = live(mask)
+                        if mask.n == 0:
+                            return mask
+                mask = fn(frame, mask)
+            return mask
+
+        return run
+
+    def stmt(self, s: F.Stmt) -> Callable:
+        t = type(s)
+        if t is F.Assignment:
+            return self._assignment(s)
+        if t is F.CallStmt:
+            return self._call_stmt(s)
+        if t is F.IfBlock:
+            return self._if(s)
+        if t is F.DoLoop:
+            return self._do(s)
+        if t is F.DoWhile:
+            return self._do_while(s)
+        if t is F.ExitStmt:
+            return self._exit()
+        if t is F.StopStmt:
+            return self._stop(s)
+        if t is F.PrintStmt:
+            return self._print(s)
+        return _raiser(f"statement {t.__name__}")
+
+    def _assignment(self, s: F.Assignment) -> Callable:
+        E = self.E
+        rhs = self.expr(s.value)
+        store = self._target(s.target, isinstance(s.value, _LITERALS),
+                             self._static_kv(s.value))
+        vec = self._vec(s)
+        sid = id(s)
+        live = E._live
+
+        # An exception abandons the sweep (every lane re-runs on the
+        # scalar path), so the saved context needs no ``finally``.
+        def ex(frame, mask):
+            prev, prev_sid = E.cur, E.cur_sid
+            E.cur = vec(frame)
+            E.cur_sid = sid
+            store(frame, rhs(frame, mask), mask)
+            E.cur, E.cur_sid = prev, prev_sid
+            return live(mask)
+
+        return ex
+
+    def _target(self, target: F.Expr, rhs_lit: bool,
+                rhs_kv: Optional[_KV]) -> Callable:
+        if isinstance(target, F.Name):
+            return self._store_name(target.name, rhs_lit, rhs_kv)
+        if isinstance(target, F.Apply):
+            E = self.E
+            name = target.name
+            fetch = self._fetch(name)
+            store = self._store_indexed(target, rhs_lit, rhs_kv)
+            message = f"subscripted assignment to non-array {name!r}"
+
+            def assign(frame, value, mask):
+                container = fetch(frame)
+                if type(container) is not _BArr:
+                    E.deactivate_mask(mask, message)
+                    return
+                store(frame, container, value, mask)
+
+            return assign
+        return _raiser(f"cannot assign to {type(target).__name__}")
+
+    def _store_name(self, name: str, rhs_lit: bool,
+                    rhs_kv: Optional[_KV]) -> Callable:
+        """Compiled ``_convert_like`` into a named scalar: the value is
+        cast to the slot's kinds, charging a convert on the lanes whose
+        kinds differ (unless the RHS is a literal) and a store."""
+        E = self.E
+        scope = self.scope
+        slot_of = self._slot(name)
+        add_op = E.add_op
+        nan_guard = E._nan_guard
+        sym = self._symbol(name)
+        kd0 = E.kv_for(sym) if sym is not None and not sym.is_array else None
+        # Site cache: the (value, slot) kind vectors last seen and the
+        # lanes where they differ.
+        c_kv, c_kd = rhs_kv, kd0
+        c_diff = (E._kv_diff(rhs_kv, kd0)
+                  if rhs_kv is not None and kd0 is not None else None)
+
+        def assign(frame, value, mask):
+            nonlocal c_kv, c_kd, c_diff
+            slot = slot_of(frame)
+            current = slot[name]
+            tc = type(current)
+            if tc is _LF:
+                tv = type(value)
+                if tv is _LF:
+                    nan_guard(value.data, mask)
+                    kv = value.kv
+                else:
+                    nan_guard(value, mask)
+                    kv = E._kv_val(value)
+                kd = current.kv
+                cur = E.cur
+                if kv is not None and not rhs_lit and kv is not kd:
+                    if kv is not c_kv or kd is not c_kd:
+                        c_kv, c_kd = kv, kd
+                        c_diff = E._kv_diff(kv, kd)
+                    add_op(scope, "convert", kd, cur, 1, E._and(c_diff, mask))
+                add_op(scope, "store", kd, cur, 1, mask)
+                slot[name] = E.merge_lf(current, E.cast_lf(value, kd), mask)
+            elif tc is _BArr:
+                raise _Unsupported("whole-array assignment")
+            elif tc is int or tc is _LI:
+                slot[name] = E._merge_scalar(current, E.to_int(value), mask)
+            elif type(value) is _LF:
+                # Uninitialized slot: store as-is (mirrors the scalar
+                # fallthrough).
+                slot[name] = E._merge_scalar(current, value, mask)
+            else:
+                slot[name] = value
+
+        return assign
+
+    def _store_indexed(self, target: F.Apply, rhs_lit: bool,
+                       rhs_kv: Optional[_KV]) -> Callable:
+        """Compiled ``_assign_indexed``: store into an element or a
+        section, charging convert / store like a scalar assignment."""
+        E = self.E
+        scope = self.scope
+        index_key = self._index_key(target.args)
+        add_op = E.add_op
+        live = E._live
+        sym = self._symbol(target.name)
+        kd0 = E.kv_for(sym) if sym is not None else None
+        c_kv, c_kd = rhs_kv, kd0
+        c_diff = (E._kv_diff(rhs_kv, kd0)
+                  if rhs_kv is not None and kd0 is not None else None)
+
+        def store(frame, arr, value, mask):
+            nonlocal c_kv, c_kd, c_diff
+            keyinfo = index_key(frame, mask, arr)
+            if keyinfo is None:
+                return
+            key, n_elements, is_section, gather = keyinfo
+            mask = live(mask)
+            if mask.n == 0:
+                return
+            akv = arr.kv
+            tv = type(value)
+            if akv is not None:
+                kv = value.kv if tv is _LF else E._kv_val(value)
+                vec = True if is_section else E.cur
+                if kv is not None and not rhs_lit and kv is not akv:
+                    if kv is not c_kv or akv is not c_kd:
+                        c_kv, c_kd = kv, akv
+                        c_diff = E._kv_diff(kv, akv)
+                    add_op(scope, "convert", akv, vec, n_elements,
+                           E._and(c_diff, mask))
+                add_op(scope, "store", akv, vec, n_elements, mask)
+            if gather is not None:
+                E._scatter(arr, gather, value, mask)
+                return
+            if tv is _BArr:
+                raw: Any = value.data
+                exact = value.kv is akv
+            elif tv is _LF:
+                raw = value.data if not is_section else _expand(
+                    value.data, arr.data[(slice(None), *key)].ndim)
+                exact = value.kv is akv
+            elif tv is _LI or tv is _LB:
+                raw = value.arr if not is_section else _expand(
+                    value.arr, arr.data[(slice(None), *key)].ndim)
+                exact = False
+            else:
+                raw = value
+                exact = False
+            E._masked_array_store(arr, key, raw, mask, exact)
+
+        return store
+
+    def _call_stmt(self, s: F.CallStmt) -> Callable:
+        E = self.E
+        scope = self.scope
+        vec = self._vec(s)
+        sid = id(s)
+        live = E._live
+        if s.name in _ALLREDUCE:
+            argfns = [self.expr(a) for a in s.args]
+
+            def ex(frame, mask):
+                prev, prev_sid = E.cur, E.cur_sid
+                E.cur = vec(frame)
+                E.cur_sid = sid
+                args = [fn(frame, mask) for fn in argfns]
+                if not args:
+                    E.deactivate_mask(mask,
+                                      "mpi_allreduce_* needs an argument")
+                else:
+                    E.add_ar(scope, _elems(args[0]), mask)
+                E.cur, E.cur_sid = prev, prev_sid
+                return live(mask)
+
+            return ex
+        pscope = E.index.find_procedure(s.name)
+        if pscope is None:
+            message = f"call to undefined subroutine {s.name!r}"
+
+            def ex(frame, mask):
+                E.deactivate_mask(mask, message)
+                return live(mask)
+
+            return ex
+        qual, proc = pscope.name, pscope.node
+        prepare = self._actuals(proc, s.args)
+
+        def ex(frame, mask):
+            prev, prev_sid = E.cur, E.cur_sid
+            cur = E.cur = vec(frame)
+            E.cur_sid = sid
+            actuals = prepare(frame, mask)
+            if actuals is not None:
+                E._binvoke(qual, proc, actuals, scope, cur, live(mask))
+            E.cur, E.cur_sid = prev, prev_sid
+            return live(mask)
+
+        return ex
+
+    def _if(self, s: F.IfBlock) -> Callable:
+        E = self.E
+        vec = self._vec(s)
+        arms = [(None if arm.cond is None else self.expr(arm.cond),
+                 self.block(arm.body)) for arm in s.arms]
+        live = E._live
+        empty = E.intern.empty
+
+        def ex(frame, mask):
+            remaining = live(mask)
+            done = empty
+            for cond, body in arms:
+                if remaining.n == 0:
+                    break
+                if cond is None:
+                    done = E._or(done, body(frame, remaining))
+                    remaining = empty
+                    break
+                prev = E.cur
+                E.cur = vec(frame)
+                value = cond(frame, remaining)
+                E.cur = prev
+                remaining = live(remaining)
+                t = E._truthmask(value, remaining)
+                if t.n:
+                    done = E._or(done, body(frame, t))
+                remaining = E._andnot(remaining, t)
+            return live(E._or(done, remaining))
+
+        return ex
+
+    def _loop_slot(self, var: str) -> Callable:
+        where = self._where(var)
+        if where is _LOCAL:
+            return lambda frame: frame.values
+        if where is _DYNAMIC:
+            return lambda frame: (frame.find_slot(var) if frame.has(var)
+                                  else frame.values)
+        return lambda frame: where
+
+    def _do(self, s: F.DoLoop) -> Callable:
+        E = self.E
+        start = self.expr(s.start)
+        stop = self.expr(s.stop)
+        step = None if s.step is None else self.expr(s.step)
+        body = self.block(s.body)
+        var = s.var
+        slot_of = self._loop_slot(var)
+        live = E._live
+        uniform = E._uniform_int
+        empty = E.intern.empty
+        loops = E.loops
+
+        def ex(frame, mask):
+            lo = start(frame, mask)
+            if type(lo) is not int:
+                lo = uniform(lo, mask, "divergent do-loop bound")
+            mask = live(mask)
+            if mask.n == 0:
+                return mask
+            hi = stop(frame, mask)
+            if type(hi) is not int:
+                hi = uniform(hi, mask, "divergent do-loop bound")
+            mask = live(mask)
+            if mask.n == 0:
+                return mask
+            if step is not None:
+                inc = uniform(step(frame, mask), mask,
+                              "divergent do-loop step")
+                mask = live(mask)
+                if mask.n == 0:
+                    return mask
+            else:
+                inc = 1
+            if inc == 0:
+                E.deactivate_mask(mask, "do-loop step is zero")
+                return live(mask)
+            slot = slot_of(frame)
+            ctx = _LoopCtx(empty)
+            loops.append(ctx)
+            cur = mask
+            ft_exit = empty
+            i = lo
+            while (i <= hi) if inc > 0 else (i >= hi):
+                cur = live(cur)
+                if cur.n == 0:
+                    break
+                E._store_loop_var(slot, var, i, cur)
+                cur = body(frame, cur)
+                if ctx.exit.n:
+                    ft_exit = E._or(ft_exit, ctx.exit)
+                    ctx.exit = empty
+                i += inc
+            loops.pop()
+            return live(E._or(cur, ft_exit))
+
+        return ex
+
+    def _do_while(self, s: F.DoWhile) -> Callable:
+        E = self.E
+        cond = self.expr(s.cond)
+        body = self.block(s.body)
+        live = E._live
+        empty = E.intern.empty
+        loops = E.loops
+
+        def ex(frame, mask):
+            ctx = _LoopCtx(empty)
+            loops.append(ctx)
+            cur = live(mask)
+            ft = empty
+            while True:
+                cur = live(cur)
+                if cur.n == 0:
+                    break
+                prev = E.cur
+                E.cur = False
+                value = cond(frame, cur)
+                E.cur = prev
+                cur = live(cur)
+                t = E._truthmask(value, cur)
+                ft = E._or(ft, E._andnot(cur, t))
+                cur = t
+                if cur.n == 0:
+                    break
+                cur = body(frame, cur)
+                if ctx.exit.n:
+                    ft = E._or(ft, ctx.exit)
+                    ctx.exit = empty
+            loops.pop()
+            return live(ft)
+
+        return ex
+
+    def _exit(self) -> Callable:
+        E = self.E
+        loops = E.loops
+        empty = E.intern.empty
+
+        def ex(frame, mask):
+            if not loops:
+                raise _Unsupported("exit outside a loop")
+            ctx = loops[-1]
+            ctx.exit = E._or(ctx.exit, mask)
+            return empty
+
+        return ex
+
+    def _stop(self, s: F.StopStmt) -> Callable:
+        E = self.E
+        code_of = None if s.code is None else self.expr(s.code)
+        is_error = s.is_error
+        message = s.message or ""
+        live = E._live
+        empty = E.intern.empty
+
+        def ex(frame, mask):
+            codes = np.zeros(E.width, dtype=np.int64)
+            if code_of is not None:
+                val = code_of(frame, mask)
+                mask = live(mask)
+                if mask.n == 0:
+                    return mask
+                t = type(val)
+                if t is int or t is bool:
+                    codes[:] = int(val)
+                elif t is _LI:
+                    codes = val.arr
+                elif t is _LF:
+                    codes = np.trunc(val.data).astype(np.int64)
+                else:
+                    raise _Unsupported("non-integer stop code")
+            if is_error:
+                err = mask.arr.copy()
+            else:
+                err = mask.arr & (codes != 0)
+            if err.any():
+                # The message is static and the code is recorded per
+                # lane, so the harness re-raises the exact scalar
+                # FortranStopError without leaving the vector path.
+                E.stop_lanes(err, message, codes)
+            return empty  # plain STOP behaves like RETURN
+
+        return ex
+
+    def _print(self, s: F.PrintStmt) -> Callable:
+        E = self.E
+        items = [self.expr(item) for item in s.items]
+        live = E._live
+
+        def ex(frame, mask):
+            vals = [fn(frame, mask) for fn in items]
+            if any(type(val) is _BArr for val in vals):
+                raise _Unsupported("array item in print")
+            mask = live(mask)
+            for lane in np.flatnonzero(mask.arr):
+                parts = []
+                for val in vals:
+                    t = type(val)
+                    if t is _LF:
+                        parts.append(str(E._native_scalar(val, int(lane))))
+                    elif t is _LI:
+                        parts.append(str(int(val.arr[lane])))
+                    elif t is _LB:
+                        parts.append(str(bool(val.arr[lane])))
+                    else:
+                        parts.append(str(val))
+                E.stdout[int(lane)].append(" ".join(parts))
+            return mask
+
+        return ex
+
+    # -- expressions ----------------------------------------------------
+
+    def expr(self, e: F.Expr) -> Callable:
+        E = self.E
+        t = type(e)
+        if t is F.IntLit or t is F.LogicalLit or t is F.StringLit:
+            v = e.value
+            return lambda frame, mask: v
+        if t is F.RealLit:
+            try:
+                v = float(dtype_for_kind(e.kind).type(e.value))
+            except Exception as exc:  # raised where the literal runs
+                error = exc
+
+                def bad_literal(frame, mask):
+                    raise error
+
+                return bad_literal
+            lf = _LF(np.full(E.width, v, dtype=_F64),
+                     E.intern.kv_uniform(e.kind))
+            return lambda frame, mask: lf
+        if t is F.Name:
+            return self._name(e.name)
+        if t is F.UnaryOp:
+            return self._unary(e)
+        if t is F.BinOp:
+            return self._binop(e)
+        if t is F.Apply:
+            return self._apply(e)
+        if t is F.RangeExpr:
+            return self._deactivator("array section outside a subscript")
+        if t is F.KeywordArg:
+            return self._deactivator("keyword argument in invalid position")
+        return _raiser(f"cannot evaluate {t.__name__}")
+
+    def _deactivator(self, reason: str) -> Callable:
+        E = self.E
+
+        def ev(frame, mask):
+            E.deactivate_mask(mask, reason)
+            return E._placeholder()
+
+        return ev
+
+    def _name(self, name: str) -> Callable:
+        """A name read, charging a load for real values."""
+        E = self.E
+        scope = self.scope
+        add_op = E.add_op
+        where = self._where(name)
+
+        def charge(val, t, mask):
+            if t is _LF:
+                add_op(scope, "load", val.kv, E.cur, 1, mask)
+            elif t is _BArr:
+                if val.kv is not None:
+                    add_op(scope, "load", val.kv, True, val.size, mask)
+            else:
+                kv = E._kv_val(val)
+                if kv is not None:
+                    add_op(scope, "load", kv, E.cur, 1, mask)
+
+        if where is _LOCAL:
+            def ev(frame, mask):
+                val = frame.values[name]
+                t = type(val)
+                if t is int or t is _LI or E.suppress:
+                    return val
+                if t is _LF:
+                    add_op(scope, "load", val.kv, E.cur, 1, mask)
+                else:
+                    charge(val, t, mask)
+                return val
+            return ev
+        fetch = self._fetch(name)
+
+        def ev(frame, mask):
+            val = fetch(frame)
+            t = type(val)
+            if t is not int and not E.suppress:
+                charge(val, t, mask)
+            return val
+
+        return ev
+
+    def _unary(self, e: F.UnaryOp) -> Callable:
+        E = self.E
+        scope = self.scope
+        operand = self.expr(e.operand)
+        if e.op == ".not.":
+            def ev(frame, mask):
+                t = E._truthmask(operand(frame, mask), mask)
+                if t.n == 0:
+                    return True
+                if t.n == mask.n:
+                    return False
+                return _LB(mask.arr & ~t.arr)
+            return ev
+        if e.op == "+":
+            return operand
+        add_op = E.add_op
+
+        def ev(frame, mask):
+            val = operand(frame, mask)
+            t = type(val)
+            if t is int:
+                return -val
+            kv = val.kv if t is _LF else E._kv_val(val)
+            if kv is not None:
+                vec = True if t is _BArr else E.cur
+                add_op(scope, "arith", kv, vec, _elems(val), mask)
+            if t is _LF:
+                return _LF(-val.data, val.kv)  # negation is exact
+            if t is _LI:
+                return _LI(-val.arr)
+            if t is _BArr:
+                if val.data.dtype == np.bool_:
+                    E.deactivate_mask(mask, "negation of a logical value")
+                    return val
+                return _BArr(-val.data, val.lbounds, val.kv)
+            if t is bool or t is _LB:
+                E.deactivate_mask(mask, "negation of a logical value")
+                return val
+            return -val
+
+        return ev
+
+    def _logical(self, e: F.BinOp) -> Callable:
+        E = self.E
+        left = self.expr(e.left)
+        right = self.expr(e.right)
+        truth = E._truthmask
+        if e.op == ".and.":
+            def ev(frame, mask):
+                lt = truth(left(frame, mask), mask)
+                if lt.n == 0:
+                    return False
+                rt = truth(right(frame, lt), lt)
+                if rt.n == 0:
+                    return False
+                if rt.n == mask.n:
+                    return True
+                return _LB(rt.arr.copy())
+            return ev
+        if e.op == ".or.":
+            def ev(frame, mask):
+                lt = truth(left(frame, mask), mask)
+                if lt.n == mask.n:
+                    return True
+                sub = E.intern.mask(mask.arr & ~lt.arr)
+                rt = truth(right(frame, sub), sub)
+                out = lt.arr | rt.arr
+                n = int((out & mask.arr).sum())
+                if n == 0:
+                    return False
+                if n == mask.n:
+                    return True
+                return _LB(out)
+            return ev
+        eqv = e.op == ".eqv."
+
+        def ev(frame, mask):
+            lt = truth(left(frame, mask), mask)
+            rt = truth(right(frame, mask), mask)
+            eq = ~(lt.arr ^ rt.arr) if eqv else (lt.arr ^ rt.arr)
+            n = int((eq & mask.arr).sum())
+            if n == 0:
+                return False
+            if n == mask.n:
+                return True
+            return _LB(eq & mask.arr)
+
+        return ev
+
+    def _binop(self, e: F.BinOp) -> Callable:
+        """Arithmetic and comparisons.  Two real lane scalars take the
+        fast path: the promoted kinds, the converted lanes and the
+        float32 lanes come from the site cache."""
+        op = e.op
+        if op in (".and.", ".or.", ".eqv.", ".neqv."):
+            return self._logical(e)
+        E = self.E
+        scope = self.scope
+        left = self.expr(e.left)
+        right = self.expr(e.right)
+        llit = isinstance(e.left, _LITERALS)
+        rlit = isinstance(e.right, _LITERALS)
+        is_cmp = op in _CMP_OPS
+        opclass = "cmp" if is_cmp else _ARITH_CLASS.get(op)
+        fn = _CMP_FN[op] if is_cmp else _ARITH_FN.get(op)
+        int_fast = fn if op in _CMP_FN or op in ("+", "-", "*") else None
+        fast = fn is not None and op != "**"
+        add_op = E.add_op
+        live_and = E._and
+
+        def plan(kvl, kvr):
+            wide = E._promote_kv(kvl, kvr)
+            lo = hi = None
+            if kvl is not kvr:
+                lo, hi = E._cvt(kvl, kvr)
+            return wide, lo, hi, *E._m4(kvl, kvr)
+
+        c_l = self._static_kv(e.left)
+        c_r = self._static_kv(e.right)
+        if c_l is not None and c_r is not None:
+            c_wide, c_lo, c_hi, c_m4, c_out = plan(c_l, c_r)
+        else:
+            c_l = c_r = c_wide = c_lo = c_hi = c_m4 = c_out = None
+
+        def ev(frame, mask):
+            nonlocal c_l, c_r, c_wide, c_lo, c_hi, c_m4, c_out
+            lv = left(frame, mask)
+            rv = right(frame, mask)
+            tl = type(lv)
+            tr = type(rv)
+            if tl is _LF and tr is _LF and fast:
+                kvl = lv.kv
+                kvr = rv.kv
+                if kvl is not c_l or kvr is not c_r:
+                    c_wide, c_lo, c_hi, c_m4, c_out = plan(kvl, kvr)
+                    c_l, c_r = kvl, kvr
+                cur = E.cur
+                if c_lo is not None and not llit:
+                    add_op(scope, "convert", c_wide, cur, 1,
+                           live_and(c_lo, mask))
+                if c_hi is not None and not rlit:
+                    add_op(scope, "convert", c_wide, cur, 1,
+                           live_and(c_hi, mask))
+                add_op(scope, opclass, c_wide, cur, 1, mask)
+                out = fn(lv.data, rv.data)
+                if is_cmp:
+                    return _LB(out)
+                if c_m4 is None:
+                    return _LF(out, c_out)
+                # The float32 lanes' operands are float32 values, and
+                # for + - * / the float64 result rounded to float32 is
+                # the float32 result (53 >= 2 * 24 + 2 bits: double
+                # rounding is innocuous), so one float64 op serves all.
+                r32 = out.astype(_F32).astype(_F64)
+                return _LF(r32 if c_m4 is True else np.where(c_m4, r32, out),
+                           c_out)
+            if tl is int and tr is int and int_fast is not None:
+                return int_fast(lv, rv)
+            kvl = E._kv_val(lv)
+            kvr = E._kv_val(rv)
+            if kvl is None and kvr is None:
+                return E._int_binop(op, lv, rv, mask)
+            tl_b = tl is _BArr
+            tr_b = tr is _BArr
+            if tl_b or tr_b:
+                n = max(lv.size if tl_b else 1, rv.size if tr_b else 1)
+            else:
+                n = 1
+            vec = True if n > 1 else E.cur
+            wide = E._promote_kv(kvl, kvr)
+            if kvl is not None and kvr is not None and kvl is not kvr:
+                lo, hi = E._cvt(kvl, kvr)
+                if lo is not None and not llit:
+                    add_op(scope, "convert", wide, vec, _elems(lv),
+                           live_and(lo, mask))
+                if hi is not None and not rlit:
+                    add_op(scope, "convert", wide, vec, _elems(rv),
+                           live_and(hi, mask))
+            if is_cmp:
+                add_op(scope, "cmp", wide, vec, n, mask)
+                return E._real_compare(op, lv, rv)
+            if opclass is None:
+                raise KeyError(op)
+            add_op(scope, opclass, wide, vec, n, mask)
+            return E._real_arith(op, lv, rv, mask)
+
+        return ev
+
+    # -- application: arrays, functions, intrinsics ----------------------
+
+    def _apply(self, e: F.Apply) -> Callable:
+        E = self.E
+        name = e.name
+        tail = self._apply_tail(e)
+        where = self._where(name)
+        ref = self._array_ref(e.args)
+        fetch = self._fetch(name)
+        static = where is not _DYNAMIC
+        unallocated = f"use of unallocated array {name!r}"
+
+        def ev(frame, mask):
+            if static or frame.has(name):
+                val = fetch(frame)
+                if type(val) is _BArr:
+                    return ref(frame, mask, val)
+                if val is None:
+                    E.deactivate_mask(mask, unallocated)
+                    return E._placeholder()
+            return tail(frame, mask)
+
+        return ev
+
+    def _apply_tail(self, e: F.Apply) -> Callable:
+        """A user function, an intrinsic, or an unknown name."""
+        E = self.E
+        name = e.name
+        pscope = E.index.find_procedure(name)
+        if pscope is not None and isinstance(pscope.node, F.Function):
+            qual, proc = pscope.name, pscope.node
+            prepare = self._actuals(proc, e.args)
+            scope = self.scope
+            live = E._live
+
+            def call(frame, mask):
+                actuals = prepare(frame, mask)
+                if actuals is None:
+                    return E._placeholder()
+                return E._binvoke(qual, proc, actuals, scope, E.cur,
+                                  live(mask))
+
+            return call
+        intr = INTRINSICS.get(name)
+        if intr is not None:
+            return self._intrinsic(intr, e)
+        return self._deactivator(f"unknown function or array {name!r}")
+
+    def _intrinsic(self, intr, e: F.Apply) -> Callable:
+        E = self.E
+        scope = self.scope
+        name = intr.name
+        opclass = intr.opclass
+        suppress = opclass == "none"
+        argfns = [(a.name, self.expr(a.value)) if isinstance(a, F.KeywordArg)
+                  else (None, self.expr(a)) for a in e.args]
+        if name == "abs":
+            kernel = E._intr_abs
+        elif name == "sqrt":
+            kernel = E._intr_sqrt
+        elif name in ("min", "max"):
+            kernel = lambda args, mask: E._intr_minmax(name, args, mask)
+        elif name in _MQ_CONST:
+            kernel = lambda args, mask: E._intr_model_query(name, args, mask)
+        else:
+            # The transcendentals and reductions (not exactly rounded
+            # under widening) and every intrinsic the models never call:
+            # each lane makes the scalar interpreter's own call.
+            kernel = None
+        add_op = E.add_op
+
+        def ev(frame, mask):
+            args: list[Any] = []
+            kwargs: dict[str, Any] = {}
+            if suppress:
+                E.suppress += 1
+            for kw, fn in argfns:
+                if kw is None:
+                    args.append(fn(frame, mask))
+                else:
+                    kwargs[kw] = fn(frame, mask)
+            if suppress:
+                E.suppress -= 1
+            if kernel is None:
+                result = E._native_intrinsic(intr, args, kwargs, mask)
+            else:
+                try:
+                    result = kernel(args, mask)
+                except _AllLanesDead:
+                    raise
+                except _Unsupported:
+                    E.deactivate_mask(mask, f"unsupported {name} arguments")
+                    result = E._placeholder()
+                except Exception:
+                    E.deactivate_mask(mask, f"intrinsic {name} failed")
+                    result = E._placeholder()
+            if not suppress:
+                n = max((_elems(a) for a in args), default=1)
+                kv = E._kv_val(result)
+                if kv is None:
+                    kv = next((E._kv_val(a) for a in args
+                               if E._kv_val(a) is not None), None)
+                if kv is not None:
+                    vec = True if n > 1 else E.cur
+                    add_op(scope, opclass, kv, vec, n, E._live(mask))
+            return result
+
+        return ev
+
+    def _index_key(self, args: list) -> Callable:
+        """Compiled ``_index_key``: ``(frame, mask, arr) -> (key,
+        n_elements, is_section, gather)`` or None when every lane of
+        *mask* was deactivated.  ``gather`` is non-None for divergent
+        integer element indices: per-lane int64[L] index vectors, one
+        per dimension."""
+        E = self.E
+        live = E._live
+        uniform = E._uniform_int
+        nargs = len(args)
+        specs = []
+        for arg in args:
+            if isinstance(arg, F.RangeExpr):
+                specs.append((True,
+                              None if arg.lo is None else self.expr(arg.lo),
+                              None if arg.hi is None else self.expr(arg.hi),
+                              None if arg.step is None
+                              else self.expr(arg.step)))
+            else:
+                specs.append((False, self.expr(arg), None, None))
+
+        def general(frame, mask, arr, first=_UNSET):
+            """Any subscripts; *first* is the value of a first element
+            subscript the caller already evaluated."""
+            if nargs != arr.rank:
+                E.deactivate_mask(
+                    mask, f"rank mismatch: {nargs} subscripts for "
+                    f"rank-{arr.rank} array")
+                return None
+            key: list[Any] = []
+            idx_vecs: list[Any] = []
+            divergent = False
+            is_section = False
+            n_elements = 1
+            for (is_range, a, b, c), lb, extent in zip(
+                    specs, arr.lbounds, arr.shape):
+                if is_range:
+                    is_section = True
+                    lo = (uniform(a(frame, mask), mask,
+                                  "divergent section bound") - lb
+                          if a is not None else 0)
+                    hi = (uniform(b(frame, mask), mask,
+                                  "divergent section bound") - lb + 1
+                          if b is not None else extent)
+                    step = (uniform(c(frame, mask), mask,
+                                    "divergent section step")
+                            if c is not None else 1)
+                    if lo < 0 or hi > extent:
+                        E.deactivate_mask(
+                            mask, f"section [{lo + lb}:{hi + lb - 1}] out of "
+                            f"bounds [{lb}:{lb + extent - 1}]")
+                        return None
+                    count = max(0, (hi - lo + (step - 1)) // step)
+                    n_elements *= count
+                    key.append(slice(lo, hi, step))
+                    idx_vecs.append(None)
+                    continue
+                if first is _UNSET:
+                    idx_val = a(frame, mask)
+                else:
+                    idx_val, first = first, _UNSET
+                t = type(idx_val)
+                if t is int:
+                    j = idx_val - lb
+                    if j < 0 or j >= extent:
+                        E.deactivate_mask(
+                            mask, f"index {idx_val} out of bounds "
+                            f"[{lb}:{lb + extent - 1}]")
+                        return None
+                    key.append(j)
+                    idx_vecs.append(None)
+                    continue
+                if t is _BArr:
+                    # Vector subscript (gather) — must be lane-uniform.
+                    if idx_val.kv is not None:
+                        E.deactivate_mask(mask, "real vector subscript")
+                        return None
+                    first = idx_val.data[0]
+                    if not bool(np.all(idx_val.data == first[None])):
+                        E.deactivate_mask(mask, "divergent vector subscript")
+                        return None
+                    is_section = True
+                    n_elements *= int(first.size)
+                    key.append(first.astype(np.int64) - lb)
+                    idx_vecs.append(None)
+                    continue
+                if t is _LF:
+                    idx_val = E.to_int(idx_val)
+                    t = _LI
+                if t is _LI or type(idx_val) is _LI:
+                    j = idx_val.arr - lb
+                    divergent = True
+                    if _MINIMUM(j) < 0 or _MAXIMUM(j) >= extent:
+                        oob = ((j < 0) | (j >= extent)) & mask.arr
+                        if oob.any():
+                            E.deactivate(oob.copy(), "index out of bounds")
+                        hi = extent - 1 if extent > 0 else 0
+                        j = np.minimum(np.maximum(j, 0), hi)
+                    key.append(j)
+                    idx_vecs.append(j)
+                    continue
+                j = int(idx_val) - lb
+                if j < 0 or j >= extent:
+                    E.deactivate_mask(
+                        mask, f"index {int(idx_val)} out of bounds "
+                        f"[{lb}:{lb + extent - 1}]")
+                    return None
+                key.append(j)
+                idx_vecs.append(None)
+            mask = live(mask)
+            if mask.n == 0:
+                return None
+            if divergent:
+                if is_section:
+                    # Mixed divergent elements + sections: make them
+                    # uniform.
+                    for d, vec in enumerate(idx_vecs):
+                        if vec is None or not isinstance(key[d], np.ndarray):
+                            continue
+                        first = int(vec[np.flatnonzero(mask.arr)[0]])
+                        diff = mask.arr & (vec != first)
+                        if diff.any():
+                            E.deactivate(diff.copy(), "divergent index")
+                        key[d] = first
+                    mask = live(mask)
+                    if mask.n == 0:
+                        return None
+                    return tuple(key), n_elements, is_section, None
+                gather = tuple(
+                    vec if vec is not None
+                    else np.full(E.width, key[d], dtype=np.int64)
+                    for d, vec in enumerate(idx_vecs))
+                return tuple(key), n_elements, False, gather
+            return tuple(key), n_elements, is_section, None
+
+        if nargs != 1 or specs[0][0]:
+            return general
+        index = specs[0][1]
+
+        def key1(frame, mask, arr):
+            """One subscript into a rank-1 array: the common case."""
+            data = arr.data
+            if data.ndim != 2:
+                return general(frame, mask, arr)
+            idx_val = index(frame, mask)
+            t = type(idx_val)
+            if t is int:
+                j = idx_val - arr.lbounds[0]
+                if 0 <= j < data.shape[1]:
+                    mask = live(mask)
+                    if mask.n == 0:
+                        return None
+                    return (j,), 1, False, None
+            elif t is _LI:
+                # Per-lane subscripts all in bounds: a gather.
+                j = idx_val.arr - arr.lbounds[0]
+                if _MINIMUM(j) >= 0 and _MAXIMUM(j) < data.shape[1]:
+                    mask = live(mask)
+                    if mask.n == 0:
+                        return None
+                    return (j,), 1, False, (j,)
+            return general(frame, mask, arr, idx_val)
+
+        return key1
+
+    def _array_ref(self, args: list) -> Callable:
+        """Compiled ``_eval_array_ref``: an element (a real lane scalar
+        copy), a section (a view), or a per-lane gather."""
+        E = self.E
+        scope = self.scope
+        index_key = self._index_key(args)
+        add_op = E.add_op
+        width = E.width
+
+        def ref(frame, mask, arr):
+            keyinfo = index_key(frame, mask, arr)
+            if keyinfo is None:
+                return _LF(np.zeros(width, dtype=_F64), E.intern.kv8)
+            key, n_elements, is_section, gather = keyinfo
+            akv = arr.kv
+            if akv is not None and E.suppress == 0:
+                add_op(scope, "load", akv, True if is_section else E.cur,
+                       n_elements, mask)
+            if gather is not None:
+                vals = arr.data[(E.lane_index, *gather)]
+                if akv is not None:
+                    return _LF(vals.astype(_F64, copy=False), akv)
+                if arr.data.dtype == np.bool_:
+                    return _LB(vals)
+                return _LI(vals)
+            vals = arr.data[(slice(None), *key)]
+            if is_section:
+                lbounds = tuple(1 for _ in range(vals.ndim - 1))
+                return _BArr(vals, lbounds, akv)
+            if akv is not None:
+                return _LF(vals.copy(), akv)
+            if arr.data.dtype == np.bool_:
+                return _LB(vals.copy())
+            return _LI(vals.copy())
+
+        return ref
+
+    # -- actual arguments -------------------------------------------------
+
+    def _actuals(self, proc: F.ProcedureUnit, args: list) -> Callable:
+        """Compiled ``_prepare_actuals``: ``(frame, mask) -> [(value,
+        masked setter or None)]``, or None after deactivating the mask."""
+        E = self.E
+        if len(args) != len(proc.args):
+            message = (f"{proc.name} expects {len(proc.args)} arguments, "
+                       f"got {len(args)}")
+
+            def refuse(frame, mask):
+                E.deactivate_mask(mask, message)
+                return None
+
+            return refuse
+        refs = []
+        keyword = False
+        for arg in args:
+            if isinstance(arg, F.KeywordArg):
+                keyword = True
+                break
+            refs.append(self._ref(arg))
+
+        def prepare(frame, mask):
+            actuals = [ref(frame, mask) for ref in refs]
+            if keyword:
+                E.deactivate_mask(mask, "keyword arguments to user "
+                                  "procedures are not supported")
+                return None
+            return actuals
+
+        return prepare
+
+    def _ref(self, e: F.Expr) -> Callable:
+        """Compiled ``_beval_ref``: ``(frame, mask) -> (value, masked
+        setter or None)``."""
+        E = self.E
+        if isinstance(e, F.Name):
+            name = e.name
+            if self._where(name) is _DYNAMIC:
+                def rf(frame, mask):
+                    val = frame.find(name)
+                    return val, E._name_setter(frame.find_slot(name), name)
+                return rf
+            slot_of = self._slot(name)
+
+            def rf(frame, mask):
+                slot = slot_of(frame)
+                return slot[name], E._name_setter(slot, name)
+
+            return rf
+        ev = self.expr(e)
+        if not isinstance(e, F.Apply):
+            return lambda frame, mask: (ev(frame, mask), None)
+        name = e.name
+        scope = self.scope
+        static = self._where(name) is not _DYNAMIC
+        fetch = self._fetch(name)
+        index_key = self._index_key(e.args)
+        add_op = E.add_op
+
+        def refuse_write_back(new: Any, wmask: _Mask) -> None:
+            raise _Unsupported("written-back array-element argument")
+
+        def rf(frame, mask):
+            if static or frame.has(name):
+                container = fetch(frame)
+                if type(container) is _BArr:
+                    keyinfo = index_key(frame, mask, container)
+                    if keyinfo is None:
+                        return E._placeholder(), None
+                    key, _n, is_section, gather = keyinfo
+                    if is_section:
+                        # An array dummy writes through the view; a
+                        # scalar dummy refuses a section before any
+                        # write-back.
+                        view = container.data[(slice(None), *key)]
+                        lb = tuple(1 for _ in range(view.ndim - 1))
+                        return _BArr(view, lb, container.kv), None
+                    if gather is not None:
+                        raise _Unsupported("gathered array-element argument")
+                    if container.kv is None:
+                        raise _Unsupported("non-real array-element argument")
+                    val = _LF(container.data[(slice(None), *key)].astype(
+                        _F64), container.kv)
+                    if E.suppress == 0:
+                        add_op(scope, "load", container.kv, E.cur, 1, mask)
+                    return val, refuse_write_back
+            return ev(frame, mask), None
+
+        return rf
 
 
 # ---------------------------------------------------------------------------
@@ -2608,7 +3196,7 @@ class BatchLane:
         idx = self.call_idx
         self.call_idx += 1
         if self.interp is not None:
-            return self.interp.call(name, args)
+            return self._go_scalar(name, args)
         batch = self.batch
         engine = batch.engine
         if idx < len(batch.records):
@@ -2639,8 +3227,12 @@ class BatchLane:
     # -- scalar fallback -------------------------------------------------
 
     def _go_scalar(self, name: str, args: list[Any]) -> Any:
-        self._ensure_interp()
-        return self.interp.call(name, args)
+        started = time.perf_counter()
+        try:
+            self._ensure_interp()
+            return self.interp.call(name, args)
+        finally:
+            self.batch.replay_seconds += time.perf_counter() - started
 
     def _ensure_interp(self) -> None:
         """Build the private scalar interpreter and replay prior calls.
@@ -2690,6 +3282,8 @@ class VariantBatch:
         self.width = len(overlays)
         self.engine = _Engine(index, self.overlays, vec_info, max_ops)
         self.records: list[_CallRecord] = []
+        self.sweep_seconds = 0.0
+        self.replay_seconds = 0.0
         self.lanes = [BatchLane(self, i) for i in range(self.width)]
 
     def lane(self, i: int) -> BatchLane:
@@ -2742,6 +3336,7 @@ class VariantBatch:
                 pairs.append((engine.lift(a), None))
         rec = _CallRecord(name, snaps, outs)
         result: Any = None
+        started = time.perf_counter()
         try:
             result = engine.execute_call(name, pairs)
         except _AllLanesDead:
@@ -2751,6 +3346,7 @@ class VariantBatch:
             # engine surprise: either way every lane re-runs on the
             # scalar path, which reproduces the exact scalar outcome.
             self._kill_all(f"{type(exc).__name__}: {exc}")
+        self.sweep_seconds += time.perf_counter() - started
         rec.result = result
         rec.alive_after = engine.alive.copy()
         self.records.append(rec)
@@ -2784,6 +3380,9 @@ class VariantBatch:
         s.fallback_lanes = sum(
             1 for ln in self.lanes if ln.interp is not None)
         s.vector_lanes = s.width - s.fallback_lanes
+        s.sweep_seconds = self.sweep_seconds
+        s.replay_seconds = self.replay_seconds
+        s.procedures_lowered = self.engine.procedures_lowered
         for reason in self.engine.fallback_reason.values():
             s.fallback_reasons[reason] = \
                 s.fallback_reasons.get(reason, 0) + 1

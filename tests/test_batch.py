@@ -40,7 +40,10 @@ from repro.core import CampaignConfig, CampaignInterrupted, run_campaign
 from repro.core.assignment import PrecisionAssignment
 from repro.core.campaign import (MIN_SWEEP_LANES, BudgetedOracle,
                                  InterruptFlag)
+from repro.core.classification import Outcome
 from repro.core.evaluation import Evaluator
+from repro.core.search import RandomSearch
+from repro.errors import FortranRuntimeError
 from repro.fortran import (CompiledInterpreter, OutBox, VariantBatch,
                            analyze, analyze_program, parse_source)
 from repro.fortran.symbols import KIND_DOUBLE, KIND_SINGLE
@@ -407,6 +410,26 @@ class TestExecutorChoice:
             "nan store: scalar nan semantics": 1}
         assert oracle.telemetry[0].fallback_lanes == 1
 
+    def test_lowering_span_splits_sweep_and_replay_wall(self, tmp_path):
+        # One 16-lane wave in which the lanes that lower ``t`` store a
+        # NaN and replay on the scalar path: the span splits the wave's
+        # wall between sweep and replay, and none of it enters the
+        # campaign bytes.
+        search = RandomSearch(samples=16, batch_size=16, seed=3)
+        batched = run_campaign(_NanStoreCase(), CampaignConfig(
+            backend="batched", trace_dir=str(tmp_path)), algorithm=search)
+        compiled = run_campaign(_NanStoreCase(), CampaignConfig(
+            backend="compiled"), algorithm=search)
+        assert batched.to_json() == compiled.to_json()
+        (span,) = [s for s in _spans(tmp_path) if s["name"] == "lowering"]
+        attrs = span["attrs"]
+        assert attrs["width"] == 16 and attrs["fallback_lanes"] > 0, attrs
+        assert attrs["sweep_seconds"] > 0.0
+        assert attrs["replay_seconds"] > 0.0
+        assert (attrs["sweep_seconds"] + attrs["replay_seconds"]
+                <= span["wall_seconds"])
+        assert attrs["procedures_lowered"] == 1
+
 
 #: Calls every intrinsic the engine leaves to the per-lane native call
 #: although no model uses it.  The values keep integer results and the
@@ -578,6 +601,10 @@ _REFUSED_CONSTRUCTS = {
     "written-back-element-argument": (
         "written-back array-element argument", _BUMP_SUBROUTINE, "",
         "    call bump(v(2))"),
+    "integer-abs": (
+        "unsupported abs arguments", "", "",
+        "    k = 2\n"
+        "    t = t + abs(k) / 3.0"),
 }
 
 
@@ -654,3 +681,72 @@ class TestModelSweepsStayVectorized:
             stats.fallback_reasons)
         for record, (assignment, vid) in zip(records, tasks):
             assert record == evaluator.evaluate_assigned(assignment, vid)
+
+
+def _ledger_rows(ledger):
+    """Every ledger dict as its items in insertion order."""
+    return (list(ledger.ops.items()),
+            [(k, list(v)) for k, v in ledger.calls.items()],
+            list(ledger.boundary_cast_elements.items()),
+            [(k, list(v)) for k, v in ledger.allreduce.items()],
+            ledger.total_ops)
+
+
+def _drive_model(model, interp):
+    try:
+        model._drive(interp)
+    except FortranRuntimeError:
+        pass  # an error stop: the ledger up to it still counts
+    return interp
+
+
+class TestLoweredEngine:
+    def test_each_procedure_is_lowered_once_per_wave(self):
+        model = Mom6Case.small()
+        evaluator = Evaluator(model, backend="batched")
+        tasks = _model_wave(model, 16)
+        batch = VariantBatch(model.index, [a.overlay() for a, _ in tasks],
+                             vec_info=model.vec_info,
+                             max_ops=evaluator.op_cap)
+        ledger = _drive_model(model, batch.lane(0)).ledger
+        calls = {key.callee: entry[0] for key, entry in ledger.calls.items()}
+        stats = batch.stats()
+        assert stats.vector_lanes == 16
+        # zonal_flux_layer alone runs dozens of times per lane.
+        assert max(calls.values()) > 10 * len(calls)
+        assert stats.procedures_lowered == len(calls)
+
+    def test_only_the_lane_over_budget_falls_back(self):
+        model = Mom6Case.small()
+        evaluator = Evaluator(model, backend="batched")
+        atoms = model.space.atoms
+        double = PrecisionAssignment(atoms=atoms,
+                                     kinds=(KIND_DOUBLE,) * len(atoms))
+        single = PrecisionAssignment(atoms=atoms,
+                                     kinds=(KIND_SINGLE,) * len(atoms))
+        # All-single runs the Newton flux adjustment to its iteration
+        # cap, about 1.7x the all-double operations: a budget between
+        # the two trips that lane alone, well before its sweep ends.
+        evaluator.op_cap = 300_000
+        tasks = [(double, 0), (single, 1), (double, 2), (double, 3)]
+        records, stats = evaluator.evaluate_assigned_batch(tasks)
+        assert stats.fallback_reasons == {"operation budget exceeded": 1}
+        assert (stats.vector_lanes, stats.fallback_lanes) == (3, 1)
+        assert records[1].outcome is Outcome.TIMEOUT
+        for record, (assignment, vid) in zip(records, tasks):
+            assert record == evaluator.evaluate_assigned(assignment, vid)
+
+    def test_lane_ledgers_match_compiled_in_key_order(self):
+        model = Mom6Case.small()
+        overlays = [a.overlay() for a, _ in _model_wave(model, 64)]
+        batch = VariantBatch(model.index, overlays, vec_info=model.vec_info,
+                             max_ops=10_000_000)
+        lanes = [_drive_model(model, batch.lane(i))
+                 for i in range(len(overlays))]
+        assert batch.stats().fallback_lanes == 0
+        for lane, overlay in zip(lanes, overlays):
+            compiled = _drive_model(model, CompiledInterpreter(
+                model.index, overlay=dict(overlay),
+                vec_info=model.vec_info, max_ops=10_000_000))
+            assert _ledger_rows(lane.ledger) == _ledger_rows(
+                compiled.ledger), f"lane {lane.lane} ledger differs"

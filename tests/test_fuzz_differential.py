@@ -9,9 +9,11 @@ Fortran-miniature programs covering the constructs the models exercise —
 assignments, DO loops, IF/ELSE, calls with mixed-kind arguments,
 intrinsics from the supported table, precision overlays — then runs each
 through all three backends: every program becomes a random wave of 1–16
-precision overlays, each lane of one :class:`VariantBatch` is checked
-against a scalar tree run *and* a scalar compiled run of the same
-overlay, bit-for-bit over the full artifact set.
+precision overlays (every tenth program also a 64-lane and a 256-lane
+wave, the widths the batched backend's speedups are measured at), each
+lane of one :class:`VariantBatch` is checked against a scalar tree run
+*and* a scalar compiled run of the same overlay, bit-for-bit over the
+full artifact set.
 
 On a mismatch the offending program is shrunk (greedy statement
 deletion plus control-flow flattening, then lane dropping and overlay
@@ -41,6 +43,8 @@ pytestmark = pytest.mark.fuzz
 
 FIXED_SEED = 20240806
 DEFAULT_COUNT = 200
+#: Widths of the extra waves every tenth program runs.
+WIDE_WAVES = (64, 256)
 
 # ---------------------------------------------------------------------------
 # Random program model
@@ -398,6 +402,13 @@ class TestBackendFuzz:
             diff = divergence(stmts, overlays)
             if diff is not None:
                 pytest.fail(_report(i, fuzz_seed, stmts, overlays))
+            if i % 10 == 0:
+                # Drawn after the narrow wave, so the waves above stay
+                # the same for every seed.
+                for width in WIDE_WAVES:
+                    wide = [make_overlay(rng) for _ in range(width)]
+                    if divergence(stmts, wide) is not None:
+                        pytest.fail(_report(i, fuzz_seed, stmts, wide))
             executed += 1
             source = render(stmts)
             if _execute(source, overlays[0], Interpreter)["error"]:
