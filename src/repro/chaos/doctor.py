@@ -230,7 +230,7 @@ def _check_trace(report: DoctorReport) -> None:
             if not isinstance(entry, dict):
                 continue
             kind = entry.get("type")
-            if kind == "trace_header":
+            if kind == "header":
                 sessions += 1
             elif kind == "span":
                 spans += 1

@@ -33,8 +33,8 @@ from typing import IO, Optional, Union
 
 from ..chaos.hooks import active_engine
 
-__all__ = ["atomic_write", "atomic_write_json", "append_line",
-           "seal_torn_tail", "fsync_directory", "JsonlAppender"]
+__all__ = ["atomic_write", "append_line", "seal_torn_tail",
+           "fsync_directory", "JsonlAppender"]
 
 #: Replacement payload for chaos-corrupted atomic writes: definitely
 #: not JSON, definitely not empty — the shape of a bad block.
@@ -107,13 +107,6 @@ def atomic_write(path: Union[str, Path], text: str, *,
     fsync_directory(path.parent)
 
 
-def atomic_write_json(path: Union[str, Path], payload: object, *,
-                      kind: str = "state", indent: Optional[int] = None
-                      ) -> None:
-    atomic_write(path, json.dumps(payload, sort_keys=True, indent=indent),
-                 kind=kind)
-
-
 def append_line(fh: IO[str], line: str, *, kind: str = "state") -> None:
     """Append one JSONL line (no trailing newline in *line*) with the
     journal's flush+fsync discipline, via an already-open handle.
@@ -165,10 +158,6 @@ class JsonlAppender:
     def append(self, entry: dict) -> None:
         append_line(self._fh, json.dumps(entry, sort_keys=True),
                     kind=self.kind)
-
-    @property
-    def closed(self) -> bool:
-        return self._fh is None
 
     def close(self) -> None:
         if self._fh is not None:

@@ -709,11 +709,14 @@ class Interpreter:
 
     def _exec_masked_assignment(self, stmt: F.Assignment, mask: np.ndarray,
                                 frame: Frame) -> None:
-        value = self._eval(stmt.value, frame)
-        target = stmt.target
-        if isinstance(target, F.Name):
-            arr = frame.find(target.name)
-        elif isinstance(target, F.Apply):
+        self._store_masked(stmt.target, mask, self._eval(stmt.value, frame),
+                           frame)
+
+    def _store_masked(self, target: F.Expr, mask: np.ndarray, value: Any,
+                      frame: Frame) -> FArray:
+        """Charge and store the *mask*-selected elements of *value* into
+        the array *target* names; returns that array."""
+        if isinstance(target, (F.Name, F.Apply)):
             arr = frame.find(target.name)
         else:
             raise FortranRuntimeError("where assigns to whole arrays")
@@ -734,6 +737,7 @@ class Interpreter:
             arr.data[mask] = raw[mask]
         else:
             arr.data[mask] = raw
+        return arr
 
     def _exec_do(self, stmt: F.DoLoop, frame: Frame) -> None:
         start = int(self._eval(stmt.start, frame))
@@ -925,6 +929,11 @@ class Interpreter:
     def _assign_indexed(self, arr: FArray, args: list[F.Expr], value: Any,
                         frame: Frame) -> None:
         key, n_elements, is_section = self._index_key(arr, args, frame)
+        self._store_indexed(arr, key, n_elements, is_section, value)
+
+    def _store_indexed(self, arr: FArray, key: tuple, n_elements: int,
+                       is_section: bool, value: Any) -> None:
+        """Charge and store *value* at the evaluated index *key*."""
         if arr.kind is not None:
             kv = kind_of(value)
             if kv is not None and kv != arr.kind and not self._rhs_literal:

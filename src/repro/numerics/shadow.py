@@ -31,8 +31,21 @@ in the same frame/module dicts under a ``"\\x00sh"``-mangled key (no
 Fortran identifier can collide, and the shadow dies with its frame);
 array shadows are float64 buffers keyed by the identity of the primary
 NumPy buffer, with keep-alive references so ids are never recycled.
-Kind-conversion copies at call boundaries alias the original buffer's
-shadow — the float64 reference run has no conversions to mirror.
+
+Calls and array stores run through :class:`Interpreter`'s own code, and
+the shadow engine only adds its side around it: ``Interpreter._invoke``
+binds and casts the dummies, elaborates and persists SAVE locals,
+writes back, and rounds a wrapped function's result;
+``_store_indexed`` and ``_store_masked`` charge and store elements.  A
+shadow crosses a call beside its primary.  ``_prepare_actuals`` stages
+each actual's shadow and a setter for it, and ``_invoke`` pairs that
+setter with the primary's, so a shadow is written back exactly when its
+primary is.  Before the body runs, ``_run_body`` gives each real scalar
+dummy the unrounded reference of its actual (the float64 run has no
+boundary cast, so the cast is observed as a ``:bind`` statement), lets
+a kind-conversion copy alias the original buffer's shadow, and
+restores the shadows of saved scalars; after it, it saves those shadows
+and keeps the function result's shadow for the caller.
 """
 
 from __future__ import annotations
@@ -47,9 +60,9 @@ from ..fortran.instrumentation import Ledger
 from ..fortran.interpreter import Frame, Interpreter, _ARITH_CLASS, _CMP_OPS
 from ..fortran.intrinsics import INTRINSICS
 from ..fortran.symbols import ProgramIndex
-from ..fortran.values import (FArray, cast_real, dtype_for_kind,
-                              element_count, kind_of, promote_kinds,
-                              relative_gap, ulp_distance)
+from ..fortran.values import (FArray, dtype_for_kind, element_count,
+                              kind_of, promote_kinds, relative_gap,
+                              ulp_distance)
 from ..fortran.vectorize import ProgramVecInfo
 
 __all__ = ["CANCEL_BITS", "ShadowInterpreter", "ShadowRecorder", "SV"]
@@ -202,6 +215,29 @@ class ShadowRecorder:
         }
 
 
+class _Call:
+    """One call in flight: the caller's actuals and their staged shadows,
+    and the callee's frame once the body is about to run."""
+
+    __slots__ = ("actuals", "shadows", "frame")
+
+    def __init__(self, actuals: list, shadows: list):
+        self.actuals = actuals
+        self.shadows = shadows
+        self.frame: Optional[Frame] = None
+
+    def write_back(self, dummy: str, setter: Callable[[Any], None],
+                   ssetter: Callable[[Any], None]) -> Callable[[Any], None]:
+        """*setter*, then *ssetter* with the dummy's final shadow."""
+        def both(new: Any) -> None:
+            setter(new)
+            assert self.frame is not None
+            s = self.frame.values.get(dummy + _SH)
+            if s is not None:               # None: the dummy is not real
+                ssetter(s)
+        return both
+
+
 def _f64(value: Any) -> Any:
     """Float64 image of a primary raw value (scalar or ndarray)."""
     if isinstance(value, np.ndarray):
@@ -232,6 +268,8 @@ class ShadowInterpreter(Interpreter):
         #: :meth:`_prepare_actuals` for the immediately following
         #: :meth:`_invoke`; ``None`` for harness-level calls.
         self._next_call_shadows: Optional[list[tuple[Any, Any]]] = None
+        #: Calls in flight, innermost last.
+        self._calls: list[_Call] = []
         #: Float64 shadow of the most recent function result.
         self._ret_shadow: Any = None
         #: Attribution context of the assignment currently executing.
@@ -761,208 +799,85 @@ class ShadowInterpreter(Interpreter):
         return actuals
 
     # ------------------------------------------------------------------
-    # Invocation with shadow weaving
+    # Call boundary: Interpreter._invoke binds, saves, writes back and
+    # rounds the primary; the shadow seeds and collects around the body.
     # ------------------------------------------------------------------
 
     def _invoke(self, qual: str, proc: F.ProcedureUnit,
                 actuals: list, caller_scope: str, vec_ctx: bool) -> Any:
-        # Full replica of Interpreter._invoke with float64 shadows woven
-        # through binding, SAVE persistence, write-back and the function
-        # result.  Primary-side behaviour and ledger charges are
-        # line-for-line identical; keep in sync with the parent.
         shadows = self._next_call_shadows
         self._next_call_shadows = None
         if shadows is None or len(shadows) != len(actuals):
             shadows = [(None, None)] * len(actuals)
+        call = _Call(actuals, shadows)
+        # A dummy's shadow rides on its primary setter, so it is written
+        # back exactly when, and in the order, the primary is.
+        paired = [(value, setter if ssetter is None
+                   else call.write_back(dummy, setter, ssetter))
+                  for dummy, (value, setter), (_, ssetter)
+                  in zip(proc.args, actuals, shadows)]
+        self._calls.append(call)
+        try:
+            return super()._invoke(qual, proc, paired, caller_scope,
+                                   vec_ctx)
+        finally:
+            self._calls.pop()
 
-        scope_info = self.index.scopes[qual]
-        inlinable = (self.vec_info.is_inlinable(proc.name)
-                     if self.vec_info is not None else False)
-        is_function = isinstance(proc, F.Function)
-
-        def writes_back(sym) -> bool:
-            if sym.intent in ("out", "inout"):
-                return True
-            return sym.intent is None and not is_function
-
-        frame = self._make_frame(qual, scope_info, vec_inherit=False)
-        wrapped = False
-        real_actual_kinds: list[int] = []
-        writebacks: list[tuple[str, Any, int | None, Any]] = []
-        shadow_setters: dict[str, Any] = {}
-
-        scalar_binds = []
-        array_binds = []
-        for (dummy_name, (value, setter)), (sval, ssetter) in zip(
-                zip(proc.args, actuals), shadows):
-            sym = scope_info.symbols[dummy_name]
-            if sym.is_array or sym.type_ == "derived":
-                array_binds.append((dummy_name, sym, value, setter, sval))
-            else:
-                scalar_binds.append(
-                    (dummy_name, sym, value, setter, sval, ssetter))
-
-        for dummy_name, sym, value, setter, sval, ssetter in scalar_binds:
-            kd = self._eff_kind(sym)
-            if sym.type_ == "real":
-                if value is None:
-                    value = 0.0
-                    ka = kd
-                else:
-                    ka = kind_of(value)
-                if ka is None:
-                    value = float(value)
-                    ka = kd
-                assert kd is not None
-                real_actual_kinds.append(ka)
-                if ka != kd:
-                    wrapped = True
-                    self._charge_boundary_cast(caller_scope, qual, 1, kd)
-                bound = cast_real(value, kd)
-                frame.values[dummy_name] = bound
-                # Shadow of the dummy: the unrounded reference of the
-                # actual (the float64 run has no boundary cast).
-                s_in = np.float64(sval if sval is not None else value)
-                frame.values[dummy_name + _SH] = s_in
-                if ssetter is not None:
-                    shadow_setters[dummy_name] = ssetter
-                # Binding observation: the cast is where a lowered
-                # dummy's rounding error is introduced.
-                self.recorder.observe(
-                    sym.qualified, f"{sym.qualified}:bind", kd,
-                    np.float64(bound), s_in, np.float64(value))
-                if setter is not None and writes_back(sym):
-                    writebacks.append((dummy_name, sym, ka, setter))
-            elif sym.type_ == "integer":
-                frame.values[dummy_name] = int(value)
-                if setter is not None and writes_back(sym):
-                    writebacks.append((dummy_name, sym, None, setter))
-            elif sym.type_ == "logical":
-                frame.values[dummy_name] = bool(value)
-                if setter is not None and writes_back(sym):
-                    writebacks.append((dummy_name, sym, None, setter))
-            else:
-                frame.values[dummy_name] = value
-
-        for dummy_name, sym, value, setter, sval in array_binds:
-            if sym.type_ == "derived":
-                frame.values[dummy_name] = value
-                continue
-            if not isinstance(value, FArray):
-                raise FortranRuntimeError(
-                    f"argument {dummy_name!r} of {proc.name!r} must be an "
-                    f"array, got {type(value).__name__}")
-            kd = self._eff_kind(sym) if sym.type_ == "real" else None
-            lbounds = self._dummy_lbounds(sym, value, frame)
-            if sym.type_ == "real":
-                assert kd is not None
-                real_actual_kinds.append(value.kind)
-                if value.kind == kd:
-                    frame.values[dummy_name] = FArray(value.data, lbounds, kd)
-                else:
-                    wrapped = True
-                    self._charge_boundary_cast(caller_scope, qual,
-                                               value.size, kd)
-                    conv = FArray(
-                        value.data.astype(dtype_for_kind(kd)), lbounds, kd)
-                    frame.values[dummy_name] = conv
-                    # The conversion copy shares the original's shadow:
-                    # the float64 reference run has no conversion.
-                    sh = self._sh_arr_get(value)
-                    self._sh_arr_alias(conv.data, sh)
-                    self.recorder.observe(
-                        sym.qualified, f"{sym.qualified}:bind", kd,
-                        conv.data.astype(np.float64), sh,
-                        value.data.astype(np.float64))
-                    if writes_back(sym):
-                        original = value
-
-                        def write_back_array(final: Any,
-                                             _orig: FArray = original
-                                             ) -> None:
-                            assert isinstance(final, FArray)
-                            _orig.data[...] = final.data.astype(
-                                _orig.data.dtype)
-
-                        writebacks.append(
-                            (dummy_name, sym, value.kind, write_back_array))
-            else:
-                frame.values[dummy_name] = FArray(value.data, lbounds,
-                                                  value.kind)
-
-        saves = self._saves.setdefault(qual, {})
-        for sym in scope_info.symbols.values():
-            if sym.is_argument or sym.name in frame.values:
-                continue
-            is_saved = sym.decl is not None and (
-                "save" in sym.decl.attrs
-                or (sym.init is not None and not sym.is_parameter))
-            if is_saved:
-                if sym.name not in saves:
-                    saves[sym.name] = self._elaborate_symbol(sym, frame)
-                frame.values[sym.name] = saves[sym.name]
-                skey = sym.name + _SH
-                if skey in saves:
-                    frame.values[skey] = saves[skey]
-                continue
-            frame.values[sym.name] = self._elaborate_symbol(sym, frame)
-
-        frame.vec_inherit = vec_ctx and inlinable and not wrapped
-        if wrapped and self._cur_stmt_id:
-            self._devec_stmts.add(self._cur_stmt_id)
-        self.ledger.add_call(caller_scope, qual, wrapped)
-
-        self._run_body(proc, frame)
-
-        for name in [n for n in saves if not n.endswith(_SH)]:
-            saves[name] = frame.values[name]
-            skey = name + _SH
-            if skey in frame.values:
-                saves[skey] = frame.values[skey]
-
-        for dummy_name, sym, ka, setter in writebacks:
-            final = frame.values[dummy_name]
-            if sym.type_ == "real" and not isinstance(final, FArray):
-                assert ka is not None
-                kd = kind_of(final)
-                if kd != ka:
-                    self._charge_boundary_cast(caller_scope, qual, 1, ka)
-                setter(cast_real(final, ka))
-                ss = shadow_setters.get(dummy_name)
-                if ss is not None:
-                    s_fin = frame.values.get(dummy_name + _SH)
-                    ss(np.float64(s_fin if s_fin is not None else final))
-            elif isinstance(final, FArray) and sym.type_ == "real":
-                kd = self._eff_kind(sym)
-                assert ka is not None and kd is not None
-                self._charge_boundary_cast(caller_scope, qual, final.size, ka)
-                setter(final)
-            else:
-                setter(final)
-
+    def _run_body(self, proc: F.ProcedureUnit, frame: Frame) -> None:
+        if not self._calls:                  # the main program
+            super()._run_body(proc, frame)
+            return
+        call = self._calls[-1]
+        call.frame = frame
+        self._bind_shadows(proc, frame, call)
+        saves = self._saves[frame.scope]
+        for key, s in saves.items():
+            if key.endswith(_SH):
+                frame.values[key] = s
+        super()._run_body(proc, frame)
+        # The primary's SAVE loop persists every key of ``saves`` after
+        # the body, so the shadows of saved scalars only need adding.
+        for name in list(saves):
+            if name + _SH in frame.values:
+                saves[name + _SH] = frame.values[name + _SH]
+        self._ret_shadow = None
         if isinstance(proc, F.Function):
             result = frame.values.get(proc.result)
             if isinstance(result, FArray) and result.kind is not None:
                 self._ret_shadow = self._sh_arr_get(result).copy()
             elif kind_of(result) is not None:
                 s = frame.values.get(proc.result + _SH)
-                self._ret_shadow = (np.float64(s) if s is not None
-                                    else np.float64(result))
-            else:
-                self._ret_shadow = None
-            if wrapped:
-                rk = kind_of(result)
-                if (rk is not None and real_actual_kinds
-                        and all(k == real_actual_kinds[0]
-                                for k in real_actual_kinds)
-                        and real_actual_kinds[0] != rk):
-                    out_kind = real_actual_kinds[0]
-                    self.ledger.add_op(caller_scope, "convert", out_kind,
-                                       False, element_count(result))
-                    result = cast_real(result, out_kind)
-            return result
-        self._ret_shadow = None
-        return None
+                self._ret_shadow = np.float64(
+                    s if s is not None else result)
+
+    def _bind_shadows(self, proc: F.ProcedureUnit, frame: Frame,
+                      call: _Call) -> None:
+        """Seed the shadows of the real dummies the primary just bound
+        and observe the rounding each binding introduced."""
+        symbols = self.index.scopes[frame.scope].symbols
+        for dummy, (value, _), (sval, _) in zip(proc.args, call.actuals,
+                                                call.shadows):
+            sym = symbols[dummy]
+            if sym.type_ != "real":
+                continue
+            bound = frame.values[dummy]
+            label = f"{sym.qualified}:bind"
+            if not sym.is_array:
+                # The unrounded reference of the actual: the float64 run
+                # has no boundary cast.
+                actual = np.float64(0.0 if value is None else value)
+                s_in = np.float64(sval if sval is not None else actual)
+                frame.values[dummy + _SH] = s_in
+                self.recorder.observe(sym.qualified, label,
+                                      self._eff_kind(sym),
+                                      np.float64(bound), s_in, actual)
+            elif bound.data is not value.data:
+                # A kind-conversion copy shares the original's shadow.
+                sh = self._sh_arr_get(value)
+                self._sh_arr_alias(bound.data, sh)
+                self.recorder.observe(sym.qualified, label, bound.kind,
+                                      bound.data.astype(np.float64), sh,
+                                      value.data.astype(np.float64))
 
     # ------------------------------------------------------------------
     # Assignment with shadow recording
@@ -1083,27 +998,8 @@ class ShadowInterpreter(Interpreter):
 
     def _shadow_assign_indexed(self, arr: FArray, args: list[F.Expr],
                                sv: SV, frame: Frame) -> None:
-        # Replica of _assign_indexed with a single _index_key evaluation
-        # (subscripts charge loads, so they must run exactly once).
-        value = sv.p
         key, n_elements, is_section = self._index_key(arr, args, frame)
-        if arr.kind is not None:
-            kv = kind_of(value)
-            if kv is not None and kv != arr.kind and not self._rhs_literal:
-                self.ledger.add_op(self._attr_scope, "convert", arr.kind,
-                                   self._cur_vec or is_section, n_elements)
-            self.ledger.add_op(self._attr_scope, "store", arr.kind,
-                               self._cur_vec or is_section, n_elements)
-        raw = value.data if isinstance(value, FArray) else value
-        if is_section:
-            arr.data[key] = raw
-        else:
-            try:
-                arr.data[key] = raw
-            except IndexError:
-                raise FortranRuntimeError(
-                    f"index {key} out of bounds for shape {arr.data.shape}"
-                ) from None
+        self._store_indexed(arr, key, n_elements, is_section, sv.p)
         if arr.kind is not None:
             self._commit_array_shadow(arr, key, sv, arr.kind)
 
@@ -1141,31 +1037,8 @@ class ShadowInterpreter(Interpreter):
             self._target_identity(stmt.target, frame, stmt)
         try:
             sv = self._seval(stmt.value, frame)
-            value = sv.p
-            target = stmt.target
-            if isinstance(target, (F.Name, F.Apply)):
-                arr = frame.find(target.name)
-            else:
-                raise FortranRuntimeError("where assigns to whole arrays")
-            if not isinstance(arr, FArray):
-                raise FortranRuntimeError("where target must be an array")
-            if arr.data.shape != mask.shape:
-                raise FortranRuntimeError(
-                    f"where mask shape {mask.shape} does not match target "
-                    f"shape {arr.data.shape}")
-            raw = value.data if isinstance(value, FArray) else value
-            n = int(mask.sum())
-            if arr.kind is not None:
-                kv = kind_of(value)
-                if kv is not None and kv != arr.kind and not self._rhs_literal:
-                    self.ledger.add_op(frame.scope, "convert", arr.kind,
-                                       True, n)
-                self.ledger.add_op(frame.scope, "store", arr.kind, True, n)
-            if isinstance(raw, np.ndarray):
-                arr.data[mask] = raw[mask]
-            else:
-                arr.data[mask] = raw
-            if arr.kind is not None and n:
+            arr = self._store_masked(stmt.target, mask, sv.p, frame)
+            if arr.kind is not None and mask.any():
                 sh = self._sh_arr_get(arr)
                 sraw = self._sraw(sv)
                 mraw = self._mraw(sv)

@@ -5,13 +5,14 @@
 *can I just restart it, and what will happen to the jobs?*  Severity
 semantics match campaign triage (:mod:`repro.chaos.doctor`):
 
-* **errors** — the journal lies: unreadable non-tail lines, entries
-  before the header, a job marked ``done`` whose ``result.json`` is
-  missing or whose bytes no longer match the journaled sha256.
-  Exit 1.
-* **warnings** — expected crash artifacts a restart absorbs: a torn
-  final journal line, orphaned jobs (``started`` with no terminal
-  entry — requeued for resume), stray ``*.tmp`` files from an
+* **errors** — the journal lies: entries before the header, a journal
+  from a newer build, an unknown entry kind or an entry for an unknown
+  job, a job marked ``done`` whose ``result.json`` is missing or whose
+  bytes no longer match the journaled sha256.  Exit 1.
+* **warnings** — expected crash artifacts a restart absorbs: torn
+  journal lines (the last one, or an earlier tear a restarted server
+  sealed and appended past), orphaned jobs (``started`` with no
+  terminal entry — requeued for resume), stray ``*.tmp`` files from an
   interrupted atomic result write.  Exit 0.
 * **info** — queue census: jobs by state and tenant, submission
   counter, dedup tallies.

@@ -91,10 +91,10 @@ def load_service_state(state_dir: Union[str, Path]
                        ) -> tuple[dict[str, JobRecord], int, list[str]]:
     """Fold a service journal into ``(records, next_seq, warnings)``.
 
-    Tolerant by design: a torn final line (the canonical SIGKILL
-    artifact) is skipped with a warning, exactly like the campaign
-    journal's loader.  A malformed line *before* the tail is real
-    corruption and raises :class:`~repro.errors.ServiceError`.
+    Tolerant by design: an unparseable line (the canonical SIGKILL
+    artifact) is skipped with a warning wherever it sits, exactly like
+    the campaign journal's loader.  A writer seals a torn tail and
+    appends past it, so after a restart the tear is no longer last.
     """
     path = Path(state_dir) / SERVICE_JOURNAL_FILE
     records: dict[str, JobRecord] = {}
@@ -111,14 +111,8 @@ def load_service_state(state_dir: Union[str, Path]
         try:
             entries.append((lineno, json.loads(line)))
         except json.JSONDecodeError:
-            if lineno == len(lines):
-                warnings.append(
-                    f"torn final journal line {lineno} skipped "
-                    f"(crash mid-append)")
-                continue
-            raise ServiceError(
-                f"corrupt service journal {path}: unreadable line "
-                f"{lineno} before the tail")
+            warnings.append(
+                f"torn journal line {lineno} skipped (crash mid-append)")
 
     saw_header = False
     for lineno, entry in entries:

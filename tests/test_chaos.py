@@ -347,6 +347,8 @@ class TestDoctor:
         assert report.healthy
         assert not report.warnings
         assert any("committed" in line for line in report.info)
+        assert any("trace.jsonl: 1 session(s)" in line
+                   for line in report.info)
         assert "resumable" in report.render()
 
     def test_missing_journal_is_an_error(self, tmp_path):

@@ -1,9 +1,9 @@
 """Golden-digest regression gate for backend determinism.
 
-These digests pin the exact bytes of funarc's campaign result and the
-sha256 of its numerical profile across every execution configuration
-the engine claims is equivalent: tree vs compiled vs batched backend,
-serial vs 4-worker parallel.  Future backend work (new lowering rules, cache
+These digests pin the exact bytes of funarc's campaign result across
+every execution configuration the engine claims is equivalent: tree vs
+compiled vs batched backend, serial vs 4-worker parallel.  They also pin
+the numerical profile of each of the four models.  Future backend work (new lowering rules, cache
 changes, charge reordering) that drifts **any** byte of the
 deterministic artifacts fails here before it can silently invalidate
 cached results, journals, or published experiment numbers.
@@ -21,7 +21,7 @@ import hashlib
 import pytest
 
 from repro.core import CampaignConfig, run_campaign
-from repro.models import FunarcCase
+from repro.models import AdcircCase, FunarcCase, Mom6Case, MpasCase
 from repro.numerics import profile_model
 
 #: sha256 of ``CampaignResult.to_json()`` for ``FunarcCase(n=150)``
@@ -62,9 +62,22 @@ def test_campaign_json_bytes_pinned(backend, workers):
         assert sum(t.vector_lanes for t in result.oracle.telemetry) > 0
 
 
-def test_numerical_profile_digest_pinned():
-    profile = profile_model(_case())
-    assert profile.digest() == GOLDEN_PROFILE_DIGEST, (
+#: The pinned ``NumericalProfile.digest()`` of each model: funarc's case
+#: above and the small case of the other three.  None of them depends on
+#: ``PYTHONHASHSEED`` (checked under 0, 1 and 12345).
+_PROFILE_CASES = [
+    ("funarc", _case, GOLDEN_PROFILE_DIGEST, "FunarcCase(n=150)"),
+    ("mpas-a", MpasCase.small, "8fa6511231ace827", "MpasCase.small()"),
+    ("adcirc", AdcircCase.small, "557f70765414f00b", "AdcircCase.small()"),
+    ("mom6", Mom6Case.small, "b999975710cd2860", "Mom6Case.small()"),
+]
+
+
+@pytest.mark.parametrize("build,pinned,recipe",
+                         [c[1:] for c in _PROFILE_CASES],
+                         ids=[c[0] for c in _PROFILE_CASES])
+def test_numerical_profile_digest_pinned(build, pinned, recipe):
+    profile = profile_model(build())
+    assert profile.digest() == pinned, (
         f"NumericalProfile digest drifted ({profile.digest()}).  If "
-        f"intentional, recompute: "
-        f"profile_model(FunarcCase(n=150)).digest()")
+        f"intentional, recompute: profile_model({recipe}).digest()")

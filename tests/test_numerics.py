@@ -11,11 +11,15 @@ The contract under test has two halves:
   digest can participate in journal fingerprints.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.fortran import OutBox, analyze, analyze_program, parse_source
+from repro.fortran import (OutBox, analyze, analyze_program, make_array,
+                           parse_source)
 from repro.models import build_model
 from repro.numerics import (CANCEL_BITS, NumericalProfile, ProfileError,
                             ShadowInterpreter, profile_model,
@@ -80,16 +84,20 @@ end subroutine cancel_demo
 """
 
 
-def run_shadow(src, proc, args):
+def run_shadow(src, calls, overlay=None):
+    """Make *calls*, ``(procedure, args)`` pairs, in order on one shadow
+    interpreter and return its recorder."""
     index = analyze(parse_source(src))
-    interp = ShadowInterpreter(index, vec_info=analyze_program(index))
-    interp.call(proc, args)
+    interp = ShadowInterpreter(index, overlay=overlay,
+                               vec_info=analyze_program(index))
+    for proc, args in calls:
+        interp.call(proc, args)
     return interp.recorder
 
 
 class TestRecorder:
     def test_catastrophic_cancellation_detected(self):
-        rec = run_shadow(CANCEL_SRC, "cancel_demo", [OutBox(None)])
+        rec = run_shadow(CANCEL_SRC, [("cancel_demo", [OutBox(None)])])
         counters = rec.counters_dict()
         assert counters["cancellations"] == 1
         variables = rec.variables_dict()
@@ -98,7 +106,7 @@ class TestRecorder:
         assert variables["cancel_demo::a"]["cancellations"] == 0
 
     def test_local_vs_propagated_decomposition(self):
-        rec = run_shadow(CANCEL_SRC, "cancel_demo", [OutBox(None)])
+        rec = run_shadow(CANCEL_SRC, [("cancel_demo", [OutBox(None)])])
         variables = rec.variables_dict()
         # `a` holds a freshly rounded literal sum: pure local error.
         a = variables["cancel_demo::a"]
@@ -120,6 +128,106 @@ class TestRecorder:
         # Every atom except the dead store d1 accumulates error.
         assert observed == set(model.space.atom_names()) - {
             "funarc_mod::fun::d1"}
+
+
+BOUNDARY_SRC = """
+module boundary
+  implicit none
+contains
+  function third(v) result(r)
+    implicit none
+    real(kind=8), intent(in) :: v
+    real(kind=8) :: r
+    r = v / 3.0d0
+  end function third
+
+  subroutine bump(t, w)
+    implicit none
+    real(kind=8), intent(inout) :: t
+    real(kind=8), intent(in) :: w
+    real(kind=8) :: acc = 0.1d0
+    acc = acc + w / 7.0d0
+    t = t + acc
+  end subroutine bump
+
+  subroutine smooth(n, a)
+    implicit none
+    integer, intent(in) :: n
+    real(kind=8), dimension(n), intent(inout) :: a
+    integer :: i
+    do i = 2, n
+      a(i) = a(i) + 0.3d0 * a(i - 1)
+    end do
+    where (a > 1.0d0)
+      a = a - 1.0d0 / 3.0d0
+    elsewhere
+      a = a * 1.1d0
+    end where
+  end subroutine smooth
+
+  subroutine step(n, x, s)
+    implicit none
+    integer, intent(in) :: n
+    real(kind=4), dimension(n), intent(inout) :: x
+    real(kind=4), intent(inout) :: s
+    integer :: i
+    call smooth(n, x)
+    do i = 1, n
+      call bump(s, x(i))
+      x(i) = x(i) + third(s)
+    end do
+    x(1:2) = x(2:3) * 0.7
+  end subroutine step
+end module boundary
+"""
+
+#: sha256 of the recorder's variable, statement and counter tables after
+#: :func:`_boundary_calls`, per overlay.  Pinned so any change to how a
+#: shadow crosses a call (dummy binding, SAVE locals, write-back,
+#: function results, kind-conversion copies) or a store (indexed,
+#: section, ``where``) shows up as a moved digest.
+BOUNDARY_DIGESTS = {
+    "declared": (None, "cc56c9a723f7ebcbcb67fbe86a56c4c8"
+                       "2179b304b873b4323254e8172d13bac7"),
+    "step-double": ({"boundary::step::x": 8, "boundary::step::s": 8},
+                    "423356c7ccddcb7f0ed41f4f4b5c0d43"
+                    "a11494f4bdfc214620dd9fd2b770850e"),
+    "callees-single": ({"boundary::bump::acc": 4, "boundary::third::v": 4,
+                        "boundary::third::r": 4, "boundary::smooth::a": 4},
+                       "e66fd5de6e6f24721db87a9710e86d23"
+                       "4ae3fc2681b430f7204d50b8ff9aa1d6"),
+}
+
+
+def _boundary_calls():
+    """Two rounds of ``step`` (which calls every other procedure from
+    Fortran) and a direct ``bump``, then a direct ``third``.  Under the
+    declared kinds, ``step`` passes its ``real(4)`` scalar to ``bump``'s
+    ``real(8)`` inout dummy and its ``real(4)`` array to ``smooth``'s
+    ``real(8)`` array dummy; ``bump``'s initialized local ``acc`` is
+    saved and accumulates across every call."""
+    x = make_array(4, kind=4)
+    x.data[:] = [0.3, 1.7, -0.4, 2.9]
+    s = OutBox(np.float32(0.2))
+    rounds = [("step", [4, x, s]), ("bump", [s, np.float32(0.6)])] * 2
+    return rounds + [("third", [s])]
+
+
+class TestCallBoundary:
+    @pytest.mark.parametrize("overlay_name", sorted(BOUNDARY_DIGESTS))
+    def test_recorder_tables_pinned(self, overlay_name):
+        overlay, pinned = BOUNDARY_DIGESTS[overlay_name]
+        rec = run_shadow(BOUNDARY_SRC, _boundary_calls(), overlay=overlay)
+        variables = rec.variables_dict()
+        # acc is assigned once per bump: four calls from step per round,
+        # one direct call per round.
+        assert variables["boundary::bump::acc"]["observations"] == 10
+        blob = json.dumps([variables, rec.statements_dict(),
+                           rec.counters_dict()], sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == pinned, (
+            f"shadow recorder tables drifted under {overlay_name} "
+            f"(sha256 {digest})")
 
 
 class TestProfileArtifact:
@@ -157,7 +265,6 @@ class TestProfileArtifact:
         path = tmp_path / "prof.json"
         payload = profile.to_payload()
         payload["format"] = 99
-        import json
         path.write_text(json.dumps(payload))
         with pytest.raises(ProfileError):
             NumericalProfile.load(path)

@@ -248,6 +248,14 @@ class TestRestart:
         assert svc2.result_text(rec2.job_id) == clean_json
         svc2.close()
 
+        # The sealed tear now sits mid-file: a second restart skips it
+        # again and still serves the job.
+        svc3 = CampaignService(state, model_factory=_factory)
+        assert any("torn" in w for w in svc3.load_warnings)
+        assert svc3.result_text(rec2.job_id) == clean_json
+        svc3.close()
+        assert diagnose_service(state).healthy
+
     def test_journal_requires_header_first(self, tmp_path):
         state = tmp_path / "state"
         state.mkdir()
