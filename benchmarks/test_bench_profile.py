@@ -23,6 +23,7 @@ from conftest import OUT_DIR
 
 from repro.core import CampaignConfig, DeltaDebugSearch, make_oracle
 from repro.core.search import ProfileGuidedSearch
+from repro.fortran import Interpreter
 from repro.models import FunarcCase
 from repro.numerics import ShadowInterpreter, profile_model
 
@@ -39,7 +40,7 @@ def test_profile_bench():
     case = FunarcCase(n=400)
 
     # -- shadow-execution overhead (median of 3, wall clock) -----------
-    plain = min(_timed_run(case) for _ in range(3))
+    plain = min(_timed_run(case, Interpreter) for _ in range(3))
     shadow = min(
         _timed_run(case, lambda index, **kw: ShadowInterpreter(index, **kw))
         for _ in range(3))

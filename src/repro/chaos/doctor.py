@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from ..core.ioutil import log_begun, read_jsonl
+
 __all__ = ["DoctorReport", "diagnose"]
 
 
@@ -81,13 +83,14 @@ def _check_journal(report: DoctorReport) -> None:
         report.errors.append(
             f"{path.name}: no journal file; nothing to resume here")
         return
-    if path.stat().st_size == 0:
-        # A kill at the journal.header crash point lands exactly here:
-        # the file was created but the header never made it to disk.
-        # Resume treats this as "no campaign yet" and starts fresh.
+    if not log_begun(path):
+        # A kill at the journal.header crash point, or one tearing the
+        # header mid-append, lands here: no line parses.  Resume treats
+        # this as "no campaign yet" and starts fresh.
         report.warnings.append(
-            f"{path.name}: empty journal (killed before the header was "
-            f"written); a resume starts the campaign from scratch")
+            f"{path.name}: empty journal or torn header (killed before "
+            f"the header landed); a resume starts the campaign from "
+            f"scratch")
         return
 
     raw = path.read_bytes()
@@ -173,18 +176,9 @@ def _check_cache(report: DoctorReport) -> None:
         report.info.append(f"{directory}: no cache files")
     total = 0
     for path in files:
-        good, torn = 0, 0
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                torn += 1
-                continue
-            if isinstance(entry, dict):
-                good += 1
-        total += good
+        entries = [entry for _, entry in read_jsonl(path)]
+        torn = entries.count(None)
+        total += sum(isinstance(entry, dict) for entry in entries)
         if torn:
             report.warnings.append(
                 f"{path.name}: {torn} torn line(s); the loader skips "
@@ -218,22 +212,10 @@ def _check_trace(report: DoctorReport) -> None:
     if not path.exists():
         report.info.append(f"{directory}: no span trace")
     else:
-        sessions, spans, torn = 0, 0, 0
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                torn += 1
-                continue
-            if not isinstance(entry, dict):
-                continue
-            kind = entry.get("type")
-            if kind == "header":
-                sessions += 1
-            elif kind == "span":
-                spans += 1
+        entries = [entry for _, entry in read_jsonl(path)]
+        torn = entries.count(None)
+        kinds = [e.get("type") for e in entries if isinstance(e, dict)]
+        sessions, spans = kinds.count("header"), kinds.count("span")
         if torn:
             report.warnings.append(
                 f"{path.name}: {torn} torn line(s); trace analysis "

@@ -39,6 +39,7 @@ from .analysis import assess_hotspot, build_dataflow
 from .errors import ReproError
 from .core import (ALGORITHMS, CampaignConfig, has_journal, make_algorithm,
                    make_oracle, run_campaign, run_or_resume)
+from .core.evaluation import BACKENDS
 from .core.results import save_records
 from .fortran import reduce_program, unparse
 from .models import MODEL_FACTORIES, get_model
@@ -63,11 +64,10 @@ def _execution_parent() -> argparse.ArgumentParser:
     g.add_argument("--cache-dir", default=None,
                    help="directory for the persistent variant-result "
                         "cache (reruns skip already-evaluated variants)")
-    g.add_argument("--backend", default="compiled",
-                   choices=["compiled", "tree", "batched"],
+    g.add_argument("--backend", default="compiled", choices=BACKENDS,
                    help="Fortran execution backend (default: compiled — "
-                        "closure-lowered procedures; tree is the "
-                        "reference walker; results are bit-identical "
+                        "closure-lowered procedures; batched sweeps wide "
+                        "variant waves; results are bit-identical "
                         "either way)")
     return p
 
@@ -252,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="dd", choices=list(ALGORITHMS))
     p.add_argument("--max-evals", type=int, default=600)
     p.add_argument("--budget-hours", type=float, default=12.0)
-    p.add_argument("--backend", default="compiled",
-                   choices=["compiled", "tree", "batched"])
+    p.add_argument("--backend", default="compiled", choices=BACKENDS)
     p.add_argument("--json", action="store_true",
                    help="emit the server's response JSON on stdout")
 
@@ -607,7 +606,8 @@ def _cmd_chaos(args) -> int:
     resume = has_journal(journal_dir)
     resumed = run_or_resume(get_model(args.model), CampaignConfig(**base))
     label = ("resumed" if resume else
-             "restarted (empty journal: killed before the header landed)")
+             "restarted (empty journal or torn header: killed before "
+             "the header landed)")
     summary = resumed.summary()
     print(f"{label}: {summary.total} variants  best passing speedup "
           f"{summary.best_speedup:.3f}x  finished={summary.finished}")

@@ -43,7 +43,7 @@ from typing import Optional
 from ..chaos.hooks import crash_point
 from ..errors import CampaignError
 from .evaluation import VariantRecord, evaluation_context
-from .ioutil import append_line, seal_torn_tail
+from .ioutil import append_line, read_jsonl, seal_torn_tail
 from .results import record_from_dict, record_to_dict, validate_record_dict
 
 __all__ = ["ResultCache", "evaluation_context"]
@@ -104,15 +104,10 @@ class ResultCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        for lineno, line in enumerate(self.path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn line from a writer killed mid-append.  Anything
-                # after it on disk is still parsed: a concurrent writer
-                # may have appended complete records past the tear.
+        for lineno, entry in read_jsonl(self.path):
+            if entry is None:
+                # Torn line from a writer killed mid-append; a
+                # concurrent writer may have appended past it.
                 self._warn(
                     f"{self.path.name}:{lineno}: unparseable JSON "
                     f"(interrupted write?); entry skipped")

@@ -105,13 +105,12 @@ class CampaignConfig:
 
     # -- real execution (repro.core.parallel / repro.core.cache) ----------
     #: Fortran execution backend: ``"compiled"`` (closure-lowered, the
-    #: default), ``"tree"`` (the reference walker), or ``"batched"``
-    #: (whole variant waves in one lockstep sweep with a leading lane
-    #: axis; see :mod:`repro.fortran.batch`).  Bit-identical by
-    #: contract, so the backend appears in neither the evaluation
-    #: context nor the journal trajectory fingerprint
+    #: default) or ``"batched"`` (whole variant waves in one lockstep
+    #: sweep with a leading lane axis; see :mod:`repro.fortran.batch`).
+    #: Bit-identical by contract, so the backend appears in neither the
+    #: evaluation context nor the journal trajectory fingerprint
     #: (``repro.core.journal._TRAJECTORY_CONFIG_FIELDS``) — artifacts
-    #: written under one backend are valid under any other.
+    #: written under one backend are valid under the other.
     backend: str = "compiled"
     workers: int = 1                        # >1 fans batches out to processes
     cache_dir: Optional[str] = None         # persistent result cache location
@@ -354,18 +353,22 @@ _WIRE_FIELD_TYPES: dict[str, object] = {
 
 @dataclass
 class BatchTelemetry:
-    """Structured observability record for one evaluated batch."""
+    """Structured observability record for one evaluated batch.
+
+    Built when the batch starts; planning and execution count into it,
+    and :meth:`BudgetedOracle.evaluate_batch` fills in the wall, sim and
+    stage fields once the batch resolves."""
 
     batch_index: int
     size: int                 # assignments in the batch
-    dispatched: int           # cache misses sent for evaluation
-    completed: int            # dispatched variants that produced a record
-    cache_hits: int           # served from memory or disk (~0 node-seconds)
-    disk_hits: int            # subset of cache_hits served from disk
-    retries: int              # worker attempts repeated after crash/hang
-    failures: int             # variants downgraded to an error outcome
-    wall_seconds: float       # real elapsed time for the batch
-    sim_seconds: float        # simulated node-pool charge
+    dispatched: int = 0       # cache misses sent for evaluation
+    completed: int = 0        # dispatched variants that produced a record
+    cache_hits: int = 0       # served from memory or disk (~0 node-seconds)
+    disk_hits: int = 0        # subset of cache_hits served from disk
+    retries: int = 0          # worker attempts repeated after crash/hang
+    failures: int = 0         # variants downgraded to an error outcome
+    wall_seconds: float = 0.0  # real elapsed time for the batch
+    sim_seconds: float = 0.0  # simulated node-pool charge
     replayed: int = 0         # subset of cache_hits served from the journal
     backoff_seconds: float = 0.0   # real seconds slept between worker retries
     quarantined: int = 0      # subset of failures recorded as permanent
@@ -378,20 +381,7 @@ class BatchTelemetry:
     stage_sim: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "batch_index": self.batch_index, "size": self.size,
-            "dispatched": self.dispatched, "completed": self.completed,
-            "cache_hits": self.cache_hits, "disk_hits": self.disk_hits,
-            "retries": self.retries, "failures": self.failures,
-            "wall_seconds": self.wall_seconds,
-            "sim_seconds": self.sim_seconds,
-            "replayed": self.replayed,
-            "backoff_seconds": self.backoff_seconds,
-            "quarantined": self.quarantined,
-            "vector_lanes": self.vector_lanes,
-            "fallback_lanes": self.fallback_lanes,
-            "stage_sim": dict(self.stage_sim),
-        }
+        return dataclasses.asdict(self)
 
 
 #: Break-even wave width of the ``batched`` backend.  A serial batched
@@ -413,23 +403,6 @@ _Task = tuple[PrecisionAssignment, int]
 #: variant resolved while planning, ``("task", index, None)`` for one
 #: resolved by executing ``tasks[index]``.
 _PlanEntry = tuple[str, object, Optional[str]]
-
-
-@dataclass
-class _BatchStats:
-    """Mutable counters threaded through one ``_evaluate`` call."""
-
-    dispatched: int = 0
-    completed: int = 0
-    cache_hits: int = 0
-    disk_hits: int = 0
-    retries: int = 0
-    failures: int = 0
-    replayed: int = 0
-    backoff_seconds: float = 0.0
-    quarantined: int = 0
-    vector_lanes: int = 0
-    fallback_lanes: int = 0
 
 
 @dataclass
@@ -537,7 +510,7 @@ class BudgetedOracle:
                                    size=len(assignments)))
         with self.tracer.span("batch", index=batch_index,
                               size=len(assignments)) as batch_span:
-            records, hit_flags, stats = self._evaluate(assignments)
+            records, hit_flags, telemetry = self._evaluate(assignments)
             self.evaluations += len(assignments)
 
             # Node-pool scheduling: variants run in waves of `nodes`; a
@@ -575,20 +548,9 @@ class BudgetedOracle:
         if self.journal is not None:
             self.journal.batch_done(batch_index, batch_seconds,
                                     self.wall_seconds_used, self.evaluations)
-        telemetry = BatchTelemetry(
-            batch_index=batch_index, size=len(assignments),
-            dispatched=stats.dispatched, completed=stats.completed,
-            cache_hits=stats.cache_hits, disk_hits=stats.disk_hits,
-            retries=stats.retries, failures=stats.failures,
-            wall_seconds=batch_wall,
-            sim_seconds=batch_seconds,
-            replayed=stats.replayed,
-            backoff_seconds=stats.backoff_seconds,
-            quarantined=stats.quarantined,
-            vector_lanes=stats.vector_lanes,
-            fallback_lanes=stats.fallback_lanes,
-            stage_sim=stage_sim,
-        )
+        telemetry.wall_seconds = batch_wall
+        telemetry.sim_seconds = batch_seconds
+        telemetry.stage_sim = stage_sim
         self.telemetry.append(telemetry)
         # Emitted after the journal's batch_done commit so a subscriber
         # that aborts the campaign (test kill hooks) leaves the batch
@@ -654,8 +616,9 @@ class BudgetedOracle:
 
     def _evaluate(
         self, assignments: list[PrecisionAssignment]
-    ) -> tuple[list[VariantRecord], list[bool], _BatchStats]:
-        """Resolve one batch: (records, per-record cache-hit flags, stats).
+    ) -> tuple[list[VariantRecord], list[bool], BatchTelemetry]:
+        """Resolve one batch: (records, per-record cache-hit flags, the
+        batch's telemetry with its counters filled in).
 
         The one batch routine every oracle shares: plan the batch, run
         its fresh variants on this oracle's executor, then resolve the
@@ -664,8 +627,9 @@ class BudgetedOracle:
         whatever executes the variants (the three-way differential
         fuzzer and the golden digests gate this).
         """
-        stats = _BatchStats()
         batch_index = len(self.telemetry)
+        stats = BatchTelemetry(batch_index=batch_index,
+                               size=len(assignments))
         plan, tasks = self._plan(assignments, stats)
         executed = self._execute(batch_index, tasks, stats)
         records, hit_flags = self._resolve(batch_index, plan, tasks,
@@ -673,7 +637,7 @@ class BudgetedOracle:
         return records, hit_flags, stats
 
     def _plan(self, assignments: list[PrecisionAssignment],
-              stats: _BatchStats
+              stats: BatchTelemetry
               ) -> tuple[list[_PlanEntry], list[_Task]]:
         """Resolve everything the batch can without running a variant.
 
@@ -723,7 +687,7 @@ class BudgetedOracle:
         return plan, tasks
 
     def _execute(self, batch_index: int,
-                 tasks: list[_Task], stats: _BatchStats
+                 tasks: list[_Task], stats: BatchTelemetry
                  ) -> Optional[list[tuple[VariantRecord, str]]]:
         """Run the batch's fresh variants: the step oracles differ in.
 
@@ -744,7 +708,7 @@ class BudgetedOracle:
     def _resolve(self, batch_index: int,
                  plan: list[_PlanEntry], tasks: list[_Task],
                  executed: Optional[list[tuple[VariantRecord, str]]],
-                 stats: _BatchStats
+                 stats: BatchTelemetry
                  ) -> tuple[list[VariantRecord], list[bool]]:
         """Walk the plan in batch order, emitting each record's
         resolution exactly as a scalar serial oracle would.
@@ -815,7 +779,7 @@ class BudgetedOracle:
 
     def _sweep(self, batch_index: int,
                tasks: list[_Task],
-               stats: _BatchStats) -> list[VariantRecord]:
+               stats: BatchTelemetry) -> list[VariantRecord]:
         """Run *tasks* as one lockstep sweep and commit its records.
 
         The lowering span records the wave's wall, its width, how many

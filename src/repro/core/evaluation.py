@@ -39,18 +39,18 @@ __all__ = ["BACKENDS", "STAGES", "ProcPerf", "VariantRecord", "Evaluator",
 
 #: Execution backends for the Fortran interpreter.  ``compiled`` lowers
 #: each procedure once into Python closures (see
-#: :mod:`repro.fortran.compile`); ``tree`` is the reference tree walker;
-#: ``batched`` evaluates waves of at least
+#: :mod:`repro.fortran.compile`); ``batched`` evaluates waves of at least
 #: :data:`~repro.core.campaign.MIN_SWEEP_LANES` fresh variants in one
 #: lockstep sweep with a leading lane axis (see
 #: :mod:`repro.fortran.batch`), falling back per-lane to the compiled
 #: scalar path on divergence, and runs narrower waves on the compiled
-#: scalar path one variant at a time.  All three are
-#: bit-identical in observables and ledger charges — the differential
-#: fuzz suite and the golden-digest tests pin this — so the backend
-#: deliberately does NOT appear in :func:`evaluation_context`: caches
-#: and journals written under one backend replay under any other.
-BACKENDS = ("compiled", "tree", "batched")
+#: scalar path one variant at a time.  Both are bit-identical in
+#: observables and ledger charges to each other and to the reference
+#: tree walker (:class:`~repro.fortran.interpreter.Interpreter`) — the
+#: differential fuzz suite and the golden-digest tests pin this — so the
+#: backend deliberately does NOT appear in :func:`evaluation_context`:
+#: caches and journals written under one backend replay under the other.
+BACKENDS = ("compiled", "batched")
 
 #: The per-variant pipeline stages charged against the simulated
 #: budget, in the paper's T1→T3 order.  ``Evaluator.stage_timings``
@@ -156,22 +156,11 @@ class Evaluator:
             rsd=model.noise_rsd, base_seed=seed)
         self.n_runs = model.n_runs
         self.backend = backend
-        if backend in ("compiled", "batched"):
-            # Imported here: repro.fortran is a sibling package whose
-            # import is deferred until an evaluator actually needs it.
-            # The batched backend uses the compiled scalar path for the
-            # baseline and for waves too narrow to sweep (bit-identical
-            # by the differential-fuzz contract).
-            from ..fortran.compile import CompiledInterpreter
-            self._interpreter_factory = CompiledInterpreter
-        else:
-            self._interpreter_factory = None    # ModelCase default walker
         self._cache: dict[tuple[int, ...], VariantRecord] = {}
         self._next_id = 0
 
         # --- baseline execution -------------------------------------------
-        base = model.run(None,
-                         interpreter_factory=self._interpreter_factory)
+        base = model.run(None)
         self.baseline_observable = base.observable
         self.baseline_cost = self._price(base.ledger)
         self.baseline_total = self.baseline_cost.total_seconds
@@ -297,8 +286,7 @@ class Evaluator:
         """Evaluate under a pre-reserved variant id, bypassing caches.
         Deterministic given (assignment, vid) and the construction
         parameters (model spec, machine, noise, timeout factor)."""
-        return self._evaluate_with(assignment, vid,
-                                   self._interpreter_factory)
+        return self._evaluate_with(assignment, vid, None)
 
     def evaluate_assigned_batch(
         self, tasks: list[tuple[PrecisionAssignment, int]]

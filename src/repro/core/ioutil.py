@@ -13,6 +13,10 @@ goes through the two helpers here:
   tolerate (:func:`seal_torn_tail` lets a resuming writer append past
   the tear without gluing onto it).
 
+Every JSONL log is read back here too: :func:`read_jsonl` yields None
+for a torn line, and :func:`log_begun` holds that a log exists once any
+of its lines parses, so a lone torn header starts over.
+
 Centralizing the discipline is also what makes fault injection honest:
 the chaos engine (:mod:`repro.chaos`) intercepts writes *here*, at the
 exact syscall boundary a real ENOSPC, failed fsync, or mid-write
@@ -29,12 +33,12 @@ import json
 import os
 import signal
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Any, Iterator, Optional, Union
 
 from ..chaos.hooks import active_engine
 
 __all__ = ["atomic_write", "append_line", "seal_torn_tail",
-           "fsync_directory", "JsonlAppender"]
+           "fsync_directory", "JsonlAppender", "read_jsonl", "log_begun"]
 
 #: Replacement payload for chaos-corrupted atomic writes: definitely
 #: not JSON, definitely not empty — the shape of a bad block.
@@ -137,22 +141,20 @@ def append_line(fh: IO[str], line: str, *, kind: str = "state") -> None:
 class JsonlAppender:
     """Append-only JSONL writer with the journal's write discipline.
 
-    The one way any journal-shaped state file (campaign journal,
-    service journal) is written: canonical ``sort_keys`` JSON, one
-    line per entry, flush + fsync per append via :func:`append_line`.
-    ``seal=True`` terminates a predecessor's torn final line before
-    the first append so a resuming writer can never glue onto a tear.
+    The one way a long-lived JSONL state file (campaign journal,
+    service journal, span trace) is written: canonical ``sort_keys``
+    JSON, one line per entry, flush + fsync per append via
+    :func:`append_line`.  A predecessor's torn final line is sealed
+    before the first append, so a writer can never glue onto a tear.
     Policy stays with the caller: :meth:`append` raises ``OSError``
     (including injected ENOSPC/EIO) for the owner to classify as
     fatal or advisory.
     """
 
-    def __init__(self, path: Union[str, Path], *, kind: str = "state",
-                 seal: bool = False):
+    def __init__(self, path: Union[str, Path], *, kind: str = "state"):
         self.path = Path(path)
         self.kind = kind
-        if seal:
-            seal_torn_tail(self.path)
+        seal_torn_tail(self.path)
         self._fh: Optional[IO[str]] = self.path.open("a")
 
     def append(self, entry: dict) -> None:
@@ -187,3 +189,36 @@ def seal_torn_tail(path: Union[str, Path]) -> bool:
         return True
     except OSError:
         return False
+
+
+def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
+    """Yield ``(line number, value)`` for each non-blank line of the
+    JSONL log at *path*, with *value* None where the line does not
+    parse.
+
+    A line that does not parse is a torn write: the tail of a writer
+    killed mid-append, or an earlier tear a later writer sealed and
+    appended past.  Later lines are still read.  What a torn line
+    means (a warning, a count) is the caller's call.
+    """
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError:
+                value = None
+            yield lineno, value
+
+
+def log_begun(path: Union[str, Path]) -> bool:
+    """True once any line of the JSONL log at *path* parses.
+
+    A missing or empty file, or one holding only a torn first line (a
+    writer killed before or while writing its header), has not begun:
+    a fresh writer accepts it and starts over.
+    """
+    path = Path(path)
+    return path.exists() and any(
+        value is not None for _, value in read_jsonl(path))

@@ -51,7 +51,7 @@ from typing import Optional
 from ..chaos.hooks import crash_point
 from ..errors import JournalError
 from .evaluation import VariantRecord
-from .ioutil import JsonlAppender, atomic_write
+from .ioutil import JsonlAppender, atomic_write, log_begun, read_jsonl
 from .results import record_from_dict, record_to_dict, validate_record_dict
 
 __all__ = ["JOURNAL_FORMAT", "CampaignJournal", "JournalState",
@@ -66,23 +66,21 @@ _SNAPSHOT_FILE = "snapshot.json"
 #: CampaignConfig fields that shape the search trajectory.  Execution
 #: knobs (backend, workers, cache_dir, timeouts, backoff) deliberately
 #: excluded: the engine guarantees bit-identical results across those —
-#: a journal written under the compiled backend replays under the tree
-#: backend and vice versa.
+#: a journal written under the compiled backend replays under the
+#: batched backend and vice versa.
 _TRAJECTORY_CONFIG_FIELDS = ("nodes", "wall_budget_seconds",
                              "timeout_factor", "min_speedup",
                              "max_evaluations")
 
 
 def has_journal(directory) -> bool:
-    """True when *directory* holds a non-empty campaign journal — the
+    """True when *directory* holds a begun campaign journal — the
     resumability test shared by ``repro chaos``, the campaign service,
-    and :func:`~repro.core.campaign.run_or_resume`.  An empty journal
-    file (killed before the header landed) counts as "no journal": a
-    fresh create accepts it and starts over."""
-    if not directory:
-        return False
-    path = Path(directory) / _JOURNAL_FILE
-    return path.exists() and path.stat().st_size > 0
+    and :func:`~repro.core.campaign.run_or_resume`.  A journal killed
+    before or while its header was written counts as "no journal"
+    (:func:`~repro.core.ioutil.log_begun`): a fresh create accepts it
+    and starts over."""
+    return bool(directory) and log_begun(Path(directory) / _JOURNAL_FILE)
 
 
 def space_fingerprint(space) -> dict:
@@ -161,15 +159,9 @@ class JournalState:
         header: Optional[dict] = None
         state: Optional[JournalState] = None
         done: set[int] = set()
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                # The expected artifact of a crash mid-append.  Later
-                # lines are still honoured (a resumed writer may have
-                # appended past a tear left by its predecessor).
+        for lineno, entry in read_jsonl(path):
+            if entry is None:
+                # The expected artifact of a crash mid-append.
                 if state is not None:
                     state.warnings.append(
                         f"{path.name}:{lineno}: torn journal line "
@@ -293,21 +285,15 @@ class CampaignJournal:
         self._dones = state.completed_batches if state else 0
         self._snapshots_written = 0
         self.snapshot_failures = 0
+        if state is None and log_begun(self.path):
+            raise JournalError(
+                f"campaign journal already exists at {self.path}; "
+                f"resume it (resume=True / --resume) or point "
+                f"--journal-dir at a fresh directory")
+        self._writer = JsonlAppender(self.path, kind="journal")
         if state is None:
-            if self.path.exists() and self.path.stat().st_size > 0:
-                raise JournalError(
-                    f"campaign journal already exists at {self.path}; "
-                    f"resume it (resume=True / --resume) or point "
-                    f"--journal-dir at a fresh directory")
-            self._writer = JsonlAppender(self.path, kind="journal")
             crash_point("journal.header")
             self._append(header)
-        else:
-            # A predecessor killed mid-append leaves a torn final line;
-            # seal it so our appends (resume marker first) cannot glue
-            # onto the tear and vanish with it at the next load.
-            self._writer = JsonlAppender(self.path, kind="journal",
-                                         seal=True)
 
     @classmethod
     def create(cls, directory: str | Path, header: dict) -> "CampaignJournal":

@@ -60,7 +60,7 @@ from ..obs.events import (CircuitBreakerOpen, VariantQuarantined,
 from ..perf.machine import MachineModel
 from ..perf.noise import NoiseModel
 from .assignment import PrecisionAssignment
-from .campaign import BudgetedOracle, CampaignConfig, _BatchStats
+from .campaign import BatchTelemetry, BudgetedOracle, CampaignConfig
 from .cache import ResultCache
 from .classification import Outcome
 from .evaluation import Evaluator, VariantRecord
@@ -72,6 +72,8 @@ __all__ = ["WorkerSpec", "ParallelOracle"]
 class WorkerSpec:
     """Everything a worker process needs to rebuild the evaluator.
 
+    Workers evaluate one variant at a time on the compiled scalar path,
+    whatever the campaign's backend (the records are bit-identical).
     Workers cannot be monkeypatched across the process boundary, so
     fault injection travels with the spec: ``chaos_faults`` is compiled
     from :attr:`CampaignConfig.chaos` by :meth:`ParallelOracle.for_model`
@@ -87,7 +89,6 @@ class WorkerSpec:
     machine: MachineModel
     timeout_factor: float
     noise: NoiseModel
-    backend: str = "compiled"                 # Fortran execution backend
     chaos_faults: tuple[tuple[int, str, str], ...] = ()
 
 
@@ -123,7 +124,7 @@ def _worker_init(spec: WorkerSpec) -> None:
     case = build_model(spec.model_name, **dict(spec.model_kwargs))
     _WORKER["evaluator"] = Evaluator(
         case, machine=spec.machine, timeout_factor=spec.timeout_factor,
-        noise=spec.noise, backend=spec.backend)
+        noise=spec.noise)
     _WORKER["atoms"] = case.space.atoms
     _WORKER["chaos_faults"] = {vid: (mode, marker)
                                for vid, mode, marker in spec.chaos_faults}
@@ -228,7 +229,6 @@ class ParallelOracle(BudgetedOracle):
             machine=evaluator.machine,
             timeout_factor=evaluator.timeout_factor,
             noise=evaluator.noise,
-            backend=getattr(evaluator, "backend", config.backend),
             chaos_faults=chaos_faults,
         )
         oracle = cls(evaluator=evaluator, config=config, cache=cache,
@@ -345,7 +345,7 @@ class ParallelOracle(BudgetedOracle):
                 executed.append((record, "fresh"))
         return executed
 
-    def _run_tasks(self, tasks, stats: _BatchStats
+    def _run_tasks(self, tasks, stats: BatchTelemetry
                    ) -> tuple[dict[int, VariantRecord], set[int]]:
         """Evaluate (assignment, vid) pairs with retry and downgrade.
 

@@ -871,7 +871,7 @@ class _ProcCompiler:
         A literal's kind and value are compile-time constants, so the
         closure skips the leaf evaluation and half of the per-visit kind
         dispatch the general path pays.  Charges stay identical to the
-        tree backend: literals never charge loads or converts, and the
+        tree walker: literals never charge loads or converts, and the
         variable side charges a convert exactly when it is narrower than
         the literal's kind.
         """
@@ -2001,7 +2001,7 @@ class CompiledInterpreter(Interpreter):
         chain = self._chain_memo.get(scope_name)
         if chain is None:
             # First build may elaborate module frames (charging their
-            # init ops exactly once, as the tree backend does); the
+            # init ops exactly once, as the tree walker does); the
             # chained dicts are stable afterwards.
             frame = super()._make_frame(scope_name, scope_info, vec_inherit)
             self._chain_memo[scope_name] = frame.chain[1:]

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..fortran import (Interpreter, Ledger, ProgramIndex, analyze,
-                       analyze_program, parse_source)
+from ..fortran import (CompiledInterpreter, Interpreter, Ledger,
+                       ProgramIndex, analyze, analyze_program, parse_source)
 from ..fortran.vectorize import ProgramVecInfo
 from ..core.atoms import SearchAtom, collect_atoms
 from ..core.assignment import PrecisionAssignment
@@ -134,17 +134,17 @@ class ModelCase:
             interpreter_factory=None) -> RunArtifacts:
         """Execute the model under *assignment* (None = declared kinds).
 
-        *interpreter_factory*, when given, is called with the same
-        keyword arguments as :class:`Interpreter` and must return an
-        interpreter — this is how the shadow-execution profiler
-        (:mod:`repro.numerics`) substitutes its instrumented engine
-        without the model knowing.
+        Runs on the compiled engine unless *interpreter_factory* is
+        given: it is called with the same keyword arguments as
+        :class:`Interpreter` and must return an interpreter — this is
+        how the shadow-execution profiler (:mod:`repro.numerics`)
+        substitutes its instrumented engine without the model knowing.
 
         Raises :class:`repro.errors.FortranRuntimeError` subclasses when
         the variant crashes — callers classify these.
         """
         overlay = assignment.overlay() if assignment is not None else {}
-        factory = interpreter_factory or Interpreter
+        factory = interpreter_factory or CompiledInterpreter
         interp = factory(self.index, overlay=overlay,
                          vec_info=self.vec_info, max_ops=max_ops)
         observable = self._drive(interp)

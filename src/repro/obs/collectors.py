@@ -19,7 +19,7 @@ trace directory, ``CampaignResult.metrics``):
   ``repro_queue_depth`` (dispatched in the latest batch),
   ``repro_wall_seconds_total`` — batch pipeline shape;
 * ``repro_backend_campaigns_total{backend=...}`` — which Fortran
-  execution backend (compiled / tree / batched) served the campaign;
+  execution backend (compiled / batched) served the campaign;
 * ``repro_batched_lanes_total`` / ``repro_batched_fallback_lanes_total``
   / ``repro_batch_width`` (histogram) — batched-backend wave shape:
   vectorized vs scalar-fallback lanes (absent unless batched ran);

@@ -49,11 +49,10 @@ class BackendSelected:
     """The campaign resolved its Fortran execution backend.
 
     ``backend`` is ``"compiled"`` (closure-lowered procedures, see
-    :mod:`repro.fortran.compile`), ``"tree"`` (the reference walker), or
-    ``"batched"`` (lockstep variant waves with per-lane dtype masks, see
-    :mod:`repro.fortran.batch`).  All three are bit-identical in every
-    deterministic payload, so this event is informational: it changes
-    wall-clock, never the trajectory.
+    :mod:`repro.fortran.compile`) or ``"batched"`` (lockstep variant
+    waves with per-lane dtype masks, see :mod:`repro.fortran.batch`).
+    Both are bit-identical in every deterministic payload, so this
+    event is informational: it changes wall-clock, never the trajectory.
     Compile-time counters (procedures lowered, code-cache hits) are real
     wall-side measurements and therefore live in the span trace and the
     metrics export, not in deterministic result JSON.

@@ -25,8 +25,6 @@ code free of ``if tracing:`` branches.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +62,7 @@ class Tracer:
     def __init__(self, trace_dir: Optional[str | Path] = None,
                  **session_attrs: Any):
         self.trace_dir = Path(trace_dir) if trace_dir else None
-        self._fh = None
+        self._writer = None
         self._next_id = 0
         self._stack: list[Span] = []
         self.spans_written = 0
@@ -73,9 +71,8 @@ class Tracer:
             self.path = self.trace_dir / TRACE_FILE
             # Late import: repro.obs stays import-free of repro.core at
             # module level; ioutil is a leaf with no obs dependency.
-            from ..core.ioutil import seal_torn_tail
-            seal_torn_tail(self.path)
-            self._fh = self.path.open("a")
+            from ..core.ioutil import JsonlAppender
+            self._writer = JsonlAppender(self.path, kind="trace")
             self._write({"type": "header", "format": TRACE_FORMAT,
                          "session_start": time.time(),
                          "attrs": session_attrs})
@@ -84,7 +81,7 @@ class Tracer:
 
     @property
     def enabled(self) -> bool:
-        return self._fh is not None
+        return self._writer is not None
 
     @property
     def current(self) -> Optional[Span]:
@@ -138,7 +135,7 @@ class Tracer:
 
     def _finish(self, span: Span, wall_seconds: Optional[float]) -> None:
         self.spans_written += 1
-        if self._fh is None:
+        if self._writer is None:
             return
         self._write({
             "type": "span",
@@ -151,24 +148,21 @@ class Tracer:
         })
 
     def _write(self, entry: dict) -> None:
-        from ..core.ioutil import append_line
         try:
-            append_line(self._fh, json.dumps(entry, sort_keys=True),
-                        kind="trace")
+            self._writer.append(entry)
         except OSError:
             # Tracing is advisory: a full or failing disk degrades this
             # session to in-memory span accounting (spans_written keeps
             # counting) instead of killing the campaign.
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
+            self.close()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._writer is not None:
+            try:
+                self._writer.close()
+            except OSError:
+                pass
+            self._writer = None
 
 
 class _SpanContext:
@@ -200,16 +194,10 @@ def load_trace(trace_dir: str | Path) -> list[dict]:
         raise TraceError(
             f"no span trace at {path}; run a campaign with --trace-dir "
             f"(or CampaignConfig.trace_dir) first")
-    entries: list[dict] = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict) and entry.get("type") in ("header", "span"):
-            entries.append(entry)
+    from ..core.ioutil import read_jsonl
+    entries = [entry for _, entry in read_jsonl(path)
+               if isinstance(entry, dict)
+               and entry.get("type") in ("header", "span")]
     if not entries:
         raise TraceError(f"{path} contains no readable trace entries")
     return entries

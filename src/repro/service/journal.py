@@ -25,13 +25,12 @@ tie-break survives restarts by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 from ..chaos.hooks import crash_point
-from ..core.ioutil import JsonlAppender
+from ..core.ioutil import JsonlAppender, log_begun, read_jsonl
 from ..errors import ServiceError
 from .schema import JobSpec
 
@@ -103,19 +102,12 @@ def load_service_state(state_dir: Union[str, Path]
     if not path.exists():
         return records, next_seq, warnings
 
-    lines = path.read_text(encoding="utf-8").splitlines()
-    entries = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            entries.append((lineno, json.loads(line)))
-        except json.JSONDecodeError:
+    saw_header = False
+    for lineno, entry in read_jsonl(path):
+        if entry is None:
             warnings.append(
                 f"torn journal line {lineno} skipped (crash mid-append)")
-
-    saw_header = False
-    for lineno, entry in entries:
+            continue
         kind = entry.get("entry")
         if kind == "header":
             if entry.get("version", 0) > SERVICE_JOURNAL_VERSION:
@@ -187,21 +179,21 @@ class ServiceJournal:
     """Append-side of the service journal (write-ahead, fsync-per-entry).
 
     Construction either starts a fresh journal (header appended
-    immediately) or — when ``service.jsonl`` already holds bytes —
-    recovers the previous server's state first and continues appending
-    to the same file, sealing any torn tail.
+    immediately) or — once ``service.jsonl`` has begun
+    (:func:`~repro.core.ioutil.log_begun`) — recovers the previous
+    server's state first and continues appending to the same file.
+    Either way the writer seals a torn tail, so a header torn by a
+    kill is skipped and a fresh one written after it.
     """
 
     def __init__(self, state_dir: Union[str, Path]):
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.path = self.state_dir / SERVICE_JOURNAL_FILE
-        existing = self.path.exists() and self.path.stat().st_size > 0
-        if existing:
+        if log_begun(self.path):
             self.records, self.next_seq, self.load_warnings = \
                 load_service_state(self.state_dir)
-            self._writer = JsonlAppender(self.path, kind="service",
-                                         seal=True)
+            self._writer = JsonlAppender(self.path, kind="service")
         else:
             self.records, self.next_seq, self.load_warnings = {}, 0, []
             crash_point("service.journal_header")

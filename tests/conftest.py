@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Evaluator
+from repro.core.evaluation import BACKENDS
 from repro.fortran import analyze, analyze_program, parse_source
 from repro.models import AdcircCase, FunarcCase, Mom6Case, MpasCase
 
@@ -34,8 +35,7 @@ def pytest_addoption(parser):
              "generator (default: the suite's fixed seed; CI also runs "
              "one fresh seed per workflow run)")
     chaos.addoption(
-        "--backend", default=None,
-        choices=["compiled", "tree", "batched"],
+        "--backend", default=None, choices=BACKENDS,
         help="execution backend for tests/test_chaos_matrix.py's "
              "campaigns (default: the CampaignConfig default; CI smokes "
              "the batched backend to prove crash/resume byte-identity "

@@ -29,10 +29,13 @@ import signal
 
 import pytest
 
-from repro.chaos import (ChaosEngine, FaultPlan, KillAt, WorkerFault,
-                         campaign_crash_points, registered_crash_points)
+from repro.chaos import (ChaosEngine, FaultPlan, IOFault, KillAt,
+                         WorkerFault, campaign_crash_points,
+                         registered_crash_points)
 from repro.chaos import hooks as chaos_hooks
-from repro.core import CampaignConfig, Outcome, run_campaign
+from repro.chaos.doctor import diagnose
+from repro.core import (CampaignConfig, Outcome, has_journal, run_campaign,
+                        run_or_resume)
 from repro.core.journal import JournalState
 from repro.models import FunarcCase
 from repro.obs import VariantQuarantined, subscribes_to
@@ -91,10 +94,10 @@ def _run_in_child(config: CampaignConfig, timeout: float = 120.0) -> int:
 
 def _resume_config(journal_dir, **kw) -> CampaignConfig:
     """Chaos-free resume; a kill at ``journal.header`` leaves an empty
-    journal file, which the fresh-create path accepts (start over)."""
-    journal_file = journal_dir / "journal.jsonl"
-    resume = journal_file.exists() and journal_file.stat().st_size > 0
-    return _config(journal_dir=str(journal_dir), resume=resume, **kw)
+    journal file and a kill mid-header a torn one, which the
+    fresh-create path accepts (start over)."""
+    return _config(journal_dir=str(journal_dir),
+                   resume=has_journal(journal_dir), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,29 @@ class TestCrashPointMatrix:
 
         resumed = run_campaign(_funarc(), _resume_config(journal_dir))
         assert resumed.to_json() == clean_baseline.to_json()
+
+    def test_torn_header_starts_over(self, clean_baseline, tmp_path):
+        # SIGKILL halfway through the header append: the file holds a
+        # torn first line and nothing else, so there is no campaign to
+        # resume.  The restart starts fresh past the sealed tear.
+        journal_dir = tmp_path / "journal"
+        plan = FaultPlan(io_faults=(
+            IOFault(target="journal", mode="torn_kill", index=1),))
+        exitcode = _run_in_child(
+            _config(chaos=plan, journal_dir=str(journal_dir)))
+        assert exitcode == -signal.SIGKILL
+        torn = (journal_dir / "journal.jsonl").read_bytes()
+        assert torn and b"\n" not in torn
+        assert not has_journal(journal_dir)
+        report = diagnose(journal_dir)
+        assert report.healthy
+        assert any("torn header" in w for w in report.warnings)
+
+        restarted = run_or_resume(_funarc(),
+                                  _config(journal_dir=str(journal_dir)))
+        assert restarted.resumed_from_batch is None
+        assert restarted.to_json() == clean_baseline.to_json()
+        assert diagnose(journal_dir).healthy
 
 
 class TestPoisonQuarantine:

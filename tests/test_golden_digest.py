@@ -1,8 +1,8 @@
 """Golden-digest regression gate for backend determinism.
 
 These digests pin the exact bytes of funarc's campaign result across
-every execution configuration the engine claims is equivalent: tree vs
-compiled vs batched backend, serial vs 4-worker parallel.  They also pin
+every execution configuration the engine claims is equivalent: compiled
+vs batched backend, serial vs 4-worker parallel.  They also pin
 the numerical profile of each of the four models.  Future backend work (new lowering rules, cache
 changes, charge reordering) that drifts **any** byte of the
 deterministic artifacts fails here before it can silently invalidate
@@ -35,8 +35,8 @@ GOLDEN_CAMPAIGN_SHA256 = (
 #: the shadow-run error statistics).
 GOLDEN_PROFILE_DIGEST = "96c17819ca5e44ed"
 
-_CONFIGS = [("tree", 1), ("tree", 4), ("compiled", 1), ("compiled", 4),
-            ("batched", 1), ("batched", 4)]
+_CONFIGS = [("compiled", 1), ("compiled", 4), ("batched", 1),
+            ("batched", 4)]
 
 
 def _case() -> FunarcCase:

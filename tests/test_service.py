@@ -256,6 +256,27 @@ class TestRestart:
         svc3.close()
         assert diagnose_service(state).healthy
 
+    def test_torn_header_is_rewritten(self, tmp_path, clean_json):
+        # A server killed halfway through its header append leaves one
+        # torn line: the journal has not begun, so the first restart
+        # writes a header past the sealed tear.
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "service.jsonl").write_text('{"entry": "heade')
+
+        svc = CampaignService(state, model_factory=_factory)
+        rec, dedup = svc.submit(_spec())
+        assert not dedup
+        svc.run_pending()
+        assert svc.result_text(rec.job_id) == clean_json
+        svc.close()
+
+        svc2 = CampaignService(state, model_factory=_factory)
+        assert any("torn" in w for w in svc2.load_warnings)
+        assert svc2.result_text(rec.job_id) == clean_json
+        svc2.close()
+        assert diagnose_service(state).healthy
+
     def test_journal_requires_header_first(self, tmp_path):
         state = tmp_path / "state"
         state.mkdir()

@@ -26,7 +26,7 @@ class TestConfigRoundTrip:
     def test_non_default_config_round_trips(self):
         config = CampaignConfig(nodes=7, wall_budget_seconds=3600.0,
                                 max_evaluations=123, seed=99,
-                                backend="tree", workers=3,
+                                backend="batched", workers=3,
                                 cache_dir="/tmp/c", resume=True,
                                 quarantine=False)
         assert CampaignConfig.from_json(config.to_json()) == config
