@@ -8,10 +8,11 @@ lanes under an activity mask instead of once per variant.
 
 Bit-identity contract
 ---------------------
-The batched backend must be indistinguishable from the tree and compiled
-backends in every deterministic payload: per-lane observables, stdout,
-ledger charges (including dict insertion order) and, transitively, the
-campaign-result JSON bytes.  Three mechanisms carry that contract:
+The batched backend must be indistinguishable from the reference tree
+walker and the compiled backend in every deterministic payload:
+per-lane observables, stdout, ledger charges (including dict insertion
+order) and, transitively, the campaign-result JSON bytes.  Three
+mechanisms carry that contract:
 
 * **Widened storage, native rounding.**  Real lane values are stored as
   ``float64`` but every operation result is rounded through the lane's
@@ -83,7 +84,10 @@ statement vec flags, the binding plan of each procedure, and each
 declared symbol's kind vector with the promote / convert-lane /
 float32-lane decisions that follow from it (every site caches them
 against the operand kind vectors it last saw, seeded from the
-declarations).  A construct the engine does not model lowers to a
+declarations).  Where a name lives, which symbol declares it and
+which real operands fix an expression's kind come from
+:class:`~repro.fortran.symbols.ScopeNames`, the scoping rules the
+three engines share.  A construct the engine does not model lowers to a
 closure that raises ``_Unsupported`` when it runs, so a wave falls back
 where and why it reaches one.  Dynamic at run time: activity masks and
 dead lanes, ``devec`` and ``vec_inherit``, values, the op budget (a
@@ -106,19 +110,16 @@ import numpy as np
 
 from ..errors import FortranRuntimeError, FortranStopError, SemanticError
 from . import ast_nodes as F
-from .compile import CompiledInterpreter, _chain_module_names
+from .compile import _BUILTIN_SUBS, _CMP_FNS, CompiledInterpreter, _raiser
 from .instrumentation import CallKey, Ledger, OpKey
+from .interpreter import _ARITH_CLASS, _BUDGET_CHECK_INTERVAL, Frame
 from .intrinsics import INTRINSICS
-from .symbols import KIND_DOUBLE, KIND_SINGLE, ProgramIndex, Symbol
+from .symbols import (_CMP_OPS, KIND_DOUBLE, KIND_SINGLE, ProgramIndex,
+                      ScopeNames, Symbol, effective_kind)
 from .values import FArray, dtype_for_kind, kind_of
 from .vectorize import ProgramVecInfo
 
 __all__ = ["VariantBatch", "BatchLane", "BatchStats"]
-
-_BUDGET_CHECK_INTERVAL = 512
-_ARITH_CLASS = {"+": "arith", "-": "arith", "*": "arith", "/": "div",
-                "**": "pow"}
-_CMP_OPS = {"==", "/=", "<", "<=", ">", ">="}
 
 _F32 = np.dtype(np.float32)
 _F64 = np.dtype(np.float64)
@@ -290,8 +291,6 @@ def _elems(value: Any) -> int:
 
 _ARITH_FN = {"+": operator.add, "-": operator.sub,
              "*": operator.mul, "/": operator.truediv}
-_CMP_FN = {"==": operator.eq, "/=": operator.ne, "<": operator.lt,
-           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _MQ_CONST = {
     "epsilon": (np.float64(np.finfo(np.float32).eps),
                 np.float64(np.finfo(np.float64).eps)),
@@ -365,42 +364,6 @@ def _op_parts(kv: _KV, vec: Any) -> list:
     return parts
 
 
-# ---------------------------------------------------------------------------
-# Frames
-# ---------------------------------------------------------------------------
-
-
-class _BFrame:
-    """One activation.  Lowered code reads declared names straight from
-    ``values`` or a module's dict; the chain walk below serves only the
-    names lowering could not place (undeclared loop variables) and the
-    expressions evaluated while a frame is still being elaborated."""
-
-    __slots__ = ("scope", "values", "chain", "vec_inherit")
-
-    def __init__(self, scope: str, chain_dicts: list[dict],
-                 vec_inherit: Any = False):
-        self.scope = scope
-        self.values: dict[str, Any] = {}
-        self.chain: list[dict] = [self.values, *chain_dicts]
-        self.vec_inherit = vec_inherit       # False | True | _Mask
-
-    def find(self, name: str) -> Any:
-        for d in self.chain:
-            if name in d:
-                return d[name]
-        raise FortranRuntimeError(f"reference to undefined name {name!r}")
-
-    def find_slot(self, name: str) -> dict:
-        for d in self.chain:
-            if name in d:
-                return d
-        raise FortranRuntimeError(f"assignment to undeclared name {name!r}")
-
-    def has(self, name: str) -> bool:
-        return any(name in d for d in self.chain)
-
-
 class _Proc:
     """One procedure lowered for one wave: its binding plan and body."""
 
@@ -466,7 +429,7 @@ class _Engine:
 
         self.procs: dict[str, _Proc] = {}
         self.procedures_lowered = 0
-        self._module_frames: dict[str, _BFrame] = {}
+        self._module_frames: dict[str, Frame] = {}
         self._elaborating: set[str] = set()
         self._kv_syms: dict[str, _KV] = {}
         self.n_dead = 0
@@ -641,11 +604,24 @@ class _Engine:
         qual = sym.qualified
         got = self._kv_syms.get(qual)
         if got is None:
-            base = sym.kind
             got = self.intern.kv(np.array(
-                [ov.get(qual, base) for ov in self.overlays], dtype=np.int8))
+                [effective_kind(sym, ov) for ov in self.overlays],
+                dtype=np.int8))
             self._kv_syms[qual] = got
         return got
+
+    def kv_of_type(self, static_type: Any) -> Optional[_KV]:
+        """The kind vector a value of *static_type* (see
+        :meth:`ScopeNames.static_type`) has in this wave: the per-lane
+        join of its real operands' kinds, or None if it has none."""
+        if type(static_type) is not tuple:
+            return None
+        kv = None
+        for operand in static_type:
+            k = (self.intern.kv_uniform(operand) if type(operand) is int
+                 else self.kv_for(operand))
+            kv = k if kv is None else self._m4(kv, k)[1]
+        return kv
 
     def _promote_kv(self, a: Optional[_KV], b: Optional[_KV]) -> Optional[_KV]:
         if a is None:
@@ -998,7 +974,7 @@ class _Engine:
     # Elaboration and invocation
     # ------------------------------------------------------------------
 
-    def _module_frame(self, name: str, mask: _Mask) -> _BFrame:
+    def _module_frame(self, name: str, mask: _Mask) -> Frame:
         frame = self._module_frames.get(name)
         if frame is not None:
             return frame
@@ -1010,9 +986,9 @@ class _Engine:
             if scope is None:
                 raise SemanticError(f"no module named {name!r}")
             chain = [self._module_frame(u, mask).values for u in scope.uses]
-            frame = _BFrame(name, chain)
+            frame = Frame(name, chain)
             self._module_frames[name] = frame
-            lower = _Lowerer(self, scope, None)
+            lower = _Lowerer(self, scope, ScopeNames(self.index, None))
             for sym in scope.symbols.values():
                 frame.values[sym.name] = lower.elaborator(sym)(frame, mask)
         finally:
@@ -1025,9 +1001,9 @@ class _Engine:
         modules its frames chain to, in the scalar interpreter's
         order)."""
         info = self.index.scopes[qual]
-        modules = _chain_module_names(self.index, info)
-        chain = [self._module_frame(m, mask).values for m in modules]
-        code = _Lowerer(self, info, modules).procedure(proc, chain)
+        names = ScopeNames(self.index, info)
+        chain = [self._module_frame(m, mask).values for m in names.modules]
+        code = _Lowerer(self, info, names).procedure(proc, chain)
         self.procs[qual] = code
         self.procedures_lowered += 1
         return code
@@ -1042,7 +1018,7 @@ class _Engine:
         if code is None:
             code = self._lower(qual, proc, mask)
         is_function = code.is_function
-        frame = _BFrame(qual, code.chain)
+        frame = Frame(qual, code.chain)
         values = frame.values
         wrapped_arr = np.zeros(self.width, dtype=bool)
         real_actual_kvs: list[_KV] = []
@@ -1344,7 +1320,7 @@ class _Engine:
             l = self._int_raw(left)
             r = self._int_raw(right)
             if op in _CMP_OPS:
-                out = _CMP_FN[op](l, r)
+                out = _CMP_FNS[op](l, r)
                 if out.shape == (self.width,):
                     return _LB(out)
                 return _LB(np.broadcast_to(out, (self.width,)).copy())
@@ -1386,7 +1362,7 @@ class _Engine:
         # Lane-uniform Python operands: exact Python semantics (unbounded
         # ints, truncating division).
         if op in _CMP_OPS:
-            return bool(_CMP_FN[op](left, right))
+            return bool(_CMP_FNS[op](left, right))
         if op == "/":
             if right == 0:
                 self.deactivate_mask(mask, "integer division by zero")
@@ -1452,8 +1428,8 @@ class _Engine:
             ndim = right.data.ndim
         else:
             ndim = 1
-        out = _CMP_FN[op](self._wide_raw(left, ndim),
-                          self._wide_raw(right, ndim))
+        out = _CMP_FNS[op](self._wide_raw(left, ndim),
+                           self._wide_raw(right, ndim))
         if has_arr:
             template = left if tl is _BArr else right
             return _BArr(out, template.lbounds, None)
@@ -1724,25 +1700,9 @@ class _Engine:
 # Lowering: procedure bodies become closures, once per wave
 # ---------------------------------------------------------------------------
 
-#: ``_Lowerer._where`` result for a name resolved by the frame-chain walk.
-_DYNAMIC = "dynamic"
-#: ``_Lowerer._where`` result for a name in the procedure's own values.
-_LOCAL = "local"
 _LITERALS = (F.RealLit, F.IntLit)
 #: ``general``'s marker for "no subscript evaluated yet".
 _UNSET = object()
-_ALLREDUCE = frozenset(
-    {"mpi_allreduce_sum", "mpi_allreduce_max", "mpi_allreduce_min"})
-
-
-def _raiser(message: str, exc_type: type = _Unsupported) -> Callable:
-    """A closure for a construct the engine does not model: it raises
-    only when executed, so a wave falls back where it reaches it."""
-
-    def raise_it(*_ignored):
-        raise exc_type(message)
-
-    return raise_it
 
 
 class _Lowerer:
@@ -1759,82 +1719,38 @@ class _Lowerer:
     kinds).  Activity masks, dead lanes, ``devec``, ``vec_inherit``,
     values, the op budget and the NaN guards stay dynamic.
 
-    *modules* lists the module names a procedure frame chains to, in
-    lookup order; None lowers every name to the frame-chain walk, for
-    expressions evaluated while a frame is still being elaborated.
+    *names* (:class:`ScopeNames`) places a procedure body's names; the
+    elaboration lowerers get one that leaves every name to the frame's
+    chain walk.
     """
 
-    def __init__(self, engine: _Engine, info, modules: Optional[list[str]]):
+    def __init__(self, engine: _Engine, info, names: ScopeNames):
         self.E = engine
         self.info = info
         self.scope = info.name
-        self.modules = modules
+        self.names = names
         self.flags = (engine.vec_info.stmt_vec(info.name)
                       if engine.vec_info is not None else None)
 
     # -- names ----------------------------------------------------------
 
-    def _where(self, name: str) -> Any:
-        """``_LOCAL``, a module's values dict, or ``_DYNAMIC``."""
-        if self.modules is None:
-            return _DYNAMIC
-        if name in self.info.symbols:
-            return _LOCAL
-        for mod in self.modules:
-            if name in self.E.index.modules[mod].symbols:
-                return self.E._module_frames[mod].values
-        return _DYNAMIC
-
-    def _symbol(self, name: str) -> Optional[Symbol]:
-        if self.modules is None:
-            return None
-        sym = self.info.symbols.get(name)
-        if sym is None:
-            for mod in self.modules:
-                sym = self.E.index.modules[mod].symbols.get(name)
-                if sym is not None:
-                    break
-        return sym
-
     def _fetch(self, name: str) -> Callable:
-        where = self._where(name)
-        if where is _LOCAL:
-            return lambda frame: frame.values[name]
-        if where is _DYNAMIC:
+        sym, mod = self.names.lookup(name)
+        if sym is None:
             return lambda frame: frame.find(name)
-        return lambda frame: where[name]
+        if mod is None:
+            return lambda frame: frame.values[name]
+        values = self.E._module_frames[mod].values
+        return lambda frame: values[name]
 
     def _slot(self, name: str) -> Callable:
-        where = self._where(name)
-        if where is _LOCAL:
-            return lambda frame: frame.values
-        if where is _DYNAMIC:
+        sym, mod = self.names.lookup(name)
+        if sym is None:
             return lambda frame: frame.find_slot(name)
-        return lambda frame: where
-
-    def _static_kv(self, e: F.Expr) -> Optional[_KV]:
-        """The kind vector *e* evaluates with, if the declarations fix
-        it (seeds the per-site caches; a value arriving with another
-        kind vector recomputes them)."""
-        t = type(e)
-        if t is F.RealLit:
-            return self.E.intern.kv_uniform(e.kind)
-        if t is F.Name or t is F.Apply:
-            sym = self._symbol(e.name)
-            if sym is None or sym.type_ != "real":
-                return None
-            if t is F.Apply and (sym.is_array is False or any(
-                    isinstance(a, F.RangeExpr) for a in e.args)):
-                return None
-            return self.E.kv_for(sym)
-        if t is F.UnaryOp and e.op == "-":
-            return self._static_kv(e.operand)
-        if t is F.BinOp and e.op in _ARITH_FN:
-            kl = self._static_kv(e.left)
-            kr = self._static_kv(e.right)
-            if kl is not None and kr is not None:
-                return self.E._m4(kl, kr)[1]
-        return None
+        if mod is None:
+            return lambda frame: frame.values
+        values = self.E._module_frames[mod].values
+        return lambda frame: values
 
     def _vec(self, s: F.Stmt) -> Callable:
         """Compiled ``_stmt_vec_mask``: the static flag, then the
@@ -1876,7 +1792,7 @@ class _Lowerer:
         code.inlinable = (E.vec_info.is_inlinable(proc.name)
                           if E.vec_info is not None else False)
         code.chain = chain
-        elab = _Lowerer(E, info, None)
+        elab = _Lowerer(E, info, ScopeNames(E.index, None))
         code.scalars = []
         code.arrays = []
         for pos, dummy_name in enumerate(proc.args):
@@ -1902,7 +1818,8 @@ class _Lowerer:
                     "save" in sym.decl.attrs
                     or (sym.init is not None and not sym.is_parameter)):
                 code.locals.append(
-                    (sym.name, _raiser(f"SAVE local {sym.name!r}")))
+                    (sym.name, _raiser(_Unsupported,
+                                       f"SAVE local {sym.name!r}")))
             else:
                 code.locals.append((sym.name, elab.elaborator(sym)))
         code.body = self.block(proc.body)
@@ -1913,22 +1830,22 @@ class _Lowerer:
         E = self.E
         kv = E.kv_for(sym)
         if sym.type_ == "derived":
-            return _raiser("derived-type variables")
+            return _raiser(_Unsupported, "derived-type variables")
         if sym.is_array:
             if sym.is_allocatable:
                 return lambda frame, mask: None
             return self._allocator(sym, kv)
         if sym.init is not None:
-            return _raiser(f"initialized scalar {sym.name!r}")
+            return _raiser(_Unsupported, f"initialized scalar {sym.name!r}")
         if sym.type_ == "real":
             width = E.width
             return lambda frame, mask: _LF(np.zeros(width, dtype=_F64), kv)
         if sym.type_ == "integer":
             return lambda frame, mask: 0
         if sym.type_ in ("logical", "character"):
-            return _raiser(f"{sym.type_} scalar {sym.name!r}")
-        return _raiser(f"cannot elaborate symbol {sym.qualified}",
-                       SemanticError)
+            return _raiser(_Unsupported, f"{sym.type_} scalar {sym.name!r}")
+        return _raiser(SemanticError,
+                       f"cannot elaborate symbol {sym.qualified}")
 
     def _allocator(self, sym: Symbol, kv: Optional[_KV]) -> Callable:
         E = self.E
@@ -2009,13 +1926,13 @@ class _Lowerer:
             return self._stop(s)
         if t is F.PrintStmt:
             return self._print(s)
-        return _raiser(f"statement {t.__name__}")
+        return _raiser(_Unsupported, f"statement {t.__name__}")
 
     def _assignment(self, s: F.Assignment) -> Callable:
         E = self.E
         rhs = self.expr(s.value)
         store = self._target(s.target, isinstance(s.value, _LITERALS),
-                             self._static_kv(s.value))
+                             E.kv_of_type(self.names.static_type(s.value)))
         vec = self._vec(s)
         sid = id(s)
         live = E._live
@@ -2051,7 +1968,8 @@ class _Lowerer:
                 store(frame, container, value, mask)
 
             return assign
-        return _raiser(f"cannot assign to {type(target).__name__}")
+        return _raiser(_Unsupported,
+                       f"cannot assign to {type(target).__name__}")
 
     def _store_name(self, name: str, rhs_lit: bool,
                     rhs_kv: Optional[_KV]) -> Callable:
@@ -2063,7 +1981,7 @@ class _Lowerer:
         slot_of = self._slot(name)
         add_op = E.add_op
         nan_guard = E._nan_guard
-        sym = self._symbol(name)
+        sym = self.names.lookup(name)[0]
         kd0 = E.kv_for(sym) if sym is not None and not sym.is_array else None
         # Site cache: the (value, slot) kind vectors last seen and the
         # lanes where they differ.
@@ -2115,7 +2033,7 @@ class _Lowerer:
         index_key = self._index_key(target.args)
         add_op = E.add_op
         live = E._live
-        sym = self._symbol(target.name)
+        sym = self.names.lookup(target.name)[0]
         kd0 = E.kv_for(sym) if sym is not None else None
         c_kv, c_kd = rhs_kv, kd0
         c_diff = (E._kv_diff(rhs_kv, kd0)
@@ -2169,7 +2087,7 @@ class _Lowerer:
         vec = self._vec(s)
         sid = id(s)
         live = E._live
-        if s.name in _ALLREDUCE:
+        if s.name in _BUILTIN_SUBS:
             argfns = [self.expr(a) for a in s.args]
 
             def ex(frame, mask):
@@ -2242,13 +2160,10 @@ class _Lowerer:
         return ex
 
     def _loop_slot(self, var: str) -> Callable:
-        where = self._where(var)
-        if where is _LOCAL:
-            return lambda frame: frame.values
-        if where is _DYNAMIC:
+        if self.names.lookup(var)[0] is None:
             return lambda frame: (frame.find_slot(var) if frame.has(var)
                                   else frame.values)
-        return lambda frame: where
+        return self._slot(var)
 
     def _do(self, s: F.DoLoop) -> Callable:
         E = self.E
@@ -2455,7 +2370,7 @@ class _Lowerer:
             return self._deactivator("array section outside a subscript")
         if t is F.KeywordArg:
             return self._deactivator("keyword argument in invalid position")
-        return _raiser(f"cannot evaluate {t.__name__}")
+        return _raiser(_Unsupported, f"cannot evaluate {t.__name__}")
 
     def _deactivator(self, reason: str) -> Callable:
         E = self.E
@@ -2471,7 +2386,7 @@ class _Lowerer:
         E = self.E
         scope = self.scope
         add_op = E.add_op
-        where = self._where(name)
+        sym, mod = self.names.lookup(name)
 
         def charge(val, t, mask):
             if t is _LF:
@@ -2484,7 +2399,7 @@ class _Lowerer:
                 if kv is not None:
                     add_op(scope, "load", kv, E.cur, 1, mask)
 
-        if where is _LOCAL:
+        if sym is not None and mod is None:
             def ev(frame, mask):
                 val = frame.values[name]
                 t = type(val)
@@ -2611,8 +2526,8 @@ class _Lowerer:
         rlit = isinstance(e.right, _LITERALS)
         is_cmp = op in _CMP_OPS
         opclass = "cmp" if is_cmp else _ARITH_CLASS.get(op)
-        fn = _CMP_FN[op] if is_cmp else _ARITH_FN.get(op)
-        int_fast = fn if op in _CMP_FN or op in ("+", "-", "*") else None
+        fn = _CMP_FNS[op] if is_cmp else _ARITH_FN.get(op)
+        int_fast = fn if op in _CMP_FNS or op in ("+", "-", "*") else None
         fast = fn is not None and op != "**"
         add_op = E.add_op
         live_and = E._and
@@ -2624,8 +2539,8 @@ class _Lowerer:
                 lo, hi = E._cvt(kvl, kvr)
             return wide, lo, hi, *E._m4(kvl, kvr)
 
-        c_l = self._static_kv(e.left)
-        c_r = self._static_kv(e.right)
+        c_l = E.kv_of_type(self.names.static_type(e.left))
+        c_r = E.kv_of_type(self.names.static_type(e.right))
         if c_l is not None and c_r is not None:
             c_wide, c_lo, c_hi, c_m4, c_out = plan(c_l, c_r)
         else:
@@ -2701,10 +2616,9 @@ class _Lowerer:
         E = self.E
         name = e.name
         tail = self._apply_tail(e)
-        where = self._where(name)
         ref = self._array_ref(e.args)
         fetch = self._fetch(name)
-        static = where is not _DYNAMIC
+        static = self.names.lookup(name)[0] is not None
         unallocated = f"use of unallocated array {name!r}"
 
         def ev(frame, mask):
@@ -3045,7 +2959,7 @@ class _Lowerer:
         E = self.E
         if isinstance(e, F.Name):
             name = e.name
-            if self._where(name) is _DYNAMIC:
+            if self.names.lookup(name)[0] is None:
                 def rf(frame, mask):
                     val = frame.find(name)
                     return val, E._name_setter(frame.find_slot(name), name)
@@ -3062,7 +2976,7 @@ class _Lowerer:
             return lambda frame, mask: (ev(frame, mask), None)
         name = e.name
         scope = self.scope
-        static = self._where(name) is not _DYNAMIC
+        static = self.names.lookup(name)[0] is not None
         fetch = self._fetch(name)
         index_key = self._index_key(e.args)
         add_op = E.add_op

@@ -8,7 +8,10 @@ statement/expression node — resolving at compile time everything that
 is invariant across executions:
 
 * statement/expression dispatch (the closure *is* the handler),
-* symbol lookups (local slot vs. module frame vs. dynamic chain walk),
+* symbol lookups (local slot vs. module frame vs. dynamic chain walk)
+  and the statically int/bool expressions, both decided by
+  :class:`~repro.fortran.symbols.ScopeNames`, the scoping rules the
+  walker, this backend and the batched one share,
 * procedure/intrinsic resolution and intrinsic opclass selection,
 * literal values (NumPy scalars are built once),
 * static vectorization flags and the allocate-statement kinds implied
@@ -51,11 +54,11 @@ from ..errors import (FortranRuntimeError, FortranStopError,
                       InterpreterLimitError)
 from . import ast_nodes as F
 from .instrumentation import OpKey
-from .interpreter import (_ARITH_CLASS, _BUDGET_CHECK_INTERVAL, _CMP_OPS,
-                          Frame, Interpreter, _CycleLoop, _ExitLoop,
-                          _ReturnSignal)
+from .interpreter import (_ARITH_CLASS, _BUDGET_CHECK_INTERVAL, Frame,
+                          Interpreter, _CycleLoop, _ExitLoop, _ReturnSignal)
 from .intrinsics import INTRINSICS
-from .symbols import KIND_DOUBLE, KIND_SINGLE, ProgramIndex, Symbol
+from .symbols import (_CMP_OPS, KIND_DOUBLE, KIND_SINGLE, ProgramIndex,
+                      ScopeNames, effective_kind)
 from .unparser import unparse
 from .values import (FArray, cast_real, dtype_for_kind, element_count,
                      kind_of, promote_kinds)
@@ -359,29 +362,11 @@ def _array_ref(I: Interpreter, load_keys: dict, arr: FArray, key: tuple,
 
 
 def _raiser(exc_type, message: str):
+    """A closure that raises only when it runs, so an error lowered from
+    a construct surfaces where and when the reference's would."""
     def raise_it(*_ignored):
         raise exc_type(message)
     return raise_it
-
-
-def _chain_module_names(index: ProgramIndex, scope_info) -> list[str]:
-    """Module names in the exact order ``Interpreter._make_frame`` chains
-    their value dicts (host modules, used modules, then all modules)."""
-    chain: list[str] = []
-    parent = scope_info.parent
-    while parent is not None:
-        if parent.is_procedure:
-            parent = parent.parent
-            continue
-        chain.append(parent.name)
-        parent = parent.parent
-    for used in scope_info.uses:
-        if used in index.modules and used not in chain:
-            chain.append(used)
-    for mod in index.modules:
-        if mod not in chain:
-            chain.append(mod)
-    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +388,8 @@ class _ProcCompiler:
         self.index = index
         self.vec_info = vec_info
         self.overlay = overlay
-        self.scope_info = scope_info
         self.scope = scope_info.name
-        self.chain_modules = _chain_module_names(index, scope_info)
+        self.names = ScopeNames(index, scope_info)
         self.stmt_flags = (vec_info.stmt_vec(self.scope)
                            if vec_info is not None else {})
         self._key_tables: dict[str, dict] = {}
@@ -417,102 +401,23 @@ class _ProcCompiler:
             tab = self._key_tables[opclass] = _key_pairs(self.scope, opclass)
         return tab
 
-    # -- symbol categorization ------------------------------------------
-
-    def _eff_kind(self, sym: Symbol) -> Optional[int]:
-        if sym.type_ != "real":
-            return sym.kind
-        return self.overlay.get(sym.qualified, sym.kind)
-
-    def _category(self, name: str) -> tuple[str, Optional[str]]:
-        """Where ``frame.find`` would locate *name*: the local values
-        dict, a module frame (first in chain order), or unknown (only
-        undeclared do-loop scalars land there at runtime, and they live
-        in ``frame.values``)."""
-        if name in self.scope_info.symbols:
-            return "local", None
-        for mod in self.chain_modules:
-            minfo = self.index.modules.get(mod)
-            if minfo is not None and name in minfo.symbols:
-                return "module", mod
-        return "dynamic", None
-
-    def _scalar_symbol(self, name: str) -> Optional[Symbol]:
-        """The declared scalar symbol a Name resolves to, if any."""
-        sym = self.scope_info.symbols.get(name)
-        if sym is None:
-            for mod in self.chain_modules:
-                minfo = self.index.modules.get(mod)
-                if minfo is not None and name in minfo.symbols:
-                    sym = minfo.symbols[name]
-                    break
-        if sym is None or sym.is_array or sym.type_ == "derived":
-            return None
-        return sym
-
-    def _static_type(self, e: F.Expr) -> Optional[str]:
-        """``"int"``/``"bool"`` when *e* provably evaluates to a Python
-        int/bool scalar (kind ``None`` — charge-free in the cost model).
-
-        Integer precision is never tuned, so declared integer scalars
-        always hold Python ints (bind-time ``int(value)``, assignment
-        ``int(value)``, do-loop induction).  Expressions over them take
-        the reference interpreter's free integer path; the compiler can
-        drop the dynamic kind dispatch entirely.
-        """
-        t = type(e)
-        if t is F.IntLit:
-            return "int"
-        if t is F.LogicalLit:
-            return "bool"
-        if t is F.Name:
-            sym = self._scalar_symbol(e.name)
-            if sym is None:
-                return None
-            if sym.type_ == "integer":
-                return "int"
-            if sym.type_ == "logical":
-                return "bool"
-            return None
-        if t is F.UnaryOp:
-            inner = self._static_type(e.operand)
-            if e.op in ("-", "+"):
-                return "int" if inner == "int" else None
-            if e.op == ".not.":
-                return "bool" if inner is not None else None
-            return None
-        if t is F.BinOp:
-            lt = self._static_type(e.left)
-            if lt is None:
-                return None
-            rt = self._static_type(e.right)
-            if rt is None:
-                return None
-            if e.op in _CMP_OPS or e.op in (".and.", ".or.",
-                                            ".eqv.", ".neqv."):
-                return "bool"
-            if lt == "int" and rt == "int" and e.op in _ARITH_FNS:
-                return "int"
-            return None
-        return None
-
     def _fetch(self, name: str):
         """Compiled ``frame.find(name)`` (same error message)."""
-        cat, mod = self._category(name)
-        if cat == "local":
+        sym, mod = self.names.lookup(name)
+        if sym is None:
+            return lambda I, frame: frame.find(name)
+        if mod is None:
             return lambda I, frame: frame.values[name]
-        if cat == "module":
-            return lambda I, frame: I._module_frames[mod].values[name]
-        return lambda I, frame: frame.find(name)
+        return lambda I, frame: I._module_frames[mod].values[name]
 
     def _slot(self, name: str):
         """Compiled ``frame.find_slot(name)`` (same error message)."""
-        cat, mod = self._category(name)
-        if cat == "local":
+        sym, mod = self.names.lookup(name)
+        if sym is None:
+            return lambda I, frame: frame.find_slot(name)
+        if mod is None:
             return lambda I, frame: frame.values
-        if cat == "module":
-            return lambda I, frame: I._module_frames[mod].values
-        return lambda I, frame: frame.find_slot(name)
+        return lambda I, frame: I._module_frames[mod].values
 
     def _vec_closure(self, stmt):
         """Compiled ``Interpreter._stmt_vec`` for one statement."""
@@ -563,20 +468,18 @@ class _ProcCompiler:
                        f"cannot evaluate {type(e).__name__}")
 
     def _compile_name(self, name: str):
-        cat, mod = self._category(name)
-        sym = self._scalar_symbol(name)
-        if sym is not None and sym.type_ in ("integer", "logical",
-                                             "character"):
+        sym, mod = self.names.lookup(name)
+        if sym is not None and not sym.is_array and sym.type_ in (
+                "integer", "logical", "character"):
             # Non-real scalar: kind is None, the reference interpreter
             # never charges a load — the closure is a bare slot read.
-            if cat == "local":
+            if mod is None:
                 return lambda I, frame: frame.values[name]
-            if cat == "module":
-                return lambda I, frame: I._module_frames[mod].values[name]
+            return lambda I, frame: I._module_frames[mod].values[name]
         load_keys = self._keys("load")
         key_f64 = load_keys[KIND_DOUBLE]
         key_f32 = load_keys[KIND_SINGLE]
-        if cat == "local":
+        if sym is not None and mod is None:
             def ev(I, frame):
                 val = frame.values[name]
                 if I._suppress_loads == 0:
@@ -605,7 +508,7 @@ class _ProcCompiler:
                             led.total_ops += n
                 return val
             return ev
-        if cat == "module":
+        if sym is not None:
             def ev(I, frame):
                 val = I._module_frames[mod].values[name]
                 if I._suppress_loads == 0:
@@ -661,12 +564,10 @@ class _ProcCompiler:
         if t is F.IntLit or t is F.LogicalLit:
             return ("c", e.value)
         if t is F.Name:
-            cat, _ = self._category(e.name)
-            if cat == "local":
-                sym = self._scalar_symbol(e.name)
-                if sym is not None and sym.type_ in (
-                        "integer", "logical", "character"):
-                    return ("s", e.name)
+            sym, mod = self.names.lookup(e.name)
+            if (sym is not None and mod is None and not sym.is_array
+                    and sym.type_ in ("integer", "logical", "character")):
+                return ("s", e.name)
         return None
 
     def _compile_unary(self, e: F.UnaryOp):
@@ -676,7 +577,7 @@ class _ProcCompiler:
             return lambda I, frame: not _truth(ov(I, frame))
         if op == "+":
             return ov
-        if self._static_type(e.operand) == "int":
+        if self.names.static_type(e.operand) == "int":
             # Free integer negation (kind None, never a bool).
             return lambda I, frame: -ov(I, frame)
         arith_keys = self._keys("arith")
@@ -723,8 +624,8 @@ class _ProcCompiler:
                 return left == right if want_eq else left != right
             return ev
 
-        if (self._static_type(e.left) is not None
-                and self._static_type(e.right) is not None):
+        if (self.names.static_type(e.left) in ("int", "bool")
+                and self.names.static_type(e.right) in ("int", "bool")):
             # Both operands are int/bool scalars: the reference
             # interpreter's free integer path, with no kind dispatch.
             fn = _CMP_FNS.get(op)
@@ -1110,15 +1011,15 @@ class _ProcCompiler:
 
     def _compile_apply(self, e: F.Apply):
         name = e.name
-        cat, _mod = self._category(name)
+        sym, mod = self.names.lookup(name)
         fallback = self._compile_apply_fallback(e)
-        if cat == "dynamic":
+        if sym is None:
             # Not a declared symbol: the only runtime values under this
             # name are undeclared do-loop scalars, which the reference
             # interpreter also falls through to procedure/intrinsic
             # lookup for.
             return fallback
-        fetch = None if cat == "local" else self._fetch(name)
+        fetch = None if mod is None else self._fetch(name)
         index_key = self._compile_index_key(e.args)
         load_keys = self._keys("load")
 
@@ -1383,8 +1284,8 @@ class _ProcCompiler:
         """Compiled ``_eval_ref``: ``(I, frame) -> (value, setter)``."""
         if isinstance(e, F.Name):
             name = e.name
-            cat, mod = self._category(name)
-            if cat == "local":
+            sym, mod = self.names.lookup(name)
+            if sym is not None and mod is None:
                 def rf(I, frame):
                     vals = frame.values
                     val = vals[name]
@@ -1397,7 +1298,7 @@ class _ProcCompiler:
                             vals[name] = new
                     return val, set_name
                 return rf
-            if cat == "module":
+            if sym is not None:
                 def rf(I, frame):
                     vals = I._module_frames[mod].values
                     val = vals[name]
@@ -1424,9 +1325,8 @@ class _ProcCompiler:
                 return val, set_name
             return rf
         if isinstance(e, F.Apply):
-            cat, _mod = self._category(e.name)
             apply_ev = self._compile_apply(e)
-            if cat == "dynamic":
+            if self.names.lookup(e.name)[0] is None:
                 return lambda I, frame: (apply_ev(I, frame), None)
             fetch = self._fetch(e.name)
             index_key = self._compile_index_key(e.args)
@@ -1576,8 +1476,9 @@ class _ProcCompiler:
         convert_keys = self._keys("convert")
         if isinstance(target, F.Name):
             name = target.name
-            cat, _mod = self._category(name)
-            slot_fn = None if cat == "local" else self._slot(name)
+            sym, mod = self.names.lookup(name)
+            slot_fn = (None if sym is not None and mod is None
+                       else self._slot(name))
 
             def assign(I, frame, value):
                 slot = (frame.values if slot_fn is None
@@ -1592,8 +1493,9 @@ class _ProcCompiler:
             return assign
         if isinstance(target, F.Apply):
             name = target.name
-            cat, _mod = self._category(name)
-            fetch = None if cat == "local" else self._fetch(name)
+            sym, mod = self.names.lookup(name)
+            fetch = (None if sym is not None and mod is None
+                     else self._fetch(name))
             index_key = self._compile_index_key(target.args)
 
             def assign(I, frame, value):
@@ -1787,6 +1689,8 @@ class _ProcCompiler:
         convert_keys = self._keys("convert")
         if isinstance(target, (F.Name, F.Apply)):
             fetch = self._fetch(target.name)
+            index_key = (self._compile_index_key(target.args)
+                         if isinstance(target, F.Apply) else None)
         else:
             def m(I, frame, mask):
                 value_ev(I, frame)
@@ -1798,10 +1702,17 @@ class _ProcCompiler:
             arr = fetch(I, frame)
             if not isinstance(arr, FArray):
                 raise FortranRuntimeError("where target must be an array")
-            if arr.data.shape != mask.shape:
+            key = ...
+            if index_key is not None:
+                key, _n, is_section = index_key(I, frame, arr)
+                if not is_section:
+                    raise FortranRuntimeError(
+                        "where target must be an array")
+            section = arr.data[key]
+            if section.shape != mask.shape:
                 raise FortranRuntimeError(
                     f"where mask shape {mask.shape} does not match target "
-                    f"shape {arr.data.shape}")
+                    f"shape {section.shape}")
             raw = value.data if isinstance(value, FArray) else value
             n = int(mask.sum())
             ak = arr.kind
@@ -1814,9 +1725,10 @@ class _ProcCompiler:
                 led.ops[store_keys[ak][True]] += n
                 led.total_ops += n
             if isinstance(raw, np.ndarray):
-                arr.data[mask] = raw[mask]
+                section[mask] = raw[mask]
             else:
-                arr.data[mask] = raw
+                section[mask] = raw
+            arr.data[key] = section  # a gathered section is a copy
         return m
 
     def _compile_do(self, s: F.DoLoop):
@@ -1824,7 +1736,7 @@ class _ProcCompiler:
         stop_ev = self.expr(s.stop)
         step_ev = self.expr(s.step) if s.step is not None else None
         var = s.var
-        cat, mod = self._category(var)
+        mod = self.names.lookup(var)[1]
         body = self.block(s.body)
 
         def ex(I, frame):
@@ -1833,7 +1745,7 @@ class _ProcCompiler:
             step = int(step_ev(I, frame)) if step_ev is not None else 1
             if step == 0:
                 raise FortranRuntimeError("do-loop step is zero")
-            if cat == "module":
+            if mod is not None:
                 slot = I._module_frames[mod].values
             else:
                 # Locals and undeclared loop scalars both live (and,
@@ -1925,7 +1837,7 @@ class _ProcCompiler:
                     dims.append((self.expr(arg.lo), self.expr(arg.hi)))
                 else:
                     dims.append((None, self.expr(arg)))
-            kind = self._eff_kind(sym)
+            kind = effective_kind(sym, self.overlay)
             if sym.type_ == "real":
                 assert kind is not None
                 dtype, fkind = dtype_for_kind(kind), kind

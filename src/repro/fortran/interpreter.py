@@ -41,7 +41,8 @@ from ..errors import (FortranRuntimeError, FortranStopError,
 from . import ast_nodes as F
 from .instrumentation import Ledger
 from .intrinsics import INTRINSICS
-from .symbols import KIND_SINGLE, ProgramIndex, Symbol
+from .symbols import (_CMP_OPS, KIND_SINGLE, ProgramIndex, Symbol,
+                      chain_modules, effective_kind)
 from .values import (FArray, cast_real, dtype_for_kind, element_count,
                      kind_of, promote_kinds)
 from .vectorize import ProgramVecInfo
@@ -63,7 +64,6 @@ class OutBox:
 
 _ARITH_CLASS = {"+": "arith", "-": "arith", "*": "arith", "/": "div",
                 "**": "pow"}
-_CMP_OPS = {"==", "/=", "<", "<=", ">", ">="}
 _BUDGET_CHECK_INTERVAL = 512
 
 
@@ -94,7 +94,10 @@ def make_array(shape, kind: int | None = KIND_SINGLE, lbounds=None,
 
 
 class Frame:
-    """One activation record: local storage plus a lookup chain."""
+    """One activation record: local storage plus a lookup chain.
+
+    The batched engine's frames hold per-lane values, and a lane mask
+    may stand in ``vec_inherit``."""
 
     __slots__ = ("scope", "values", "chain", "vec_inherit")
 
@@ -242,13 +245,8 @@ class Interpreter:
             self._elaborating.discard(name)
         return frame
 
-    def _eff_kind(self, sym: Symbol) -> Optional[int]:
-        if sym.type_ != "real":
-            return sym.kind
-        return self.overlay.get(sym.qualified, sym.kind)
-
     def _elaborate_symbol(self, sym: Symbol, frame: Frame) -> Any:
-        kind = self._eff_kind(sym)
+        kind = effective_kind(sym, self.overlay)
         if sym.type_ == "derived":
             return self._instantiate_derived(sym.derived_name, frame)
         if sym.is_array:
@@ -329,25 +327,8 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _make_frame(self, scope_name: str, scope_info, vec_inherit: bool) -> Frame:
-        chain: list[dict] = []
-        info = scope_info
-        parent = info.parent
-        while parent is not None:
-            if parent.is_procedure:
-                # Host-associated procedure locals are not supported —
-                # miniatures pass data explicitly.  Module hosts only.
-                parent = parent.parent
-                continue
-            chain.append(self._module_frame(parent.name).values)
-            parent = parent.parent
-        for used in info.uses:
-            if used in self.index.modules:
-                chain.append(self._module_frame(used).values)
-        # Fallback: all module frames (single-file programs).
-        for mod in self.index.modules:
-            mf = self._module_frame(mod).values
-            if all(mf is not c for c in chain):
-                chain.append(mf)
+        chain = [self._module_frame(mod).values
+                 for mod in chain_modules(self.index, scope_info)]
         return Frame(scope_name, chain, vec_inherit=vec_inherit)
 
     def _invoke(self, qual: str, proc: F.ProcedureUnit,
@@ -382,7 +363,7 @@ class Interpreter:
                 scalar_binds.append((dummy_name, sym, value, setter))
 
         for dummy_name, sym, value, setter in scalar_binds:
-            kd = self._eff_kind(sym)
+            kd = effective_kind(sym, self.overlay)
             if sym.type_ == "real":
                 if value is None:
                     value = 0.0  # OutBox(None): adopt the dummy's kind
@@ -420,7 +401,8 @@ class Interpreter:
                     f"argument {dummy_name!r} of {proc.name!r} must be an "
                     f"array, got {type(value).__name__}"
                 )
-            kd = self._eff_kind(sym) if sym.type_ == "real" else None
+            kd = (effective_kind(sym, self.overlay) if sym.type_ == "real"
+                  else None)
             lbounds = self._dummy_lbounds(sym, value, frame)
             if sym.type_ == "real":
                 assert kd is not None
@@ -491,7 +473,7 @@ class Interpreter:
                     self._charge_boundary_cast(caller_scope, qual, 1, ka)
                 setter(cast_real(final, ka))
             elif isinstance(final, FArray) and sym.type_ == "real":
-                kd = self._eff_kind(sym)
+                kd = effective_kind(sym, self.overlay)
                 assert ka is not None and kd is not None
                 self._charge_boundary_cast(caller_scope, qual, final.size, ka)
                 setter(final)
@@ -713,19 +695,26 @@ class Interpreter:
                            frame)
 
     def _store_masked(self, target: F.Expr, mask: np.ndarray, value: Any,
-                      frame: Frame) -> FArray:
+                      frame: Frame) -> tuple[FArray, Any]:
         """Charge and store the *mask*-selected elements of *value* into
-        the array *target* names; returns that array."""
+        the array or array section *target* names; returns the array
+        and the section's index key (``...`` for the whole array)."""
         if isinstance(target, (F.Name, F.Apply)):
             arr = frame.find(target.name)
         else:
             raise FortranRuntimeError("where assigns to whole arrays")
         if not isinstance(arr, FArray):
             raise FortranRuntimeError("where target must be an array")
-        if arr.data.shape != mask.shape:
+        key: Any = ...
+        if isinstance(target, F.Apply):
+            key, _n, is_section = self._index_key(arr, target.args, frame)
+            if not is_section:
+                raise FortranRuntimeError("where target must be an array")
+        section = arr.data[key]
+        if section.shape != mask.shape:
             raise FortranRuntimeError(
                 f"where mask shape {mask.shape} does not match target "
-                f"shape {arr.data.shape}")
+                f"shape {section.shape}")
         raw = value.data if isinstance(value, FArray) else value
         n = int(mask.sum())
         if arr.kind is not None:
@@ -734,10 +723,11 @@ class Interpreter:
                 self.ledger.add_op(frame.scope, "convert", arr.kind, True, n)
             self.ledger.add_op(frame.scope, "store", arr.kind, True, n)
         if isinstance(raw, np.ndarray):
-            arr.data[mask] = raw[mask]
+            section[mask] = raw[mask]
         else:
-            arr.data[mask] = raw
-        return arr
+            section[mask] = raw
+        arr.data[key] = section  # a gathered section is a copy
+        return arr, key
 
     def _exec_do(self, stmt: F.DoLoop, frame: Frame) -> None:
         start = int(self._eval(stmt.start, frame))
@@ -827,7 +817,7 @@ class Interpreter:
                     lb, ub = 1, int(self._eval(arg, frame))
                 lbounds.append(lb)
                 shape.append(max(0, ub - lb + 1))
-            kind = self._eff_kind(sym)
+            kind = effective_kind(sym, self.overlay)
             if sym.type_ == "real":
                 assert kind is not None
                 arr = FArray(np.zeros(tuple(shape),

@@ -14,19 +14,28 @@ Scoping model: a procedure scope sees its own declarations, then its host
 (module or containing procedure) declarations, then declarations of
 ``use``-d modules in the same source file.  This matches the subset of
 Fortran semantics the miniatures rely on.
+
+It is also the one home of the scoping rules the execution engines (the
+tree walker, the compiled closures and the batched lanes) must agree on
+for their results to stay bit-identical: the order in which a frame
+chains module frames (:func:`chain_modules`), where a name lives and
+which symbol declares it, and what the declarations fix about an
+expression's type (:class:`ScopeNames`), and a symbol's kind under a
+precision overlay (:func:`effective_kind`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from ..errors import SemanticError
 from . import ast_nodes as F
 
 __all__ = [
     "Symbol", "ScopeInfo", "ProgramIndex", "analyze", "qualified_name",
-    "KIND_SINGLE", "KIND_DOUBLE",
+    "KIND_SINGLE", "KIND_DOUBLE", "ScopeNames", "chain_modules",
+    "effective_kind",
 ]
 
 KIND_SINGLE = 4
@@ -345,3 +354,121 @@ class _Analyzer:
 def analyze(source: F.SourceFile) -> ProgramIndex:
     """Build the semantic index for a parsed source file."""
     return _Analyzer(source).run()
+
+
+# ---------------------------------------------------------------------------
+# Execution scoping: what every engine decides alike
+# ---------------------------------------------------------------------------
+
+_CMP_OPS = frozenset({"==", "/=", "<", "<=", ">", ">="})
+_LOGICAL_OPS = frozenset({".and.", ".or.", ".eqv.", ".neqv."})
+#: Integer arithmetic stays a Python int (``/`` truncates).
+_INT_ARITH_OPS = frozenset({"+", "-", "*", "/", "**"})
+#: Real arithmetic whose result kind is its operands' join.  ``**`` is
+#: left out: the batched engine evaluates it per lane.
+_REAL_JOIN_OPS = frozenset({"+", "-", "*", "/"})
+
+
+def effective_kind(sym: Symbol, overlay: dict[str, int]) -> Optional[int]:
+    """*sym*'s kind under a precision *overlay*; only reals are tuned."""
+    if sym.type_ != "real":
+        return sym.kind
+    return overlay.get(sym.qualified, sym.kind)
+
+
+def chain_modules(index: ProgramIndex, info: ScopeInfo) -> list[str]:
+    """The modules whose frames a frame of *info* searches after its own
+    values, in order: its host module, the modules it uses, then every
+    other module (single-file programs have unambiguous module names)."""
+    chain: list[str] = []
+    parent = info.parent
+    while parent is not None:
+        # Host-associated procedure locals are not supported (the
+        # miniatures pass data explicitly): module hosts only.
+        if not parent.is_procedure:
+            chain.append(parent.name)
+        parent = parent.parent
+    for mod in (*info.uses, *index.modules):
+        if mod in index.modules and mod not in chain:
+            chain.append(mod)
+    return chain
+
+
+class ScopeNames:
+    """Where a frame of one scope finds its names, decided before it runs.
+
+    The tree walker looks each name up at run time along the frame's
+    chain (its own values, then the frames of :func:`chain_modules`);
+    the compiled and batched lowerers resolve here, once, where that
+    walk ends, and read that dict directly.  With no *info* every name
+    is left to the walk, for expressions evaluated while a frame is
+    still being elaborated.
+    """
+
+    __slots__ = ("index", "symbols", "modules")
+
+    def __init__(self, index: ProgramIndex, info: Optional[ScopeInfo]):
+        self.index = index
+        self.symbols = info.symbols if info is not None else {}
+        self.modules = chain_modules(index, info) if info is not None else []
+
+    def lookup(self, name: str) -> tuple[Optional[Symbol], Optional[str]]:
+        """``(declared symbol, module)`` for *name*, module None for a
+        local.  ``(None, None)`` leaves *name* to the chain walk: an
+        undeclared loop index (stored in the frame's own values), or a
+        procedure or intrinsic name."""
+        sym = self.symbols.get(name)
+        if sym is not None:
+            return sym, None
+        for mod in self.modules:
+            sym = self.index.modules[mod].symbols.get(name)
+            if sym is not None:
+                return sym, mod
+        return None, None
+
+    def static_type(self, e: F.Expr) -> Union[str, tuple, None]:
+        """What the declarations fix about *e*'s value: ``"int"`` or
+        ``"bool"`` for a Python int or bool scalar (integer and logical
+        kinds are never tuned, so these carry no kind and no charge), a
+        tuple of the real operands whose join fixes its kind (declared
+        real :class:`Symbol` s and literal kinds), or None."""
+        t = type(e)
+        if t is F.IntLit:
+            return "int"
+        if t is F.LogicalLit:
+            return "bool"
+        if t is F.RealLit:
+            return (e.kind,)
+        if t is F.Name or t is F.Apply:
+            sym = self.lookup(e.name)[0]
+            if sym is None:
+                return None
+            if sym.type_ == "real":
+                # A real name, or an element (not a section) of a real
+                # array.
+                if t is F.Name or (sym.is_array and not any(
+                        isinstance(a, F.RangeExpr) for a in e.args)):
+                    return (sym,)
+                return None
+            if t is F.Apply or sym.is_array:
+                return None
+            return {"integer": "int", "logical": "bool"}.get(sym.type_)
+        if t is F.UnaryOp:
+            inner = self.static_type(e.operand)
+            if e.op == ".not.":
+                return "bool" if inner in ("int", "bool") else None
+            if inner == "int" or (e.op == "-" and type(inner) is tuple):
+                return inner
+            return None
+        if t is F.BinOp:
+            lt = self.static_type(e.left)
+            rt = self.static_type(e.right)
+            if type(lt) is tuple and type(rt) is tuple:
+                return lt + rt if e.op in _REAL_JOIN_OPS else None
+            if lt not in ("int", "bool") or rt not in ("int", "bool"):
+                return None
+            if e.op in _CMP_OPS or e.op in _LOGICAL_OPS:
+                return "bool"
+            if lt == "int" and rt == "int" and e.op in _INT_ARITH_OPS:
+                return "int"
+        return None

@@ -57,9 +57,9 @@ import numpy as np
 from ..errors import FortranRuntimeError
 from ..fortran import ast_nodes as F
 from ..fortran.instrumentation import Ledger
-from ..fortran.interpreter import Frame, Interpreter, _ARITH_CLASS, _CMP_OPS
+from ..fortran.interpreter import Frame, Interpreter, _ARITH_CLASS
 from ..fortran.intrinsics import INTRINSICS
-from ..fortran.symbols import ProgramIndex
+from ..fortran.symbols import _CMP_OPS, ProgramIndex, effective_kind
 from ..fortran.values import (FArray, dtype_for_kind, element_count,
                               kind_of, promote_kinds, relative_gap,
                               ulp_distance)
@@ -869,7 +869,7 @@ class ShadowInterpreter(Interpreter):
                 s_in = np.float64(sval if sval is not None else actual)
                 frame.values[dummy + _SH] = s_in
                 self.recorder.observe(sym.qualified, label,
-                                      self._eff_kind(sym),
+                                      effective_kind(sym, self.overlay),
                                       np.float64(bound), s_in, actual)
             elif bound.data is not value.data:
                 # A kind-conversion copy shares the original's shadow.
@@ -1037,9 +1037,10 @@ class ShadowInterpreter(Interpreter):
             self._target_identity(stmt.target, frame, stmt)
         try:
             sv = self._seval(stmt.value, frame)
-            arr = self._store_masked(stmt.target, mask, sv.p, frame)
+            arr, key = self._store_masked(stmt.target, mask, sv.p, frame)
             if arr.kind is not None and mask.any():
-                sh = self._sh_arr_get(arr)
+                sh_all = self._sh_arr_get(arr)
+                sh = sh_all[key]
                 sraw = self._sraw(sv)
                 mraw = self._mraw(sv)
                 if isinstance(sraw, np.ndarray) and sraw.shape == mask.shape:
@@ -1050,10 +1051,11 @@ class ShadowInterpreter(Interpreter):
                 else:
                     sh[mask] = sraw
                     m_sel = mraw
+                sh_all[key] = sh  # a gathered section is a copy
                 self._cur_assign_kind = arr.kind
                 self.recorder.observe(
                     self._cur_assign_qual, self._cur_stmt_label, arr.kind,
-                    arr.data[mask].astype(np.float64),
+                    arr.data[key][mask].astype(np.float64),
                     sh[mask], _f64(m_sel))
         finally:
             self._cur_assign_qual = prev_qual

@@ -92,7 +92,8 @@ def load_service_state(state_dir: Union[str, Path]
 
     Tolerant by design: an unparseable line (the canonical SIGKILL
     artifact) is skipped with a warning wherever it sits, exactly like
-    the campaign journal's loader.  A writer seals a torn tail and
+    the campaign journal's loader, and so is a line that parses to
+    something other than an entry object.  A writer seals a torn tail and
     appends past it, so after a restart the tear is no longer last.
     """
     path = Path(state_dir) / SERVICE_JOURNAL_FILE
@@ -107,6 +108,10 @@ def load_service_state(state_dir: Union[str, Path]
         if entry is None:
             warnings.append(
                 f"torn journal line {lineno} skipped (crash mid-append)")
+            continue
+        if not isinstance(entry, dict):
+            warnings.append(
+                f"journal line {lineno} is not a journal entry; skipped")
             continue
         kind = entry.get("entry")
         if kind == "header":

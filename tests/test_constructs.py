@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ParseError
-from repro.fortran import (Interpreter, OutBox, analyze, analyze_program,
-                           make_array, parse_source, unparse)
+from repro.fortran import (CompiledInterpreter, Interpreter, OutBox, analyze,
+                           analyze_program, make_array, parse_source, unparse)
+from repro.numerics import ShadowInterpreter
+from repro.perf import ledger_fingerprint
 
 
 def run(src, name, args):
@@ -186,3 +188,61 @@ end subroutine scale_pos
         assert x.data.dtype == np.float32
         np.testing.assert_allclose(
             x.data, np.float32([1.0, -1.0, 2.0]) * np.float32([0.1, 1, 0.1]))
+
+
+#: Subscripted where targets: a slice with an elsewhere arm, a vector
+#: subscript (a gather, whose selection NumPy returns as a copy), and a
+#: strided slice storing a kind-8 section into a kind-4 one.
+SECTION_WHERE_SRC = """
+subroutine clip_tail(x, y)
+  implicit none
+  real(kind=8), dimension(4) :: x
+  real(kind=4), dimension(4) :: y
+  integer, dimension(2) :: idx
+  idx(1) = 4
+  idx(2) = 1
+  where (x(3:4) < 0.0d0)
+    x(3:4) = 0.0d0
+  elsewhere
+    x(3:4) = x(3:4) * 2.0d0
+  end where
+  where (x(idx) > 0.0d0) x(idx) = -x(idx)
+  where (y(1:3:2) > 1.0) y(1:3:2) = x(1:2)
+end subroutine clip_tail
+"""
+
+_ENGINES = [Interpreter, CompiledInterpreter, ShadowInterpreter]
+
+
+def _clip_tail(engine):
+    index = analyze(parse_source(SECTION_WHERE_SRC))
+    interp = engine(index, vec_info=analyze_program(index))
+    x = make_array(4, kind=8)
+    x.data[:] = [-1.0, -2.0, -3.0, 0.5]
+    y = make_array(4, kind=4)
+    y.data[:] = [2.0, 5.0, 0.5, 7.0]
+    interp.call("clip_tail", [x, y])
+    return interp, x, y
+
+
+class TestSectionWhere:
+    """A subscripted where target masks and stores its section only."""
+
+    @pytest.mark.parametrize("engine", _ENGINES,
+                             ids=[e.__name__ for e in _ENGINES])
+    def test_stores_only_the_section(self, engine):
+        _, x, y = _clip_tail(engine)
+        np.testing.assert_array_equal(x.data, [-1.0, -2.0, 0.0, -1.0])
+        np.testing.assert_array_equal(
+            y.data, np.float32([-1.0, 5.0, 0.5, 7.0]))
+
+    def test_engines_charge_alike(self):
+        prints = {engine.__name__: ledger_fingerprint(
+            _clip_tail(engine)[0].ledger) for engine in _ENGINES}
+        assert len(set(prints.values())) == 1, prints
+
+    def test_shadow_writes_the_same_section(self):
+        interp, x, y = _clip_tail(ShadowInterpreter)
+        np.testing.assert_array_equal(interp._sh_arr_get(x), x.data)
+        np.testing.assert_array_equal(interp._sh_arr_get(y),
+                                      [-1.0, 5.0, 0.5, 7.0])

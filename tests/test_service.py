@@ -324,6 +324,20 @@ class TestServiceDoctor:
         assert report.healthy
         assert any("requeued for resume" in w for w in report.warnings)
 
+    def test_non_object_line_is_a_warning_not_a_crash(self, tmp_path):
+        # Valid JSON that is not an entry object counts as a torn line.
+        state = tmp_path / "state"
+        journal = ServiceJournal(state)
+        journal.submit(_spec(), "cafe0123cafe0123")
+        journal.close()
+        with open(state / "service.jsonl", "a") as fh:
+            fh.write("[1, 2]\n")
+        report = diagnose_service(state)
+        assert report.healthy
+        assert any("line 3" in w and "not a journal entry" in w
+                   for w in report.warnings), report.warnings
+        assert any("1 job(s)" in line for line in report.info)
+
     def test_campaign_dir_is_not_service_dir(self, tmp_path):
         run_campaign(_funarc(),
                      _config(journal_dir=str(tmp_path / "journal")))
