@@ -784,9 +784,10 @@ class BudgetedOracle:
 
         The lowering span records the wave's wall, its width, how many
         lanes stayed on the vector path, and why the others fell back;
-        and how that wall split between the vector sweep and the
-        fallback lanes' replay, and how many procedures the sweep
-        lowered."""
+        how that wall split between the vector sweep and the fallback
+        lanes' replay, and how many procedures the sweep lowered; and
+        the longest and mean lane's op total (a sweep costs about as
+        much as its longest lane)."""
         started = time.perf_counter()
         records, sweep = self.evaluator.evaluate_assigned_batch(tasks)
         stats.completed = len(records)
@@ -800,6 +801,8 @@ class BudgetedOracle:
                    "fallback_lanes": sweep.fallback_lanes,
                    "fallback_reasons": dict(sweep.fallback_reasons),
                    "sweep_seconds": sweep.sweep_seconds,
+                   "lane_ops_max": sweep.lane_ops_max,
+                   "lane_ops_mean": sweep.lane_ops_mean,
                    "replay_seconds": sweep.replay_seconds,
                    "procedures_lowered": sweep.procedures_lowered})
         for record in records:

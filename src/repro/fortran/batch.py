@@ -94,6 +94,26 @@ dead lanes, ``devec`` and ``vec_inherit``, values, the op budget (a
 running per-lane total), deactivation and its reasons, and the NaN
 guards at store boundaries.
 
+Masked scalar stores
+--------------------
+A store under a mask merges its new value into the old one lane by
+lane, except where no lane could tell the difference.  Dead lanes
+never read engine state, so a mask covering every alive lane adopts
+the new value outright (the dead-lane rule).  A frame's own scalars --
+its locals, scalar dummies, function result and declared ``do``
+indices, the names ``ScopeNames.lookup`` places in the frame with no
+module -- are read only by the lanes of the call that made the frame,
+so a store into one adopts when its mask covers the frame's live lanes
+(the frame rule; ``_Engine._binvoke`` keeps the innermost frame's live
+call mask).  SAVE locals and initialized scalars fall back, and a
+scalar dummy reaches the caller only through its write-back setter
+under the call mask.  Module variables, names on the chain walk,
+arrays (a dummy array is a view of the caller's storage) and the
+write-back setters keep the wave-wide dead-lane rule.  Lanes outside
+a call may therefore hold any value in the callee's scalars, so every
+check on a value (NaN guards, integer conversion, subscript bounds)
+looks at the mask's lanes only.
+
 The public surface mirrors the scalar interpreters: each
 :meth:`VariantBatch.lane` exposes ``call``/``ledger``/``stdout`` like an
 ``Interpreter``, so the evaluator drives a lane exactly as it drives a
@@ -332,11 +352,13 @@ class BatchStats:
     included), ``replay_seconds`` the wall the fallback lanes spent on
     their private compiled interpreters, and ``procedures_lowered`` how
     many procedure bodies the wave lowered (each once, at its first
-    call)."""
+    call).  ``lane_ops_max`` and ``lane_ops_mean`` are the longest and
+    the mean lane's ``Ledger.total_ops``, over vector and fallback lanes
+    alike: a sweep costs about as much as its longest lane."""
 
     __slots__ = ("width", "vector_lanes", "fallback_lanes", "calls",
                  "fallback_reasons", "sweep_seconds", "replay_seconds",
-                 "procedures_lowered")
+                 "procedures_lowered", "lane_ops_max", "lane_ops_mean")
 
     def __init__(self) -> None:
         self.width = 0
@@ -347,6 +369,8 @@ class BatchStats:
         self.sweep_seconds = 0.0
         self.replay_seconds = 0.0
         self.procedures_lowered = 0
+        self.lane_ops_max = 0
+        self.lane_ops_mean = 0.0
 
 
 def _op_parts(kv: _KV, vec: Any) -> list:
@@ -421,6 +445,8 @@ class _Engine:
         self.stdout: list[list[str]] = [[] for _ in range(self.width)]
 
         self.cur: Any = False                # vec context: False|True|_Mask
+        # The innermost frame's live call mask (see `covers`).
+        self.frame_mask = self.intern.full
         self.cur_sid = 0
         self.suppress = 0
         self.tick = 0
@@ -739,6 +765,22 @@ class _Engine:
                 np.all(mask.arr[self.alive]))
         return got
 
+    def covers(self, mask: _Mask, own: bool) -> bool:
+        """Whether a store under *mask* may adopt its value outright:
+        the mask covers every alive lane or, for a frame's *own* scalar
+        (see :meth:`merge_lf`), the innermost frame's live lanes.
+
+        Every statement mask of a body is a subset of its frame's call
+        mask, so equal live counts mean equal live lanes."""
+        if not own:
+            return self.covers_alive(mask)
+        frame = self.frame_mask
+        if mask is frame:
+            return True
+        if self.n_dead == 0:
+            return mask.n == frame.n
+        return self._live(mask).n == self._live(frame).n
+
     def _and(self, a: _Mask, b: _Mask) -> _Mask:
         if a is b or b.n == self.width:
             return a
@@ -828,13 +870,18 @@ class _Engine:
     def _placeholder(self) -> _LF:
         return _LF(np.zeros(self.width, dtype=_F64), self.intern.kv8)
 
-    def merge_lf(self, old: Any, new: _LF, mask: _Mask) -> _LF:
+    def merge_lf(self, old: Any, new: _LF, mask: _Mask,
+                 own: bool = False) -> _LF:
         """Masked select of two real lane scalars.
 
         Dead-lane contents are never observed vector-side, so a mask
-        covering every alive lane may simply adopt the new value.
+        covering every alive lane may simply adopt the new value.  The
+        frame rule goes one step further for a frame's *own* scalars
+        (its locals, scalar dummies, function result and declared
+        ``do`` indices): lanes outside the frame's call never read
+        them, so a mask covering the frame's live lanes adopts too.
         """
-        if type(old) is not _LF or self.covers_alive(mask):
+        if type(old) is not _LF or self.covers(mask, own):
             return new
         data = np.where(mask.arr, new.data, old.data)
         if new.kv is old.kv:
@@ -843,12 +890,14 @@ class _Engine:
             kv = self.intern.kv(np.where(mask.arr, new.kv.arr, old.kv.arr))
         return _LF(data, kv)
 
-    def _merge_scalar(self, old: Any, new: Any, mask: _Mask) -> Any:
-        """Masked select for real and integer scalar slots."""
+    def _merge_scalar(self, old: Any, new: Any, mask: _Mask,
+                      own: bool = False) -> Any:
+        """Masked select for real and integer scalar slots (*own*: see
+        :meth:`merge_lf`)."""
         tn = type(new)
         if tn is _LF:
-            return self.merge_lf(old, new, mask)
-        if self.covers_alive(mask):
+            return self.merge_lf(old, new, mask, own)
+        if self.covers(mask, own):
             return new
         to = type(old)
         if tn is _LI or tn is int or tn is bool and to in (int, bool) \
@@ -881,7 +930,9 @@ class _Engine:
                 np.full(self.width, float(value), dtype=_F64), kv), kv)
         raise _Unsupported(f"cannot cast {t.__name__} to real")
 
-    def to_int(self, value: Any) -> Any:
+    def to_int(self, value: Any, mask: _Mask) -> Any:
+        """Mirror ``int()`` on a lane value; the mask's lanes holding
+        a NaN fall back (lanes outside it never use the result)."""
         t = type(value)
         if t is int:
             return value
@@ -892,7 +943,7 @@ class _Engine:
         if t is _LF:
             d = value.data
             if np.isnan(np.min(d)):
-                self.deactivate((np.isnan(d) & self.alive).copy(),
+                self.deactivate(np.isnan(d) & mask.arr,
                                 "nan store: scalar nan semantics")
             return _LI(np.trunc(d).astype(np.int64))
         if t is float:
@@ -902,10 +953,11 @@ class _Engine:
         raise _Unsupported(f"cannot convert {t.__name__} to integer")
 
     def _store_loop_var(self, slot: dict, var: str, i: int,
-                        cur: _Mask) -> None:
+                        cur: _Mask, own: bool) -> None:
         # Mirrors the scalar `slot[var] = i`: direct store, no charges.
-        # Lanes that already left the loop keep their exit-time value.
-        if self.covers_alive(cur):
+        # Lanes that already left the loop keep their exit-time value
+        # (*own*: the frame rule of `merge_lf`).
+        if self.covers(cur, own):
             slot[var] = i
             return
         old = slot.get(var, 0)
@@ -1044,7 +1096,7 @@ class _Engine:
                 if setter is not None and writes_back:
                     writebacks.append(("rs", dummy_name, ka_kv, setter))
             elif type_ == "integer":
-                values[dummy_name] = self.to_int(value)
+                values[dummy_name] = self.to_int(value, mask)
                 if setter is not None and writes_back:
                     writebacks.append(("pl", dummy_name, None, setter))
             else:
@@ -1113,7 +1165,10 @@ class _Engine:
             w_canon = self.intern.mask(wrapped_arr & mask.arr)
         self.add_call(caller_scope, qual, w_canon, mask)
 
-        code.body(frame, self._live(mask))
+        outer = self.frame_mask
+        self.frame_mask = body_mask = self._live(mask)
+        code.body(frame, body_mask)
+        self.frame_mask = outer
 
         wmask = self._live(mask)
         if wmask.n:
@@ -1752,6 +1807,13 @@ class _Lowerer:
         values = self.E._module_frames[mod].values
         return lambda frame: values
 
+    def _own(self, name: str) -> bool:
+        """Whether *name* is one of the frame's own scalars or arrays
+        (placed in its values with no module): the frame rule's names,
+        see :meth:`_Engine.merge_lf`."""
+        sym, mod = self.names.lookup(name)
+        return sym is not None and mod is None
+
     def _vec(self, s: F.Stmt) -> Callable:
         """Compiled ``_stmt_vec_mask``: the static flag, then the
         run-time ``vec_inherit`` and ``devec`` lanes."""
@@ -1981,6 +2043,7 @@ class _Lowerer:
         slot_of = self._slot(name)
         add_op = E.add_op
         nan_guard = E._nan_guard
+        own = self._own(name)
         sym = self.names.lookup(name)[0]
         kd0 = E.kv_for(sym) if sym is not None and not sym.is_array else None
         # Site cache: the (value, slot) kind vectors last seen and the
@@ -2010,15 +2073,17 @@ class _Lowerer:
                         c_diff = E._kv_diff(kv, kd)
                     add_op(scope, "convert", kd, cur, 1, E._and(c_diff, mask))
                 add_op(scope, "store", kd, cur, 1, mask)
-                slot[name] = E.merge_lf(current, E.cast_lf(value, kd), mask)
+                slot[name] = E.merge_lf(current, E.cast_lf(value, kd), mask,
+                                        own)
             elif tc is _BArr:
                 raise _Unsupported("whole-array assignment")
             elif tc is int or tc is _LI:
-                slot[name] = E._merge_scalar(current, E.to_int(value), mask)
+                slot[name] = E._merge_scalar(current, E.to_int(value, mask),
+                                             mask, own)
             elif type(value) is _LF:
                 # Uninitialized slot: store as-is (mirrors the scalar
                 # fallthrough).
-                slot[name] = E._merge_scalar(current, value, mask)
+                slot[name] = E._merge_scalar(current, value, mask, own)
             else:
                 slot[name] = value
 
@@ -2173,6 +2238,7 @@ class _Lowerer:
         body = self.block(s.body)
         var = s.var
         slot_of = self._loop_slot(var)
+        own = self._own(var)
         live = E._live
         uniform = E._uniform_int
         empty = E.intern.empty
@@ -2212,7 +2278,7 @@ class _Lowerer:
                 cur = live(cur)
                 if cur.n == 0:
                     break
-                E._store_loop_var(slot, var, i, cur)
+                E._store_loop_var(slot, var, i, cur, own)
                 cur = body(frame, cur)
                 if ctx.exit.n:
                     ft_exit = E._or(ft_exit, ctx.exit)
@@ -2805,7 +2871,7 @@ class _Lowerer:
                     idx_vecs.append(None)
                     continue
                 if t is _LF:
-                    idx_val = E.to_int(idx_val)
+                    idx_val = E.to_int(idx_val, mask)
                     t = _LI
                 if t is _LI or type(idx_val) is _LI:
                     j = idx_val.arr - lb
@@ -3297,6 +3363,9 @@ class VariantBatch:
         s.sweep_seconds = self.sweep_seconds
         s.replay_seconds = self.replay_seconds
         s.procedures_lowered = self.engine.procedures_lowered
+        ops = [ln.ledger.total_ops for ln in self.lanes]
+        s.lane_ops_max = max(ops)
+        s.lane_ops_mean = sum(ops) / len(ops)
         for reason in self.engine.fallback_reason.values():
             s.fallback_reasons[reason] = \
                 s.fallback_reasons.get(reason, 0) + 1

@@ -31,6 +31,7 @@ lane telemetry and trace spans that say which executor ran.
 
 from __future__ import annotations
 
+import collections
 import random
 
 import numpy as np
@@ -44,8 +45,10 @@ from repro.core.classification import Outcome
 from repro.core.evaluation import Evaluator
 from repro.core.search import RandomSearch
 from repro.errors import FortranRuntimeError
-from repro.fortran import (CompiledInterpreter, OutBox, VariantBatch,
-                           analyze, analyze_program, parse_source)
+from repro.fortran import (CompiledInterpreter, Interpreter, OutBox,
+                           VariantBatch, analyze, analyze_program,
+                           parse_source)
+from repro.fortran.batch import _LI, _Engine
 from repro.fortran.symbols import KIND_DOUBLE, KIND_SINGLE
 from repro.models import AdcircCase, FunarcCase, Mom6Case, MpasCase
 from repro.models.base import ModelCase
@@ -250,6 +253,47 @@ class TestScalarFallback:
         assert np.isnan(np.frombuffer(obs_bytes, dtype=dtype)[0])
         assert arts[0] == compiled
 
+    def test_nan_outside_an_integer_store_stays_vectorized(self):
+        # On the single-precision lanes ``x`` is 0, so they skip the
+        # branch, but the vector engine still computes 0/0 there: only
+        # the lanes that store into ``n`` may be checked for a NaN.
+        index, vec = _analyzed(_INT_STORE_SOURCE)
+        lowered = {atom: KIND_SINGLE for atom in _INT_STORE_ATOMS}
+        overlays = [lowered if lane % 2 else {} for lane in range(8)]
+        batch, arts = _wave(index, vec, overlays)
+        stats = batch.stats()
+        assert (stats.vector_lanes, stats.fallback_lanes) == (8, 0), (
+            stats.fallback_reasons)
+        for lane, overlay in enumerate(overlays):
+            assert arts[lane] == _compiled(index, vec, overlay), (
+                f"lane {lane} diverges from compiled")
+
+
+#: ``x`` is 0 where ``a``, ``b`` and ``x`` are single precision (1e-10
+#: vanishes next to 1) and 1e-10 where they are double.
+_INT_STORE_SOURCE = """\
+module ti
+  implicit none
+contains
+  subroutine driver(out)
+    implicit none
+    real(kind=8), intent(out) :: out
+    real(kind=8) :: a, b, x
+    integer :: n
+    a = 1.0d0
+    b = 1.0d-10
+    x = (a + b) - a
+    n = 7
+    if (x > 0.0d0) then
+      n = (x - x) / x
+    end if
+    out = x + n
+  end subroutine driver
+end module ti
+"""
+
+_INT_STORE_ATOMS = ("ti::driver::a", "ti::driver::b", "ti::driver::x")
+
 
 #: _FALLBACK_SOURCE's NaN store plus four harmless reals, so a campaign
 #: wave can hold MIN_SWEEP_LANES distinct variants that keep ``t`` in
@@ -429,6 +473,15 @@ class TestExecutorChoice:
         assert (attrs["sweep_seconds"] + attrs["replay_seconds"]
                 <= span["wall_seconds"])
         assert attrs["procedures_lowered"] == 1
+        # The lane op totals span vector and fallback lanes alike.
+        model = _NanStoreCase()
+        ops = [model.run(PrecisionAssignment(
+            atoms=model.space.atoms, kinds=record.kinds)).ledger.total_ops
+            for record in batched.search.records]
+        assert len(ops) == 16
+        assert attrs["lane_ops_max"] == max(ops) > min(ops)
+        assert attrs["lane_ops_mean"] == sum(ops) / 16
+        assert "lane_ops_max" not in batched.to_json()
 
 
 #: Calls every intrinsic the engine leaves to the per-lane native call
@@ -750,3 +803,143 @@ class TestLoweredEngine:
                 vec_info=model.vec_info, max_ops=10_000_000))
             assert _ledger_rows(lane.ledger) == _ledger_rows(
                 compiled.ledger), f"lane {lane.lane} ledger differs"
+
+
+#: A Newton iteration whose exit depends on ``x``'s precision: double
+#: lanes converge in a few steps, single lanes stall until the cap.
+#: ``record`` runs only for the lanes still iterating; it stores into
+#: its dummy array (a view of ``hist``), adds to a module variable,
+#: writes back an ``intent(inout)`` scalar and calls a function whose
+#: result is set in branches that split by ``v``'s precision.  The
+#: driver reads ``x`` after the divergent ``exit``.
+_FRAME_RULE_SOURCE = """\
+module fr
+  implicit none
+  real(kind=8) :: total
+contains
+  function damp(v) result(r)
+    implicit none
+    real(kind=8) :: v
+    real(kind=8) :: r
+    if (epsilon(v) > 1.0d-10) then
+      r = v * 0.5d0
+    else
+      r = v * 0.25d0 + 0.125d0
+    end if
+  end function damp
+
+  subroutine record(h, v, cnt)
+    implicit none
+    real(kind=8) :: h(4)
+    real(kind=8), intent(in) :: v
+    integer, intent(inout) :: cnt
+    real(kind=8) :: w
+    integer :: j
+    w = damp(v)
+    do j = 1, 4
+      h(j) = h(j) * 0.5d0 + w
+    end do
+    total = total + w
+    cnt = cnt + 1
+  end subroutine record
+
+  subroutine driver(out)
+    implicit none
+    real(kind=8), intent(out) :: out
+    real(kind=8) :: c, x, fx, dx, tol
+    real(kind=8) :: hist(4)
+    integer :: it, j, cnt
+    total = 0.0d0
+    cnt = 0
+    do j = 1, 4
+      hist(j) = 0.0d0
+    end do
+    c = 2.0d0
+    x = 8.0d0
+    tol = 1.0d-13
+    do it = 1, 30
+      fx = x * x - c
+      dx = fx / (2.0d0 * x)
+      x = x - dx
+      if (abs(dx) <= tol * x) exit
+      call record(hist, x, cnt)
+    end do
+    print *, x, cnt, hist(1), hist(4), total
+    out = x + total + hist(1) + hist(4) + cnt
+  end subroutine driver
+end module fr
+"""
+
+#: The arrays stay double, so ``h`` is a view of ``hist`` on every lane.
+_FRAME_RULE_ATOMS = (
+    "fr::total", "fr::damp::v", "fr::damp::r", "fr::record::v",
+    "fr::record::w", "fr::driver::c", "fr::driver::x", "fr::driver::fx",
+    "fr::driver::dx", "fr::driver::tol")
+
+
+class TestFrameRule:
+    """A store into a frame's own scalar adopts its new value when it
+    covers the frame's live lanes: lanes outside the call never read
+    that frame.  Module variables, arrays and write-back do not."""
+
+    def test_partial_calls_match_walker_and_compiled(self):
+        index, vec = _analyzed(_FRAME_RULE_SOURCE)
+        rng = random.Random("frame-rule-boundaries")
+        overlays = [{}]
+        for lane in range(1, 12):
+            overlay = {atom: rng.choice((KIND_SINGLE, KIND_DOUBLE))
+                       for atom in _FRAME_RULE_ATOMS if rng.random() < 0.6}
+            overlay["fr::driver::x"] = (KIND_SINGLE if lane % 3 == 0
+                                        else KIND_DOUBLE)
+            overlays.append(overlay)
+        batch = VariantBatch(index, [dict(o) for o in overlays],
+                             vec_info=vec, max_ops=1_000_000)
+        calls = set()
+        for lane, overlay in enumerate(overlays):
+            walker = _artifacts(Interpreter(
+                index, overlay=dict(overlay), vec_info=vec,
+                max_ops=1_000_000))
+            assert walker["error"] is None, walker["error"]
+            assert _compiled(index, vec, overlay) == walker, (
+                f"compiled drifts at lane {lane}")
+            assert _artifacts(batch.lane(lane)) == walker, (
+                f"batched lane {lane} drifts")
+            calls.add(walker["stdout"][0].split()[1])
+        # The lanes left the loop at different iterations.
+        assert len(calls) > 1, calls
+        stats = batch.stats()
+        assert (stats.vector_lanes, stats.fallback_lanes) == (
+            len(overlays), 0), stats.fallback_reasons
+
+    def test_adcirc_helper_loop_indices_stay_lane_uniform(self, monkeypatch):
+        # In a random ADCIRC wave the JCG iteration stops at different
+        # iterations per lane, so pjac, peror and pmult run for part of
+        # the wave.  Their do indices must still be stored as one value
+        # for the wave; only jcg's own ``it`` may become per-lane.
+        model = AdcircCase.small()
+        evaluator = Evaluator(model, backend="batched")
+        stack = []
+        per_lane = collections.Counter()
+        invoke = _Engine._binvoke
+        store = _Engine._store_loop_var
+
+        def spy_invoke(self, qual, *args, **kwargs):
+            stack.append(qual)
+            try:
+                return invoke(self, qual, *args, **kwargs)
+            finally:
+                stack.pop()
+
+        def spy_store(self, slot, var, *args):
+            store(self, slot, var, *args)
+            if type(slot[var]) is _LI:
+                per_lane[stack[-1].rsplit("::", 1)[-1], var] += 1
+
+        monkeypatch.setattr(_Engine, "_binvoke", spy_invoke)
+        monkeypatch.setattr(_Engine, "_store_loop_var", spy_store)
+        records, stats = evaluator.evaluate_assigned_batch(
+            _model_wave(model, 16))
+        assert (stats.vector_lanes, stats.fallback_lanes) == (16, 0), (
+            stats.fallback_reasons)
+        assert per_lane.pop(("jcg", "it")) > 0
+        assert not per_lane, dict(per_lane)
