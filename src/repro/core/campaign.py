@@ -403,6 +403,10 @@ _Task = tuple[PrecisionAssignment, int]
 #: variant resolved while planning, ``("task", index, None)`` for one
 #: resolved by executing ``tasks[index]``.
 _PlanEntry = tuple[str, object, Optional[str]]
+#: A task's committed outcome: its record, its source (``"fresh"`` or
+#: ``"worker-failure"``) and the evaluation's real wall in seconds, None
+#: where unknown (a swept lane, a synthesized failure).
+_Executed = tuple[VariantRecord, str, Optional[float]]
 
 
 @dataclass
@@ -688,12 +692,12 @@ class BudgetedOracle:
 
     def _execute(self, batch_index: int,
                  tasks: list[_Task], stats: BatchTelemetry
-                 ) -> Optional[list[tuple[VariantRecord, str]]]:
+                 ) -> Optional[list[_Executed]]:
         """Run the batch's fresh variants: the step oracles differ in.
 
-        Returns one committed ``(record, source)`` per task, in task
-        order, or None to have :meth:`_resolve` evaluate each task on
-        the scalar path at its first occurrence, so that events
+        Returns one committed ``(record, source, wall)`` per task, in
+        task order, or None to have :meth:`_resolve` evaluate each task
+        on the scalar path at its first occurrence, so that events
         interleave with evaluation.  Serially, a ``batched`` wave of at
         least :data:`MIN_SWEEP_LANES` tasks runs as one vectorized
         sweep; a narrower one runs exactly as ``backend="compiled"``
@@ -701,13 +705,12 @@ class BudgetedOracle:
         """
         if (self.evaluator.backend == "batched"
                 and len(tasks) >= MIN_SWEEP_LANES):
-            return [(record, "fresh")
-                    for record in self._sweep(batch_index, tasks, stats)]
+            return self._sweep(batch_index, tasks, stats)
         return None
 
     def _resolve(self, batch_index: int,
                  plan: list[_PlanEntry], tasks: list[_Task],
-                 executed: Optional[list[tuple[VariantRecord, str]]],
+                 executed: Optional[list[_Executed]],
                  stats: BatchTelemetry
                  ) -> tuple[list[VariantRecord], list[bool]]:
         """Walk the plan in batch order, emitting each record's
@@ -733,12 +736,9 @@ class BudgetedOracle:
                     source = "fresh"
                     stats.completed += 1
                 else:
-                    record, source = executed[payload]
-                    # Lanes interleave in a sweep and a worker's wall
-                    # never crosses the pipe, so a variant executed up
-                    # front traces with unknown wall.
+                    record, source, wall = executed[payload]
                     self.tracer.emit_span(
-                        "variant", wall_seconds=None,
+                        "variant", wall_seconds=wall,
                         sim_seconds=record.eval_wall_seconds,
                         attrs={"id": record.variant_id,
                                "outcome": record.outcome.name})
@@ -777,26 +777,35 @@ class BudgetedOracle:
         if self.journal is not None:
             self.journal.variant(batch_index, record)
 
-    def _sweep(self, batch_index: int,
-               tasks: list[_Task],
-               stats: BatchTelemetry) -> list[VariantRecord]:
-        """Run *tasks* as one lockstep sweep and commit its records.
-
-        The lowering span records the wave's wall, its width, how many
-        lanes stayed on the vector path, and why the others fell back;
-        how that wall split between the vector sweep and the fallback
-        lanes' replay, and how many procedures the sweep lowered; and
-        the longest and mean lane's op total (a sweep costs about as
-        much as its longest lane)."""
+    def _sweep(self, batch_index: int, tasks: list[_Task],
+               stats: BatchTelemetry) -> list[_Executed]:
+        """Run *tasks* as one lockstep sweep in this process and commit
+        its records."""
         started = time.perf_counter()
         records, sweep = self.evaluator.evaluate_assigned_batch(tasks)
+        return self._commit_sweep(batch_index, records, sweep,
+                                  time.perf_counter() - started, stats)
+
+    def _commit_sweep(self, batch_index: int, records: list[VariantRecord],
+                      sweep, wall_seconds: float,
+                      stats: BatchTelemetry) -> list[_Executed]:
+        """Account for a finished sweep and commit its records in task
+        order, wherever it ran (this process, or one pool worker).
+
+        The lowering span records the sweep's wall, the wave's width,
+        how many lanes stayed on the vector path, and why the others
+        fell back; how that wall split between the vector sweep and the
+        fallback lanes' replay, and how many procedures the sweep
+        lowered; and the longest and mean lane's op total (a sweep
+        costs about as much as its longest lane).  Lanes interleave in
+        a sweep, so its variants trace with unknown wall."""
         stats.completed = len(records)
         stats.vector_lanes = sweep.vector_lanes
         stats.fallback_lanes = sweep.fallback_lanes
         self.tracer.emit_span(
-            "lowering", wall_seconds=time.perf_counter() - started,
+            "lowering", wall_seconds=wall_seconds,
             sim_seconds=0.0,
-            attrs={"batch": batch_index, "width": len(tasks),
+            attrs={"batch": batch_index, "width": len(records),
                    "vector_lanes": sweep.vector_lanes,
                    "fallback_lanes": sweep.fallback_lanes,
                    "fallback_reasons": dict(sweep.fallback_reasons),
@@ -807,7 +816,7 @@ class BudgetedOracle:
                    "procedures_lowered": sweep.procedures_lowered})
         for record in records:
             self._commit(batch_index, record)
-        return records
+        return [(record, "fresh", None) for record in records]
 
     def close(self) -> None:
         """Release execution resources (worker pools); idempotent."""

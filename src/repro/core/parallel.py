@@ -5,8 +5,19 @@ dedicated Derecho nodes; this module maps that pool onto real worker
 processes via :class:`concurrent.futures.ProcessPoolExecutor`.  Each
 worker rebuilds the model case from the registry by name
 (:class:`WorkerSpec` carries the model spec, machine model, noise model
-and timeout factor), so only the assignment key and the resulting
-:class:`~repro.core.evaluation.VariantRecord` ever cross the pipe.
+and timeout factor), so only assignment keys and the resulting
+:class:`~repro.core.evaluation.VariantRecord` objects ever cross the
+pipe.
+
+A task is one variant on the compiled scalar path, with one exception:
+under ``backend="batched"``, a wave whose fresh variants give each
+worker at least :data:`~repro.core.campaign.MIN_SWEEP_LANES` of them
+goes to one worker as a single lockstep sweep.  A sweep's wall barely
+grows with its width, so one wide sweep beats the same variants run
+one by one on every worker, while a narrower wave would leave workers
+idle for too little gain.  The wave is one task, not one chunk per
+worker, because concurrent sweeps slow each other (EXPERIMENTS.md,
+"Sweeping in the worker pool").
 
 Determinism contract (enforced by ``tests/test_parallel.py``): parallel,
 cached, and serial execution are bit-identical.  The parent process
@@ -37,7 +48,11 @@ parent re-emits :class:`~repro.obs.events.VariantEvaluated` in plan
 (batch) order once the batch resolves, with the same deterministic
 fields a serial oracle would publish, so serial and parallel runs of
 one seed produce identical variant-level event multisets; worker
-retry/backoff/failure additionally surface as their own events.
+retry/backoff/failure additionally surface as their own events.  A
+per-variant task also returns its worker-side evaluation wall, which
+the variant's trace span carries; a swept wave returns its
+:class:`~repro.fortran.batch.BatchStats`, which its ``lowering`` span
+carries.  Neither enters the deterministic result.
 """
 
 from __future__ import annotations
@@ -60,7 +75,8 @@ from ..obs.events import (CircuitBreakerOpen, VariantQuarantined,
 from ..perf.machine import MachineModel
 from ..perf.noise import NoiseModel
 from .assignment import PrecisionAssignment
-from .campaign import BatchTelemetry, BudgetedOracle, CampaignConfig
+from .campaign import (MIN_SWEEP_LANES, BatchTelemetry, BudgetedOracle,
+                       CampaignConfig)
 from .cache import ResultCache
 from .classification import Outcome
 from .evaluation import Evaluator, VariantRecord
@@ -73,10 +89,11 @@ class WorkerSpec:
     """Everything a worker process needs to rebuild the evaluator.
 
     Workers evaluate one variant at a time on the compiled scalar path,
-    whatever the campaign's backend (the records are bit-identical).
-    Workers cannot be monkeypatched across the process boundary, so
-    fault injection travels with the spec: ``chaos_faults`` is compiled
-    from :attr:`CampaignConfig.chaos` by :meth:`ParallelOracle.for_model`
+    or, for a wide enough ``batched`` wave, the whole wave as one sweep
+    (the records are bit-identical either way).  Workers cannot be
+    monkeypatched across the process boundary, so fault injection
+    travels with the spec: ``chaos_faults`` is compiled from
+    :attr:`CampaignConfig.chaos` by :meth:`ParallelOracle.for_model`
     into per-variant ``(variant_id, mode, marker_path)`` entries, where
     a non-empty marker path arms the fault once (the marker file records
     that it fired; the retry proceeds normally) and an empty one makes
@@ -117,6 +134,13 @@ def _bind_to_parent_death() -> None:
 
 def _worker_init(spec: WorkerSpec) -> None:
     _bind_to_parent_death()
+    # Workers fork from a campaign that may have installed its graceful
+    # shutdown handlers (``_signal_guard``); the parent owns shutdown
+    # and kills its own pool.  So SIGTERM ends a worker at once, and a
+    # terminal's SIGINT, which reaches the whole process group, leaves
+    # it alone.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Imported here: repro.models imports repro.core, so a module-level
     # import would be circular during package initialization.
     from ..models.registry import build_model
@@ -158,11 +182,32 @@ def _maybe_fault(vid: int) -> None:
         raise RuntimeError(f"chaos fault armed for variant {vid}")
 
 
-def _worker_evaluate(kinds: tuple[int, ...], vid: int) -> VariantRecord:
+def _worker_evaluate(kinds: tuple[int, ...], vid: int
+                     ) -> tuple[VariantRecord, float]:
+    """One variant on the compiled scalar path: its record and the
+    evaluation's wall."""
     _maybe_fault(vid)
     evaluator: Evaluator = _WORKER["evaluator"]
     assignment = PrecisionAssignment(atoms=_WORKER["atoms"], kinds=kinds)
-    return evaluator.evaluate_assigned(assignment, vid)
+    started = time.perf_counter()
+    record = evaluator.evaluate_assigned(assignment, vid)
+    return record, time.perf_counter() - started
+
+
+def _worker_sweep(tasks: list[tuple[tuple[int, ...], int]]):
+    """A whole wave as one lockstep sweep: its records in task order,
+    the sweep's :class:`~repro.fortran.batch.BatchStats`, and its wall.
+
+    Each variant's chaos fault fires first, in task order, as it would
+    on the per-variant path."""
+    for _, vid in tasks:
+        _maybe_fault(vid)
+    evaluator: Evaluator = _WORKER["evaluator"]
+    pairs = [(PrecisionAssignment(atoms=_WORKER["atoms"], kinds=kinds), vid)
+             for kinds, vid in tasks]
+    started = time.perf_counter()
+    records, sweep = evaluator.evaluate_assigned_batch(pairs)
+    return records, sweep, time.perf_counter() - started
 
 
 def _mp_context():
@@ -319,34 +364,77 @@ class ParallelOracle(BudgetedOracle):
     # -- batch evaluation -----------------------------------------------
 
     def _execute(self, batch_index, tasks, stats):
-        """Fan *tasks* out to the worker pool, then commit the records
-        in task order.
+        """Run *tasks* on the worker pool, then commit the records in
+        task order.
+
+        Under ``backend="batched"``, a wave that gives every worker at
+        least :data:`~repro.core.campaign.MIN_SWEEP_LANES` tasks goes to
+        the pool as one sweep (:meth:`_pool_sweep`).  Any other wave, or
+        one whose sweep failed, goes one variant per task from attempt
+        0, so per-variant retries, backoff and poison quarantine keep
+        their meaning.
 
         A synthesized failure record describes transient worker
         infrastructure, not the variant: it is admitted but never cached
         or journaled (a resumed campaign should re-attempt the
         evaluation instead), and resolves as ``"worker-failure"``."""
+        # Chaos accounting: worker faults fire inside the workers (no
+        # engine there); note them parent-side so FaultInjected events
+        # and the chaos metrics see them.
+        engine = active_engine()
+        if engine is not None and self._chaos_fault_info:
+            for _, vid in tasks:
+                info = self._chaos_fault_info.get(vid)
+                if info is not None:
+                    engine.note_worker_fault(vid, info[0], info[1])
         # The pool must never outlive an exception here — in particular
         # a KeyboardInterrupt mid-dispatch used to leak live worker
         # processes (the executor's atexit hook then blocked on them).
         try:
+            if (self.evaluator.backend == "batched"
+                    and len(tasks) >= MIN_SWEEP_LANES * self.workers):
+                executed = self._pool_sweep(batch_index, tasks, stats)
+                if executed is not None:
+                    return executed
             results, synthesized = self._run_tasks(tasks, stats)
         except BaseException:
             self._kill_pool()
             raise
         executed = []
         for _, vid in tasks:
-            record = results[vid]
+            record, wall = results[vid]
             if vid in synthesized:
                 self.evaluator.admit(record)
-                executed.append((record, "worker-failure"))
+                executed.append((record, "worker-failure", wall))
             else:
                 self._commit(batch_index, record)
-                executed.append((record, "fresh"))
+                executed.append((record, "fresh", wall))
         return executed
 
+    def _pool_sweep(self, batch_index, tasks, stats):
+        """Sweep the whole wave as one task on one worker, then commit it
+        as a serial sweep.  Returns None when the task failed (a crash,
+        a raise, the hard timeout or a cancel): the pool is killed if it
+        broke, and the failure counts one retry."""
+        self._check_interrupt()
+        try:
+            future = self._ensure_pool().submit(
+                _worker_sweep, [(a.key(), vid) for a, vid in tasks])
+            records, sweep, wall = future.result(
+                timeout=self.config.worker_timeout_seconds)
+        except (FutureTimeoutError, CancelledError, BrokenExecutor):
+            self._kill_pool()
+            stats.retries += 1
+            return None
+        except Exception:
+            # The worker function raised; the pool is still healthy.
+            stats.retries += 1
+            return None
+        return self._commit_sweep(batch_index, records, sweep, wall, stats)
+
     def _run_tasks(self, tasks, stats: BatchTelemetry
-                   ) -> tuple[dict[int, VariantRecord], set[int]]:
+                   ) -> tuple[dict[int, tuple[VariantRecord,
+                                              Optional[float]]], set[int]]:
         """Evaluate (assignment, vid) pairs with retry and downgrade.
 
         Retries of *transient* infrastructure failures (worker crash,
@@ -357,23 +445,14 @@ class ParallelOracle(BudgetedOracle):
         come back as ordinary records and never pass through the retry
         path at all.
 
-        Returns vid → record plus the set of vids whose record was
-        synthesized from an irrecoverable worker failure.
+        Returns vid → (record, the worker's evaluation wall) plus the
+        set of vids whose record was synthesized from an irrecoverable
+        worker failure (their wall is None).
         """
-        results: dict[int, VariantRecord] = {}
+        results: dict[int, tuple[VariantRecord, Optional[float]]] = {}
         synthesized: set[int] = set()
         max_attempts = 1 + max(0, self.config.worker_retries)
         pending = [(a, vid, 0) for a, vid in tasks]
-
-        # Chaos accounting: worker faults fire inside the workers (no
-        # engine there); note them parent-side so FaultInjected events
-        # and the chaos metrics see them.
-        engine = active_engine()
-        if engine is not None and self._chaos_fault_info:
-            for _, vid in tasks:
-                info = self._chaos_fault_info.get(vid)
-                if info is not None:
-                    engine.note_worker_fault(vid, info[0], info[1])
 
         breaker = max(1, self.config.pool_breaker_threshold)
         pool_deaths = 0   # consecutive rounds: pool died, nothing finished
@@ -497,7 +576,7 @@ class ParallelOracle(BudgetedOracle):
             # be double-journaled as an ordinary variant.)
             record = self.evaluator.quarantine_record(
                 assignment, vid, outcome, attempts, reason)
-            results[vid] = record
+            results[vid] = (record, None)
             stats.quarantined += 1
             if self.journal is not None:
                 self.journal.quarantine(len(self.telemetry), record,
@@ -509,9 +588,9 @@ class ParallelOracle(BudgetedOracle):
         self.bus.emit(WorkerFailure(
             batch_index=len(self.telemetry), variant_id=vid,
             outcome=outcome.name, reason=reason))
-        results[vid] = self.evaluator.failure_record(
+        results[vid] = (self.evaluator.failure_record(
             assignment, vid, outcome,
-            note=f"{reason} ({attempts} attempts)")
+            note=f"{reason} ({attempts} attempts)"), None)
 
     def _trip_breaker(self, pending, results, synthesized, stats,
                       pool_deaths) -> None:
@@ -530,7 +609,7 @@ class ParallelOracle(BudgetedOracle):
             self.bus.emit(WorkerFailure(
                 batch_index=len(self.telemetry), variant_id=vid,
                 outcome=Outcome.RUNTIME_ERROR.name, reason=reason))
-            results[vid] = self.evaluator.failure_record(
+            results[vid] = (self.evaluator.failure_record(
                 assignment, vid, Outcome.RUNTIME_ERROR,
-                note=f"{reason} ({attempts + 1} attempts)")
+                note=f"{reason} ({attempts + 1} attempts)"), None)
         pending.clear()

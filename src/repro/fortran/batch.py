@@ -431,6 +431,12 @@ class _Engine:
         self.stopped: dict[int, tuple[str, int]] = {}
         self.stopped_at: dict[int, int] = {}
         self.call_no = -1
+        # The harness call's array arguments (argument position, lifted
+        # array), and each stopped lane's slices of them as they were at
+        # its stop: later stores in the call may write a dead lane's
+        # slots (`_masked_array_store`).
+        self.call_arrays: list[tuple[int, _BArr]] = []
+        self.stopped_arrays: dict[int, dict[int, np.ndarray]] = {}
 
         # Charge-event journal: key -> [accumulated n, first sequence no].
         # Replayed into per-lane ledgers; see `ledger_for`.
@@ -501,6 +507,8 @@ class _Engine:
             code = int(codes[lane])
             self.stopped[int(lane)] = (message, code or 1)
             self.stopped_at[int(lane)] = self.call_no
+            self.stopped_arrays[int(lane)] = {
+                i: arr.data[lane].copy() for i, arr in self.call_arrays}
         self.alive &= ~fresh
         self.n_dead = self.width - int(self.alive.sum())
         self.epoch += 1
@@ -2331,8 +2339,6 @@ class _Lowerer:
         empty = E.intern.empty
 
         def ex(frame, mask):
-            if not loops:
-                raise _Unsupported("exit outside a loop")
             ctx = loops[-1]
             ctx.exit = E._or(ctx.exit, mask)
             return empty
@@ -3315,6 +3321,8 @@ class VariantBatch:
             else:
                 pairs.append((engine.lift(a), None))
         rec = _CallRecord(name, snaps, outs)
+        engine.call_arrays = [(i, barr) for tag, i, barr in outs
+                              if tag == "farray"]
         result: Any = None
         started = time.perf_counter()
         try:
@@ -3340,13 +3348,16 @@ class VariantBatch:
         return engine.lane_value(result, view.lane)
 
     def _adopt(self, rec: _CallRecord, lane: int, args: list[Any]) -> None:
-        """Copy lane's outputs of a recorded call into real arguments."""
+        """Copy lane's outputs of a recorded call into real arguments;
+        a lane that stopped in the call gets its arrays as they were at
+        the stop."""
         engine = self.engine
+        frozen = engine.stopped_arrays.get(lane, {})
         for tag, i, payload in rec.outs:
             if tag == "farray":
                 dest = args[i]
-                dest.data[...] = payload.data[lane].astype(
-                    dest.data.dtype, copy=False)
+                src = frozen[i] if i in frozen else payload.data[lane]
+                dest.data[...] = src.astype(dest.data.dtype, copy=False)
             else:
                 if payload and payload["mask"][lane]:
                     args[i].set(engine.lane_value(payload["val"], lane))

@@ -285,6 +285,7 @@ class _Analyzer:
                         line=proc.line,
                     )
 
+        _check_loop_control(proc.body, in_loop=False)
         for inner in proc.contains:
             self._do_procedure(inner, parent=info, consts=local_consts)
 
@@ -349,6 +350,25 @@ class _Analyzer:
                 val = _fold_int(ent.init, consts)
                 if val is not None:
                     consts[ent.name] = val
+
+
+def _check_loop_control(body: list[F.Stmt], in_loop: bool) -> None:
+    """Refuse an ``exit`` or ``cycle`` outside every DO construct of its
+    own procedure: such a statement is invalid Fortran, and the engines
+    would each let it act on a loop of the caller in their own way."""
+    for stmt in body:
+        if isinstance(stmt, (F.ExitStmt, F.CycleStmt)) and not in_loop:
+            word = "exit" if isinstance(stmt, F.ExitStmt) else "cycle"
+            raise SemanticError(f"{word} outside a DO construct",
+                                line=stmt.line)
+        if isinstance(stmt, (F.DoLoop, F.DoWhile)):
+            _check_loop_control(stmt.body, in_loop=True)
+        elif isinstance(stmt, (F.IfBlock, F.WhereConstruct)):
+            for arm in stmt.arms:
+                _check_loop_control(arm.body, in_loop)
+        elif isinstance(stmt, F.SelectCase):
+            for case in stmt.cases:
+                _check_loop_control(case.body, in_loop)
 
 
 def analyze(source: F.SourceFile) -> ProgramIndex:

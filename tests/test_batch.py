@@ -45,8 +45,8 @@ from repro.core.classification import Outcome
 from repro.core.evaluation import Evaluator
 from repro.core.search import RandomSearch
 from repro.errors import FortranRuntimeError
-from repro.fortran import (CompiledInterpreter, Interpreter, OutBox,
-                           VariantBatch, analyze, analyze_program,
+from repro.fortran import (CompiledInterpreter, FArray, Interpreter,
+                           OutBox, VariantBatch, analyze, analyze_program,
                            parse_source)
 from repro.fortran.batch import _LI, _Engine
 from repro.fortran.symbols import KIND_DOUBLE, KIND_SINGLE
@@ -394,6 +394,38 @@ class TestExecutorChoice:
             t.dispatched for t in narrow)
         assert sum(w is None for w in walls) == sum(
             t.dispatched for t in wide)
+
+        # On two workers none of these waves is wide enough to sweep (it
+        # would need MIN_SWEEP_LANES per worker): each variant is its own
+        # task and traces its worker's evaluation wall.
+        pooled = run_campaign(FunarcCase(n=150), CampaignConfig(
+            backend="batched", workers=2, trace_dir=str(tmp_path / "pool")))
+        assert pooled.to_json() == compiled.to_json()
+        spans = _spans(tmp_path / "pool")
+        assert not [s for s in spans if s["name"] == "lowering"]
+        walls = [s["wall_seconds"] for s in spans if s["name"] == "variant"]
+        assert len(walls) == sum(t.dispatched for t in telemetry)
+        assert all(w is not None and w > 0.0 for w in walls)
+
+        # A wave of 16 is: it sweeps on one worker, and its lowering span
+        # carries what a serial sweep's does.  Swept lanes interleave, so
+        # their variant spans keep an unknown wall.
+        lowering = {}
+        for workers in (1, 2):
+            trace = tmp_path / f"wide-{workers}"
+            run_campaign(FunarcCase(n=150), CampaignConfig(
+                backend="batched", workers=workers, trace_dir=str(trace)),
+                algorithm=RandomSearch(samples=16, batch_size=16, seed=5))
+            spans = _spans(trace)
+            (lowering[workers],) = [s["attrs"] for s in spans
+                                    if s["name"] == "lowering"]
+            assert [s["wall_seconds"] for s in spans
+                    if s["name"] == "variant"] == [None] * 16
+        assert lowering[2]["width"] == lowering[2]["vector_lanes"] == 16
+        timed = ("sweep_seconds", "replay_seconds")
+        assert lowering[2].keys() == lowering[1].keys()
+        assert ({k: v for k, v in lowering[2].items() if k not in timed}
+                == {k: v for k, v in lowering[1].items() if k not in timed})
 
     def test_narrow_waves_after_a_sweep_report_no_vector_lanes(self):
         # Regression: lane counts used to live in a shared evaluator
@@ -943,3 +975,58 @@ class TestFrameRule:
             stats.fallback_reasons)
         assert per_lane.pop(("jcg", "it")) > 0
         assert not per_lane, dict(per_lane)
+
+
+#: ``check`` runs ``error stop`` on the lanes that lower ``y``; ``kernel``
+#: stores into its array argument before and after calling it.
+_STOP_SOURCE = """\
+module sl
+  implicit none
+contains
+  subroutine check()
+    implicit none
+    real(kind=8) :: y
+    y = 0.1d0
+    if (y /= 0.1d0) error stop 'check: y lowered'
+  end subroutine check
+
+  subroutine kernel(a)
+    implicit none
+    real(kind=8), intent(inout) :: a(2)
+    a(1) = 1.5d0
+    call check()
+    a(2) = 2.5d0
+  end subroutine kernel
+end module sl
+"""
+
+
+class TestStoppedLane:
+    def test_arrays_are_left_as_they_were_at_the_stop(self):
+        # ``a(2) = 2.5d0`` runs for the live lanes after the middle one
+        # stopped, and its mask covers them all, so the dead-lane rule
+        # writes every lane's slot.  The stopped lane must still hand
+        # back its array as compiled leaves it at the stop.
+        index, vec = _analyzed(_STOP_SOURCE)
+        overlays = [{}, {"sl::check::y": KIND_SINGLE}, {}]
+        batch = VariantBatch(index, [dict(o) for o in overlays],
+                             vec_info=vec, max_ops=1_000_000)
+
+        def run(interp):
+            a = FArray(np.zeros(2), (1,), KIND_DOUBLE)
+            error = None
+            try:
+                interp.call("kernel", [a])
+            except FortranRuntimeError as exc:
+                error = (type(exc).__name__, str(exc))
+            return a.data.tolist(), error
+
+        lanes = [run(batch.lane(lane)) for lane in range(len(overlays))]
+        assert lanes == [run(CompiledInterpreter(
+            index, overlay=dict(overlay), vec_info=vec, max_ops=1_000_000))
+            for overlay in overlays]
+        assert lanes[1] == ([1.5, 0.0],
+                            ("FortranStopError", "check: y lowered"))
+        assert lanes[0] == lanes[2] == ([1.5, 2.5], None)
+        stats = batch.stats()
+        assert (stats.vector_lanes, stats.fallback_lanes) == (3, 0)

@@ -141,3 +141,64 @@ def test_campaign_survives_transient_crash(tmp_path):
     assert faulty_records == serial_records
     assert sum(b.retries for b in faulty.telemetry) == 1
     assert sum(b.failures for b in faulty.telemetry) == 0
+
+
+def _swept_wave_campaign(backend, fault, timeout_seconds):
+    """A funarc RandomSearch wave of 16 fresh variants on two workers
+    (under ``batched``, wide enough to sweep on the pool), with one
+    worker fault."""
+    from repro.core import RandomSearch, run_campaign
+
+    config = CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600,
+                            workers=2, backend=backend,
+                            worker_timeout_seconds=timeout_seconds,
+                            chaos=_faults(fault))
+    return run_campaign(FunarcCase(n=150), config,
+                        algorithm=RandomSearch(samples=16, batch_size=16,
+                                               seed=5))
+
+
+class TestSweptWaveFaults:
+    """A fault in a pool-swept wave fails the whole sweep: it counts one
+    retry, and the wave then runs one variant per task from attempt 0,
+    with per-variant retries and quarantine as under ``compiled``."""
+
+    # Each fault sits on the wave's first variant.  When a crash takes
+    # the pool down, the per-variant path charges the failure to the
+    # future the parent is waiting on, and it waits in task order; a
+    # poison further into the wave can get an innocent neighbour
+    # charged and quarantined with it, depending on timing, under
+    # either backend.
+    @pytest.mark.parametrize("fault,timeout_seconds", [
+        ((0, "crash", True), 15.0),
+        ((0, "crash", False), 15.0),
+        ((0, "raise", True), 15.0),
+        ((0, "hang", True), 2.0),
+    ], ids=["crash-once", "crash-poison", "raise-once", "hang-once"])
+    def test_same_bytes_as_the_compiled_pool(self, fault, timeout_seconds):
+        compiled = _swept_wave_campaign("compiled", fault, timeout_seconds)
+        batched = _swept_wave_campaign("batched", fault, timeout_seconds)
+        assert batched.to_json() == compiled.to_json()
+
+        (wave,) = batched.oracle.telemetry
+        (reference,) = compiled.oracle.telemetry
+        assert wave.dispatched == 16
+        # The sweep never finished: every variant ran per task.
+        assert wave.vector_lanes == wave.fallback_lanes == 0
+        assert (wave.failures, wave.quarantined) == (
+            reference.failures, reference.quarantined)
+
+        if fault[2]:
+            # The failed sweep spent the one-shot fault, so its retry is
+            # the wave's only one, as the variant's own is under compiled.
+            assert wave.retries == reference.retries == 1
+            assert wave.failures == 0
+            return
+        # The poison is quarantined after all three attempts, as under
+        # compiled, and the failed sweep adds one retry.
+        assert wave.retries == reference.retries + 1
+        record = batched.records[fault[0]]
+        assert wave.quarantined == 1
+        assert record.outcome is Outcome.RUNTIME_ERROR
+        assert record.note.startswith("worker process crashed (3 attempts); "
+                                      "quarantined")

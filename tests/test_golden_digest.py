@@ -58,7 +58,9 @@ def test_campaign_json_bytes_pinned(backend, workers):
         # The serial batched cell must really sweep: narrow waves run
         # compiled, so a routing change could otherwise turn this cell
         # into a second compiled cell without moving a byte.  (The
-        # worker pool ships scalar variants under every backend.)
+        # batched-w4 cell runs scalar variants: funarc's ddmin waves
+        # hold at most 8 fresh variants, below the pool's sweep width
+        # of MIN_SWEEP_LANES per worker.)
         assert sum(t.vector_lanes for t in result.oracle.telemetry) > 0
 
 

@@ -10,13 +10,14 @@ execution backends, for the funarc miniature and one real model (MPAS).
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 
 from repro.core import (CampaignConfig, CampaignJournal, DeltaDebugSearch,
-                        Evaluator, ResultCache, journal_header, make_oracle,
-                        run_campaign)
-from repro.core.campaign import MIN_SWEEP_LANES
+                        Evaluator, ParallelOracle, ResultCache,
+                        journal_header, make_oracle, run_campaign)
+from repro.core.campaign import MIN_SWEEP_LANES, InterruptFlag, _signal_guard
 from repro.core.results import record_to_dict
 from repro.models import FunarcCase, MpasCase
 from repro.obs import VariantEvaluated
@@ -109,25 +110,31 @@ class TestMpasDeterminism:
 
 
 #: Executors of one batch plan: the compiled scalar path, one batched
-#: sweep (a wave of MIN_SWEEP_LANES fresh lanes), and a worker pool.
+#: sweep in process, a worker pool of scalar variants, and a worker pool
+#: that sweeps (the first batch gives each of its two workers
+#: MIN_SWEEP_LANES fresh lanes).
 _EXECUTORS = {"compiled": {"backend": "compiled"},
               "sweep": {"backend": "batched"},
-              "pool": {"backend": "compiled", "workers": 2}}
+              "pool": {"backend": "compiled", "workers": 2},
+              "pool-sweep": {"backend": "batched", "workers": 2}}
+
+#: Fresh variants in the plan's first batch.
+_WIDE = 2 * MIN_SWEEP_LANES
 
 
 def _plan_batches(case) -> list[list]:
-    """Two batches: MIN_SWEEP_LANES fresh variants, then a batch with a
-    memory hit, in-batch duplicates, and three fresh misses."""
+    """Two batches: 2 * MIN_SWEEP_LANES fresh variants, then a batch
+    with a memory hit, in-batch duplicates, and three fresh misses."""
     rng = random.Random(14)
     fresh, keys = [], set()
-    while len(fresh) < MIN_SWEEP_LANES + 3:
+    while len(fresh) < _WIDE + 3:
         assignment = case.space.baseline().with_kinds(
             {a.qualified: 4 for a in case.space.atoms if rng.random() < 0.5})
         if assignment.key() not in keys:
             keys.add(assignment.key())
             fresh.append(assignment)
-    first = fresh[:MIN_SWEEP_LANES]
-    a, b, c = fresh[MIN_SWEEP_LANES:]
+    first = fresh[:_WIDE]
+    a, b, c = fresh[_WIDE:]
     return [first, [a, first[0], a, b, c, b]]
 
 
@@ -175,12 +182,12 @@ def executor_runs(tmp_path_factory):
 class TestOnePlanAnyExecutor:
     """The shared batch planner resolves identically whatever executes
     its tasks: records, counters, the ordered variant events, and the
-    journal are the same bytes for all three executors, cold and over a
+    journal are the same bytes for every executor, cold and over a
     warm cache."""
 
     @pytest.mark.parametrize("field", ["records", "counts", "events",
                                        "journal"])
-    @pytest.mark.parametrize("executor", ["sweep", "pool"])
+    @pytest.mark.parametrize("executor", ["sweep", "pool", "pool-sweep"])
     def test_matches_compiled(self, executor_runs, executor, field):
         for run, reference in zip(executor_runs[executor],
                                   executor_runs["compiled"]):
@@ -189,7 +196,7 @@ class TestOnePlanAnyExecutor:
     def test_cold_plan_folds_duplicates_and_memory_hits(self,
                                                         executor_runs):
         cold, _ = executor_runs["compiled"]
-        n = MIN_SWEEP_LANES
+        n = _WIDE
         assert cold["counts"] == [(n, n, 0, 0), (3, 3, 3, 0)]
         assert [(vid, source) for batch, vid, source in cold["events"]
                 if batch == 1] == [(n, "fresh"), (0, "memory"),
@@ -198,17 +205,42 @@ class TestOnePlanAnyExecutor:
 
     def test_warm_rerun_served_from_disk(self, executor_runs):
         _, warm = executor_runs["compiled"]
-        n = MIN_SWEEP_LANES
+        n = _WIDE
         assert warm["counts"] == [(0, 0, n, n), (0, 0, 6, 3)]
         assert [source for batch, _, source in warm["events"]
                 if batch == 1] == ["disk", "memory", "memory", "disk",
                                    "disk", "memory"]
 
     def test_batched_run_swept(self, executor_runs):
-        cold, warm = executor_runs["sweep"]
-        assert cold["swept"] == [MIN_SWEEP_LANES, 0]
-        assert warm["swept"] == [0, 0]
-        assert executor_runs["compiled"][0]["swept"] == [0, 0]
+        # The second batch's three fresh lanes are too few to sweep, in
+        # process or on the pool.
+        for executor in ("sweep", "pool-sweep"):
+            cold, warm = executor_runs[executor]
+            assert cold["swept"] == [_WIDE, 0], executor
+            assert warm["swept"] == [0, 0], executor
+        for executor in ("compiled", "pool"):
+            assert executor_runs[executor][0]["swept"] == [0, 0], executor
+
+
+def _signal_dispositions() -> tuple[bool, bool]:
+    """In a pool worker: is SIGTERM at its default, is SIGINT ignored?"""
+    return (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+            signal.getsignal(signal.SIGINT) == signal.SIG_IGN)
+
+
+class TestWorkerSignals:
+    def test_workers_leave_graceful_shutdown_to_the_parent(self):
+        # Workers fork while the campaign's handlers are installed.  An
+        # inherited handler would turn a worker's SIGTERM into a flag
+        # nothing reads, so every pool kill would wait out its grace.
+        oracle = ParallelOracle.for_model(_funarc(), config=_config(workers=2))
+        try:
+            with _signal_guard(InterruptFlag(), enabled=True):
+                dispositions = oracle._ensure_pool().submit(
+                    _signal_dispositions).result(timeout=60)
+        finally:
+            oracle.close()
+        assert dispositions == (True, True)
 
 
 class TestCacheRoundTrip:

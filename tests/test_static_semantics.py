@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.errors import SemanticError
 from repro.fortran import (Interpreter, OutBox, analyze, parse_source)
 from repro.fortran.callgraph import build_graphs
 from repro.fortran.kinds import infer_kind
@@ -213,3 +214,62 @@ class TestSearchResultSerialization:
         assert payload["algorithm"] == "delta-debug"
         assert payload["evaluations"] == len(payload["records"])
         assert isinstance(payload["best_speedup"], float)
+
+
+#: ``leave`` ends with an ``exit`` or ``cycle`` that no DO construct of
+#: its own encloses, and its caller calls it from inside a loop.
+_LOOP_CONTROL_SRC = """\
+module lv
+  implicit none
+contains
+  subroutine leave(x)
+    implicit none
+    real(kind=8), intent(inout) :: x
+    x = x + 1.0d0
+    if (x > 2.5d0) {word}
+  end subroutine leave
+
+  subroutine driver(out)
+    implicit none
+    real(kind=8), intent(out) :: out
+    real(kind=8) :: x
+    integer :: i
+    x = 0.0d0
+    do i = 1, 5
+      call leave(x)
+      x = x + 0.125d0
+    end do
+    out = x
+  end subroutine driver
+end module lv
+"""
+
+
+class TestLoopControl:
+    @pytest.mark.parametrize("word", ["exit", "cycle"])
+    def test_outside_its_procedures_loops_is_refused(self, word):
+        # Invalid Fortran, which the engines used to run differently:
+        # the walker and compiled engines left the caller's loop (2.25),
+        # a batched lane kept looping (5.625).
+        source = _LOOP_CONTROL_SRC.format(word=word)
+        with pytest.raises(SemanticError,
+                           match=f"{word} outside a DO construct at line 8"):
+            analyze(parse_source(source))
+
+    @pytest.mark.parametrize("word", ["exit", "cycle"])
+    def test_inside_a_loop_of_its_own_procedure_is_accepted(self, word):
+        source = _LOOP_CONTROL_SRC.format(word=word).replace(
+            f"    if (x > 2.5d0) {word}\n",
+            f"    do k = 1, 3\n"
+            f"      select case (k)\n"
+            f"      case (2)\n"
+            f"        if (x > 2.5d0) {word}\n"
+            f"      end select\n"
+            f"      x = x + 0.5d0\n"
+            f"    end do\n").replace(
+            "    real(kind=8), intent(inout) :: x\n",
+            "    real(kind=8), intent(inout) :: x\n    integer :: k\n")
+        index = analyze(parse_source(source))
+        box = OutBox(None)
+        Interpreter(index).call("driver", [box])
+        assert box.value > 0.0
