@@ -135,7 +135,7 @@ from .instrumentation import CallKey, Ledger, OpKey
 from .interpreter import _ARITH_CLASS, _BUDGET_CHECK_INTERVAL, Frame
 from .intrinsics import INTRINSICS
 from .symbols import (_CMP_OPS, KIND_DOUBLE, KIND_SINGLE, ProgramIndex,
-                      ScopeNames, Symbol, effective_kind)
+                      ScopeNames, Symbol, effective_kind, int_pow)
 from .values import FArray, dtype_for_kind, kind_of
 from .vectorize import ProgramVecInfo
 
@@ -1403,8 +1403,7 @@ class _Engine:
                 r64 = np.asarray(r, dtype=np.int64)
                 neg = np.broadcast_to(r64 < 0, (self.width,)) & mask.arr
                 if neg.any():
-                    # Python yields a float for a negative exponent; the
-                    # scalar fallback reproduces it.
+                    # The scalar fallback applies ``int_pow``'s rules.
                     self.deactivate(neg.copy(), "negative integer exponent")
                 rsafe = np.where(r64 < 0, 0, r64)
                 return _LI(np.broadcast_to(
@@ -1440,7 +1439,11 @@ class _Engine:
         if op == "*":
             return left * right
         if op == "**":
-            return left ** right
+            try:
+                return int_pow(left, right)
+            except FortranRuntimeError as exc:
+                self.deactivate_mask(mask, str(exc))
+                return 0
         self.deactivate_mask(mask, f"unsupported integer operation {op!r}")
         return 0
 

@@ -15,14 +15,27 @@ is invariant across executions:
 * procedure/intrinsic resolution and intrinsic opclass selection,
 * literal values (NumPy scalars are built once),
 * static vectorization flags and the allocate-statement kinds implied
-  by the precision overlay.
+  by the precision overlay,
+* the operand types of each real binop, each store to a declared real
+  scalar and each elementwise intrinsic of a real scalar, with the
+  ledger keys they charge (``_ProcCompiler._expect``: the declared
+  types under the overlay, and the types NumPy gives their results).
 
-Runtime-dependent behaviour deliberately stays dynamic so the backend
-is *bit-identical* to the reference interpreter: operand kinds in
-expressions (values change kind at call boundaries), the
-``_devec_stmts`` set (wrapped calls devectorize their enclosing
-statement mid-run), ``_rhs_literal`` visibility in masked assignments,
-allocatable state, and the op-budget check at every statement boundary.
+Expectations are lowered, and a guard keeps them honest.  Each such
+site checks its operands with an exact ``type()`` test; on a miss (an
+array, an undeclared name, a value whose kind changed at a call
+boundary) it calls its construct's one slow path, the kind dispatch on
+runtime types (``_binop``, ``_store``, ``_intrinsic``), so a wrong
+expectation costs speed, never bits.  An expectation reads only the
+procedure's own and module symbols (``ScopeNames``), which are exactly
+the overlay entries :func:`relevant_overlay` keys the cache on, so a
+cached body never carries a neighbour variant's expectation.
+
+Other runtime-dependent behaviour stays dynamic so the backend is
+*bit-identical* to the reference interpreter: the ``_devec_stmts`` set
+(wrapped calls devectorize their enclosing statement mid-run),
+``_rhs_literal`` visibility in masked assignments, allocatable state,
+and the op-budget check at every statement boundary.
 Call binding, write-back, and local elaboration reuse the inherited
 tree-interpreter ``_invoke`` verbatim, so boundary-cast charges and
 wrapper semantics cannot drift by construction.
@@ -58,7 +71,7 @@ from .interpreter import (_ARITH_CLASS, _BUDGET_CHECK_INTERVAL, Frame,
                           Interpreter, _CycleLoop, _ExitLoop, _ReturnSignal)
 from .intrinsics import INTRINSICS
 from .symbols import (_CMP_OPS, KIND_DOUBLE, KIND_SINGLE, ProgramIndex,
-                      ScopeNames, effective_kind)
+                      ScopeNames, effective_kind, int_pow)
 from .unparser import unparse
 from .values import (FArray, cast_real, dtype_for_kind, element_count,
                      kind_of, promote_kinds)
@@ -125,11 +138,11 @@ def relevant_overlay(index: ProgramIndex, qual: str,
     """The overlay restricted to entries the body of *qual* can observe.
 
     A compiled body consults the overlay only through allocate
-    statements, whose symbols resolve in the procedure's own scope, its
-    ancestor (host) scopes, or a module.  Entries for *other*
-    procedures' symbols cannot affect the lowered code, so they are
-    excluded from the cache key — delta-debug neighbors that differ
-    only there share compiled code.
+    statements and operand-type expectations, whose symbols resolve in
+    the procedure's own scope, its ancestor (host) scopes, or a module.
+    Entries for *other* procedures' symbols cannot affect the lowered
+    code, so they are excluded from the cache key — delta-debug
+    neighbors that differ only there share compiled code.
     """
     if not overlay:
         return ()
@@ -242,8 +255,12 @@ def _int_div(l: Any, r: Any) -> Any:
     return int(l / r) if (l < 0) != (r < 0) and l % r != 0 else l // r
 
 
+#: Integer arithmetic: ``/`` truncates and ``**`` stays an integer.
+_INT_FNS = {**_ARITH_FNS, "/": _int_div, "**": int_pow}
+
 #: Scalar constructors per kind (identical to ``dtype_for_kind(k).type``).
 _SCALAR_CTOR = {KIND_SINGLE: np.float32, KIND_DOUBLE: np.float64}
+_KIND_OF_TYPE = {np.float32: KIND_SINGLE, np.float64: KIND_DOUBLE}
 
 
 def _convert_like(I: Interpreter, store_keys: dict, convert_keys: dict,
@@ -361,6 +378,101 @@ def _array_ref(I: Interpreter, load_keys: dict, arr: FArray, key: tuple,
     return int(val)
 
 
+# ---------------------------------------------------------------------------
+# Slow paths: the kind dispatch on runtime types
+# ---------------------------------------------------------------------------
+#
+# A lowered site whose operand types the declarations fix checks them
+# with an exact ``type()`` test and charges ledger keys chosen at
+# lowering; on a miss (an array, an undeclared name, a value whose kind
+# changed at a call boundary) it calls its construct's slow path below.
+
+
+def _operand(value: Any) -> tuple:
+    """``(kind, raw value, element count)`` of a binop operand."""
+    t = type(value)
+    if t is FArray:
+        return value.kind, value.data, value.data.size
+    if t is np.float64:
+        return KIND_DOUBLE, value, 1
+    if t is np.float32:
+        return KIND_SINGLE, value, 1
+    if t is int or t is bool:
+        return None, value, 1
+    return kind_of(value), value, element_count(value)
+
+
+def _binop(I: Interpreter, left: Any, right: Any, site: tuple) -> Any:
+    """A real (or undeclared) binop's operands dispatched by type."""
+    fn, int_fn, is_cmp, op_keys, convert_keys, left_lit, right_lit = site
+    kl, lraw, nl = _operand(left)
+    kr, rraw, nr = _operand(right)
+    if kl is None:
+        if kr is None:
+            # Pure integer (or logical-comparison) arithmetic:
+            # free in the cost model (address math).
+            return int_fn(lraw, rraw)
+        wide = kr
+    elif kr is None or kl >= kr:
+        wide = kl
+    else:
+        wide = kr
+    n = nr if nr > nl else nl
+    is_vec = I._cur_vec or n > 1
+    led = I.ledger
+    if kl is not None and kr is not None and kl != kr:
+        if kl < kr:
+            if not left_lit:
+                led.ops[convert_keys[wide][is_vec]] += nl
+                led.total_ops += nl
+        elif not right_lit:
+            led.ops[convert_keys[wide][is_vec]] += nr
+            led.total_ops += nr
+    led.ops[op_keys[wide][is_vec]] += n
+    led.total_ops += n
+    out = fn(lraw, rraw)
+    if is_cmp and not isinstance(out, np.ndarray):
+        out = bool(out)
+    template = left if type(left) is FArray else (
+        right if type(right) is FArray else None)
+    if template is not None and isinstance(out, np.ndarray):
+        return FArray(out, template.lbounds, kind_of(out))
+    if type(out) is np.bool_:
+        return bool(out)
+    return out
+
+
+def _store(I: Interpreter, store_keys: dict, convert_keys: dict, slot: dict,
+           name: str, value: Any) -> None:
+    """A store to a named variable, dispatched on its current value."""
+    current = slot[name]
+    if isinstance(current, FArray):
+        _assign_whole_array(I, store_keys, convert_keys, current, value)
+    else:
+        slot[name] = _convert_like(I, store_keys, convert_keys, current,
+                                   value)
+
+
+def _intrinsic(I: Interpreter, fn, op_keys: dict, args: list,
+               kwargs: Optional[dict] = None) -> Any:
+    """A charged intrinsic call: the charge's kind comes from the
+    result's type (else its first real argument's), its count from the
+    largest argument."""
+    result = fn(*args, **kwargs) if kwargs else fn(*args)
+    k = kind_of(result)
+    if k is None:
+        for a in args:
+            k = kind_of(a)
+            if k is not None:
+                break
+    if k is not None:
+        n = max(map(element_count, args), default=1)
+        led = I.ledger
+        led.ops[op_keys[k][I._cur_vec or n > 1]] += n
+        led.total_ops += n
+    return result
+
+
 def _raiser(exc_type, message: str):
     """A closure that raises only when it runs, so an error lowered from
     a construct surfaces where and when the reference's would."""
@@ -393,6 +505,8 @@ class _ProcCompiler:
         self.stmt_flags = (vec_info.stmt_vec(self.scope)
                            if vec_info is not None else {})
         self._key_tables: dict[str, dict] = {}
+        # _expect's answers, by name for a Name and by node id otherwise.
+        self._expected: dict[Any, Any] = {}
 
     def _keys(self, opclass: str) -> dict:
         """Per-procedure memo of :func:`_key_pairs` tables."""
@@ -624,47 +738,44 @@ class _ProcCompiler:
                 return left == right if want_eq else left != right
             return ev
 
-        if (self.names.static_type(e.left) in ("int", "bool")
-                and self.names.static_type(e.right) in ("int", "bool")):
+        lt, rt = self._expect(e.left), self._expect(e.right)
+        if ((lt is int or lt is None
+             and self.names.static_type(e.left) == "bool")
+                and (rt is int or rt is None
+                     and self.names.static_type(e.right) == "bool")):
             # Both operands are int/bool scalars: the reference
             # interpreter's free integer path, with no kind dispatch.
-            fn = _CMP_FNS.get(op)
-            if fn is None:
-                fn = _int_div if op == "/" else _ARITH_FNS[op]
+            fn = _CMP_FNS.get(op) or _INT_FNS[op]
             # Loop-control idioms (``i + 1``, ``i <= n``) dominate this
             # path; reading slot/constant operands inline skips their
             # leaf closure calls.
             lk = self._slot_or_const(e.left)
             rk = self._slot_or_const(e.right)
             if lk is not None and rk is not None:
-                lt, lv = lk
-                rt, rv = rk
-                if lt == "s":
-                    if rt == "s":
+                ltag, lv = lk
+                rtag, rv = rk
+                if ltag == "s":
+                    if rtag == "s":
                         return lambda I, frame: fn(frame.values[lv],
                                                    frame.values[rv])
                     return lambda I, frame: fn(frame.values[lv], rv)
-                if rt == "s":
+                if rtag == "s":
                     return lambda I, frame: fn(lv, frame.values[rv])
                 return lambda I, frame: fn(lv, rv)
             if lk is not None:
-                lt, lv = lk
-                if lt == "s":
+                ltag, lv = lk
+                if ltag == "s":
                     return lambda I, frame: fn(frame.values[lv],
                                                rev(I, frame))
                 return lambda I, frame: fn(lv, rev(I, frame))
             if rk is not None:
-                rt, rv = rk
-                if rt == "s":
+                rtag, rv = rk
+                if rtag == "s":
                     return lambda I, frame: fn(lev(I, frame),
                                                frame.values[rv])
                 return lambda I, frame: fn(lev(I, frame), rv)
             return lambda I, frame: fn(lev(I, frame), rev(I, frame))
 
-        # A literal operand promotes for free (the compiler folds the
-        # constant); only variable operands charge a convert.
-        left_lit = isinstance(e.left, (F.RealLit, F.IntLit))
-        right_lit = isinstance(e.right, (F.RealLit, F.IntLit))
         is_cmp = op in _CMP_OPS
         fn = _CMP_FNS[op] if is_cmp else _ARITH_FNS[op]
         op_keys = self._keys("cmp" if is_cmp else _ARITH_CLASS[op])
@@ -675,213 +786,86 @@ class _ProcCompiler:
                 if isinstance(out, np.ndarray):
                     return out
                 return bool(out)
-        elif op == "/":
-            int_fn = _int_div
         else:
-            int_fn = fn
-
-        if left_lit or right_lit:
-            return self._compile_binop_lit(
-                e, lev, rev, left_lit, right_lit, fn, int_fn, is_cmp,
-                op_keys, convert_keys)
+            int_fn = _INT_FNS[op]
+        # A literal operand promotes for free (the compiler folds the
+        # constant); only variable operands charge a convert.
+        left_lit = isinstance(e.left, (F.RealLit, F.IntLit))
+        right_lit = isinstance(e.right, (F.RealLit, F.IntLit))
+        site = (fn, int_fn, is_cmp, op_keys, convert_keys, left_lit,
+                right_lit)
+        if lt is None or rt is None:
+            return lambda I, frame: _binop(I, lev(I, frame), rev(I, frame),
+                                           site)
+        # The expected types fix the charges: the narrower operand's
+        # convert unless it is a literal, then the op at the wide kind.
+        kl, kr = _KIND_OF_TYPE.get(lt), _KIND_OF_TYPE.get(rt)
+        wide = kl if kr is None or (kl is not None and kl >= kr) else kr
+        conv = None
+        if (kl is not None and kr is not None and kl != kr
+                and not (left_lit if kl < kr else right_lit)):
+            conv = convert_keys[wide]
+        opk = op_keys[wide]
 
         def ev(I, frame):
             left = lev(I, frame)
             right = rev(I, frame)
-            tl = type(left)
-            if tl is FArray:
-                kl = left.kind
-                lraw = left.data
-                nl = lraw.size
-            elif tl is np.float64:
-                kl = KIND_DOUBLE
-                lraw = left
-                nl = 1
-            elif tl is np.float32:
-                kl = KIND_SINGLE
-                lraw = left
-                nl = 1
-            elif tl is int or tl is bool:
-                kl = None
-                lraw = left
-                nl = 1
-            else:
-                kl = kind_of(left)
-                lraw = left
-                nl = element_count(left)
-            tr = type(right)
-            if tr is FArray:
-                kr = right.kind
-                rraw = right.data
-                nr = rraw.size
-            elif tr is np.float64:
-                kr = KIND_DOUBLE
-                rraw = right
-                nr = 1
-            elif tr is np.float32:
-                kr = KIND_SINGLE
-                rraw = right
-                nr = 1
-            elif tr is int or tr is bool:
-                kr = None
-                rraw = right
-                nr = 1
-            else:
-                kr = kind_of(right)
-                rraw = right
-                nr = element_count(right)
-            if kl is None:
-                if kr is None:
-                    # Pure integer (or logical-comparison) arithmetic:
-                    # free in the cost model (address math).
-                    return int_fn(lraw, rraw)
-                wide = kr
-            elif kr is None or kl >= kr:
-                wide = kl
-            else:
-                wide = kr
-            n = nr if nr > nl else nl
-            is_vec = I._cur_vec or n > 1
-            led = I.ledger
-            if kl is not None and kr is not None and kl != kr:
-                if kl < kr:
-                    if not left_lit:
-                        led.ops[convert_keys[wide][is_vec]] += nl
-                        led.total_ops += nl
-                elif not right_lit:
-                    led.ops[convert_keys[wide][is_vec]] += nr
-                    led.total_ops += nr
-            led.ops[op_keys[wide][is_vec]] += n
-            led.total_ops += n
-            out = fn(lraw, rraw)
-            if is_cmp and not isinstance(out, np.ndarray):
-                out = bool(out)
-            template = left if tl is FArray else (
-                right if tr is FArray else None)
-            if template is not None and isinstance(out, np.ndarray):
-                return FArray(out, template.lbounds, kind_of(out))
-            if type(out) is np.bool_:
-                return bool(out)
-            return out
-        return ev
-
-    def _compile_binop_lit(self, e, lev, rev, left_lit, right_lit,
-                           fn, int_fn, is_cmp, op_keys, convert_keys):
-        """Binop with at least one literal operand.
-
-        A literal's kind and value are compile-time constants, so the
-        closure skips the leaf evaluation and half of the per-visit kind
-        dispatch the general path pays.  Charges stay identical to the
-        tree walker: literals never charge loads or converts, and the
-        variable side charges a convert exactly when it is narrower than
-        the literal's kind.
-        """
-        def lit(node):
-            if type(node) is F.IntLit:
-                return None, node.value
-            v = dtype_for_kind(node.kind).type(node.value)
-            return kind_of(v), v
-
-        if left_lit and right_lit:
-            kl, lraw = lit(e.left)
-            kr, rraw = lit(e.right)
-            if kl is None and kr is None:
-                return lambda I, frame: int_fn(lraw, rraw)
-            wide = kl if (kr is None or (kl is not None and kl >= kr)) \
-                else kr
-            keys = op_keys[wide]
-
-            def ev(I, frame):
+            if type(left) is lt and type(right) is rt:
                 led = I.ledger
-                led.ops[keys[I._cur_vec]] += 1
+                vec = I._cur_vec
+                if conv is not None:
+                    led.ops[conv[vec]] += 1
+                    led.total_ops += 1
+                led.ops[opk[vec]] += 1
                 led.total_ops += 1
-                out = fn(lraw, rraw)
-                if is_cmp or type(out) is np.bool_:
-                    return bool(out)
-                return out
-            return ev
-
-        if right_lit:
-            kc, craw = lit(e.right)
-            vev = lev
-        else:
-            kc, craw = lit(e.left)
-            vev = rev
-        lit_on_right = right_lit
-
-        if kc is None:
-            # Integer literal: charges no convert and never widens the
-            # variable operand's kind.
-            def ev(I, frame):
-                val = vev(I, frame)
-                tv = type(val)
-                if tv is FArray:
-                    kv = val.kind
-                    vraw = val.data
-                    n = vraw.size
-                elif tv is np.float64:
-                    kv, vraw, n = KIND_DOUBLE, val, 1
-                elif tv is np.float32:
-                    kv, vraw, n = KIND_SINGLE, val, 1
-                elif tv is int or tv is bool:
-                    kv, vraw, n = None, val, 1
-                else:
-                    kv = kind_of(val)
-                    vraw = val
-                    n = element_count(val)
-                if kv is None:
-                    return (int_fn(vraw, craw) if lit_on_right
-                            else int_fn(craw, vraw))
-                is_vec = I._cur_vec or n > 1
-                led = I.ledger
-                led.ops[op_keys[kv][is_vec]] += n
-                led.total_ops += n
-                out = (fn(vraw, craw) if lit_on_right
-                       else fn(craw, vraw))
-                if is_cmp and not isinstance(out, np.ndarray):
-                    out = bool(out)
-                if tv is FArray and isinstance(out, np.ndarray):
-                    return FArray(out, val.lbounds, kind_of(out))
-                if type(out) is np.bool_:
-                    return bool(out)
-                return out
-            return ev
-
-        def ev(I, frame):
-            val = vev(I, frame)
-            tv = type(val)
-            if tv is FArray:
-                kv = val.kind
-                vraw = val.data
-                n = vraw.size
-            elif tv is np.float64:
-                kv, vraw, n = KIND_DOUBLE, val, 1
-            elif tv is np.float32:
-                kv, vraw, n = KIND_SINGLE, val, 1
-            elif tv is int or tv is bool:
-                kv, vraw, n = None, val, 1
-            else:
-                kv = kind_of(val)
-                vraw = val
-                n = element_count(val)
-            wide = kc if (kv is None or kv < kc) else kv
-            is_vec = I._cur_vec or n > 1
-            led = I.ledger
-            if kv is not None and kv < kc:
-                led.ops[convert_keys[wide][is_vec]] += n
-                led.total_ops += n
-            led.ops[op_keys[wide][is_vec]] += n
-            led.total_ops += n
-            out = (fn(vraw, craw) if lit_on_right
-                   else fn(craw, vraw))
-            if is_cmp and not isinstance(out, np.ndarray):
-                out = bool(out)
-            if tv is FArray and isinstance(out, np.ndarray):
-                return FArray(out, val.lbounds, kind_of(out))
-            if type(out) is np.bool_:
-                return bool(out)
-            return out
+                if is_cmp:
+                    return bool(fn(left, right))
+                return fn(left, right)
+            return _binop(I, left, right, site)
         return ev
+
+    def _expect(self, e: F.Expr):
+        """The type the declarations under this overlay give *e*'s
+        value: ``int``, ``np.float32`` or ``np.float64``; None when they
+        fix none or the value may be an array.  A fast path checks it
+        with an exact ``type()`` test before it acts on it."""
+        t = type(e)
+        key = e.name if t is F.Name else id(e)
+        out = self._expected.get(key, self)
+        if out is not self:
+            return out
+        if t is F.BinOp and e.op in _ARITH_FNS:
+            lt, rt = self._expect(e.left), self._expect(e.right)
+            # NumPy's result: the wider real (a Python int operand is
+            # weak), or an int from two ints.
+            out = (None if lt is None or rt is None else lt if rt is int
+                   or lt is not int and _KIND_OF_TYPE[lt] >= _KIND_OF_TYPE[rt]
+                   else rt)
+        elif t is F.UnaryOp and e.op in ("-", "+"):
+            out = self._expect(e.operand)
+        elif (t is F.Apply and self.names.lookup(e.name)[0] is None
+              and self.index.find_procedure(e.name) is None):
+            # An elementwise intrinsic keeps a real argument's type.
+            ufunc = getattr(getattr(INTRINSICS.get(e.name), "fn", None),
+                            "ufunc", None)
+            at = (self._expect(e.args[0])
+                  if ufunc is not None and len(e.args) == 1 else None)
+            out = None if at is int else at
+        elif t is F.RealLit:
+            out = _SCALAR_CTOR.get(e.kind)
+        else:
+            # A name or an element: what its declaration fixes, unless it
+            # is a whole array or an element under a vector subscript.
+            st = self.names.static_type(e)
+            out = int if st == "int" else None
+            if type(st) is tuple and not (
+                    st[0].is_array if t is F.Name else any(
+                        type(n) is F.Name and getattr(
+                            self.names.lookup(n.name)[0], "is_array", False)
+                        for n in F.walk(e))):
+                out = _SCALAR_CTOR.get(effective_kind(st[0], self.overlay))
+        self._expected[key] = out
+        return out
 
     # -- subscripts ------------------------------------------------------
 
@@ -1118,82 +1102,47 @@ class _ProcCompiler:
 
         if not suppress and all(kwn is None for kwn, _ in steps):
             # Positional-only charged intrinsic — the hot shape (sin,
-            # sqrt, min, abs...).  Same charges as the generic path with
-            # the kind/element lookups resolved by exact type.
+            # sqrt, min, abs...).
             evs = tuple(c for _, c in steps)
+            ufunc = getattr(fn, "ufunc", None)
+            t = (self._expect(e.args[0])
+                 if ufunc is not None and len(evs) == 1 else None)
+            if t is np.float32 or t is np.float64:
+                # An elementwise intrinsic of a real scalar keeps its
+                # argument's type: one charge at that kind.
+                keys = op_keys[_KIND_OF_TYPE[t]]
+                arg_ev = evs[0]
 
-            def ev_pos(I, frame):
-                args = [c(I, frame) for c in evs]
-                result = fn(*args)
-                n = 1
-                for a in args:
-                    ta = type(a)
-                    if ta is FArray:
-                        m = a.data.size
-                    elif isinstance(a, np.ndarray):
-                        m = int(a.size)
-                    else:
-                        m = 1
-                    if m > n:
-                        n = m
-                tr = type(result)
-                if tr is np.float64:
-                    k = KIND_DOUBLE
-                elif tr is np.float32:
-                    k = KIND_SINGLE
-                else:
-                    k = result.kind if tr is FArray else kind_of(result)
-                    if k is None:
-                        for a in args:
-                            ka = kind_of(a)
-                            if ka is not None:
-                                k = ka
-                                break
-                if k is not None:
-                    led = I.ledger
-                    led.ops[op_keys[k][I._cur_vec or n > 1]] += n
-                    led.total_ops += n
-                return result
-            return ev_pos
+                def ev_real(I, frame):
+                    a = arg_ev(I, frame)
+                    if type(a) is t:
+                        out = ufunc(a)
+                        led = I.ledger
+                        led.ops[keys[I._cur_vec]] += 1
+                        led.total_ops += 1
+                        return out
+                    return _intrinsic(I, fn, op_keys, [a])
+                return ev_real
+            return lambda I, frame: _intrinsic(
+                I, fn, op_keys, [c(I, frame) for c in evs])
 
         def ev(I, frame):
             args: list[Any] = []
             kwargs: dict[str, Any] = {}
             if suppress:
                 I._suppress_loads += 1
-                try:
-                    for kwn, c in steps:
-                        if kwn is None:
-                            args.append(c(I, frame))
-                        else:
-                            kwargs[kwn] = c(I, frame)
-                finally:
-                    I._suppress_loads -= 1
-            else:
+            try:
                 for kwn, c in steps:
                     if kwn is None:
                         args.append(c(I, frame))
                     else:
                         kwargs[kwn] = c(I, frame)
-            result = fn(*args, **kwargs)
-            if not suppress:
-                n = 1
-                for a in args:
-                    m = element_count(a)
-                    if m > n:
-                        n = m
-                k = kind_of(result)
-                if k is None:
-                    for a in args:
-                        ka = kind_of(a)
-                        if ka is not None:
-                            k = ka
-                            break
-                if k is not None:
-                    led = I.ledger
-                    led.ops[op_keys[k][I._cur_vec or n > 1]] += n
-                    led.total_ops += n
-            return result
+            finally:
+                if suppress:
+                    I._suppress_loads -= 1
+            if suppress:
+                return fn(*args, **kwargs)
+            return _intrinsic(I, fn, op_keys, args, kwargs)
         return ev
 
     # -- derived types ---------------------------------------------------
@@ -1450,7 +1399,7 @@ class _ProcCompiler:
         static_vec = self.stmt_flags.get(sid, False)
         rhs_lit = isinstance(s.value, (F.RealLit, F.IntLit))
         value_ev = self.expr(s.value)
-        assign = self._compile_assign_target(s.target)
+        assign = self._compile_assign_target(s.target, s.value)
 
         def ex(I, frame):
             prev = I._cur_vec
@@ -1470,7 +1419,7 @@ class _ProcCompiler:
                 I._rhs_literal = prev_lit
         return ex
 
-    def _compile_assign_target(self, target: F.Expr):
+    def _compile_assign_target(self, target: F.Expr, rhs: F.Expr):
         """Compiled ``_assign``: ``(I, frame, value) -> None``."""
         store_keys = self._keys("store")
         convert_keys = self._keys("convert")
@@ -1479,17 +1428,40 @@ class _ProcCompiler:
             sym, mod = self.names.lookup(name)
             slot_fn = (None if sym is not None and mod is None
                        else self._slot(name))
+            st = (_SCALAR_CTOR.get(effective_kind(sym, self.overlay))
+                  if sym is not None and sym.type_ == "real"
+                  and not sym.is_array else None)
+            if st is None:
+                def assign(I, frame, value):
+                    _store(I, store_keys, convert_keys,
+                           frame.values if slot_fn is None
+                           else slot_fn(I, frame), name, value)
+                return assign
+            # A declared real scalar: the stored value's expected type
+            # fixes the charges (a literal converts for free).
+            vt = self._expect(rhs) or st
+            kd = _KIND_OF_TYPE[st]
+            keys = store_keys[kd]
+            conv = None
+            if vt is not st and vt is not int and not isinstance(
+                    rhs, (F.RealLit, F.IntLit)):
+                conv = convert_keys[kd]
+            cast = (None if vt is st else st if vt is not int
+                    else lambda v: st(float(v)))
 
             def assign(I, frame, value):
-                slot = (frame.values if slot_fn is None
-                        else slot_fn(I, frame))
-                current = slot[name]
-                if isinstance(current, FArray):
-                    _assign_whole_array(I, store_keys, convert_keys,
-                                        current, value)
+                slot = frame.values if slot_fn is None else slot_fn(I, frame)
+                if type(value) is vt and type(slot[name]) is st:
+                    led = I.ledger
+                    vec = I._cur_vec
+                    if conv is not None:
+                        led.ops[conv[vec]] += 1
+                        led.total_ops += 1
+                    led.ops[keys[vec]] += 1
+                    led.total_ops += 1
+                    slot[name] = value if cast is None else cast(value)
                 else:
-                    slot[name] = _convert_like(I, store_keys, convert_keys,
-                                               current, value)
+                    _store(I, store_keys, convert_keys, slot, name, value)
             return assign
         if isinstance(target, F.Apply):
             name = target.name

@@ -42,7 +42,7 @@ from . import ast_nodes as F
 from .instrumentation import Ledger
 from .intrinsics import INTRINSICS
 from .symbols import (_CMP_OPS, KIND_SINGLE, ProgramIndex, Symbol,
-                      chain_modules, effective_kind)
+                      chain_modules, effective_kind, int_pow)
 from .values import (FArray, cast_real, dtype_for_kind, element_count,
                      kind_of, promote_kinds)
 from .vectorize import ProgramVecInfo
@@ -1076,7 +1076,7 @@ class Interpreter:
         if op == "*":
             return l * r
         if op == "**":
-            return l ** r
+            return int_pow(l, r)
         raise FortranRuntimeError(f"unsupported integer operation {op!r}")
 
     @staticmethod

@@ -53,6 +53,7 @@ def _elementwise(np_fn: Callable[..., Any]) -> Callable[..., Any]:
             if isinstance(a, FArray):
                 return _rewrap(out, a)
         return out
+    impl.ufunc = np_fn  # what a scalar argument reduces the call to
     return impl
 
 

@@ -29,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from ..errors import SemanticError
+from ..errors import FortranRuntimeError, SemanticError
 from . import ast_nodes as F
 
 __all__ = [
     "Symbol", "ScopeInfo", "ProgramIndex", "analyze", "qualified_name",
     "KIND_SINGLE", "KIND_DOUBLE", "ScopeNames", "chain_modules",
-    "effective_kind",
+    "effective_kind", "int_pow",
 ]
 
 KIND_SINGLE = 4
@@ -189,7 +189,7 @@ def _fold_int(expr: F.Expr, consts: dict[str, int]) -> Optional[int]:
         if expr.op == "/":
             return left // right if right else None
         if expr.op == "**":
-            return left ** right
+            return int_pow(left, right) if left or right >= 0 else None
     if isinstance(expr, F.Apply):
         # selected_real_kind(p) → 4 for p <= 6 else 8, matching the two
         # precision levels this study considers.
@@ -387,6 +387,19 @@ _INT_ARITH_OPS = frozenset({"+", "-", "*", "/", "**"})
 #: Real arithmetic whose result kind is its operands' join.  ``**`` is
 #: left out: the batched engine evaluates it per lane.
 _REAL_JOIN_OPS = frozenset({"+", "-", "*", "/"})
+
+
+def int_pow(l, r):
+    """Fortran's integer ``l ** r``, which stays an integer: a negative
+    exponent truncates ``1 / l**-r`` toward zero, so only a base of 1
+    or -1 survives it.  Arrays and non-integers keep Python's ``**``."""
+    if type(l) is not int or type(r) is not int or r >= 0:
+        return l ** r
+    if l == 0:
+        raise FortranRuntimeError("integer division by zero")
+    if l == 1 or l == -1:
+        return l ** -r
+    return 0
 
 
 def effective_kind(sym: Symbol, overlay: dict[str, int]) -> Optional[int]:

@@ -230,7 +230,8 @@ def render(stmts: list) -> str:
 
 
 def _drive(interp):
-    """Artifacts of one run: observable bits, stdout, ledger, error."""
+    """Artifacts of one run: observable bits, stdout, ledger (its
+    charges and the order its keys were first charged in), error."""
     box = OutBox(None)
     error = None
     try:
@@ -244,10 +245,16 @@ def _drive(interp):
         observable = (value.tobytes(), str(value.dtype))
     else:
         observable = repr(value)
+    ledger = interp.ledger
     return {
         "observable": observable,
         "stdout": tuple(interp.stdout),
-        "ledger": ledger_fingerprint(interp.ledger),
+        "ledger": ledger_fingerprint(ledger),
+        # The cost model sums charges in insertion order, so campaign
+        # bytes can differ where the sorted fingerprint agrees.
+        "ledger_order": tuple(tuple(keys) for keys in (
+            ledger.ops, ledger.calls, ledger.boundary_cast_elements,
+            ledger.allreduce)),
         "error": error,
     }
 

@@ -5,8 +5,10 @@ import pytest
 
 from repro.errors import (FortranRuntimeError, FortranStopError,
                           InterpreterLimitError)
-from repro.fortran import (Interpreter, OutBox, analyze, analyze_program,
-                           make_array, parse_source)
+from repro.fortran import (CompiledInterpreter, Interpreter, OutBox,
+                           VariantBatch, analyze, analyze_program, make_array,
+                           parse_source)
+from repro.perf import ledger_fingerprint
 
 
 def run_proc(src, name, args, overlay=None, max_ops=None):
@@ -405,3 +407,61 @@ end module m
         box = OutBox(None)
         run_proc(src, "use_state", [box])
         assert float(box.value) == 12.0
+
+
+#: ``j`` reaches the power as a lane-uniform integer; ``k``, rounded
+#: from a real whose kind the wave tunes, as a per-lane one.
+_INT_POW_SRC = """
+subroutine ipow(i, j, out, out_k)
+  implicit none
+  integer :: i, j, k
+  real(kind=8) :: x
+  real(kind=8), intent(out) :: out, out_k
+  out = i ** j
+  x = j
+  k = nint(x)
+  out_k = i ** k
+end subroutine ipow
+"""
+
+
+def _int_pow_everywhere(i, j):
+    """(out, out_k) or the error message, and the ledger, of the walker,
+    the compiled engine and a lane of one 2-lane wave, per lane's
+    overlay."""
+    index = analyze(parse_source(_INT_POW_SRC))
+    vec = analyze_program(index)
+    overlays = [{}, {"ipow::x": 4}]
+    batch = VariantBatch(index, overlays, vec_info=vec)
+    results = []
+    for lane, overlay in enumerate(overlays):
+        for interp in (Interpreter(index, overlay=overlay, vec_info=vec),
+                       CompiledInterpreter(index, overlay=overlay,
+                                           vec_info=vec),
+                       batch.lane(lane)):
+            boxes = [OutBox(None), OutBox(None)]
+            try:
+                interp.call("ipow", [i, j, *boxes])
+                got = tuple(float(b.value) for b in boxes)
+            except FortranRuntimeError as exc:
+                got = str(exc)
+            results.append((lane, got, ledger_fingerprint(interp.ledger)))
+    return results
+
+
+class TestIntegerPower:
+    """An integer ``**`` stays an integer for a negative exponent:
+    ``1/i**-j`` truncated toward zero, as Fortran computes it."""
+
+    @pytest.mark.parametrize("i,j,expected", [
+        (2, -1, 0.0), (-1, -1, -1.0), (-1, -2, 1.0), (1, -3, 1.0),
+        (3, 2, 9.0)])
+    def test_engines_give_the_integer_result(self, i, j, expected):
+        results = _int_pow_everywhere(i, j)
+        assert [got for _, got, _ in results] == [(expected, expected)] * 6
+        assert len({(lane, ledger) for lane, _, ledger in results}) == 2
+
+    def test_zero_base_divides_by_zero(self):
+        results = _int_pow_everywhere(0, -1)
+        assert [got for _, got, _ in results] == [
+            "integer division by zero"] * 6
