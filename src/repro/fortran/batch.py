@@ -1399,15 +1399,20 @@ class _Engine:
                 q = q + ((rem != 0) & ((l64 < 0) != (rsafe < 0)))
                 return _LI(np.broadcast_to(q, (self.width,)).astype(np.int64))
             if op == "**":
-                l64 = np.asarray(l, dtype=np.int64)
-                r64 = np.asarray(r, dtype=np.int64)
-                neg = np.broadcast_to(r64 < 0, (self.width,)) & mask.arr
-                if neg.any():
-                    # The scalar fallback applies ``int_pow``'s rules.
-                    self.deactivate(neg.copy(), "negative integer exponent")
-                rsafe = np.where(r64 < 0, 0, r64)
-                return _LI(np.broadcast_to(
-                    l64 ** rsafe, (self.width,)).astype(np.int64))
+                l64 = np.broadcast_to(np.asarray(l, dtype=np.int64),
+                                      (self.width,))
+                r64 = np.broadcast_to(np.asarray(r, dtype=np.int64),
+                                      (self.width,))
+                neg = r64 < 0
+                zero = neg & (l64 == 0) & mask.arr
+                if zero.any():
+                    self.deactivate(zero, "integer division by zero")
+                # ``int_pow``'s rules for a negative exponent: a base of 1
+                # gives 1 (here 1**0), -1 gives +-1 by parity, any other 0.
+                out = l64 ** np.where(neg, 0, r64)
+                out = np.where(neg & (l64 != 1),
+                               np.where(l64 == -1, 1 - 2 * (r64 & 1), 0), out)
+                return _LI(out)
             if op == "+":
                 out = l + r
             elif op == "-":

@@ -8,37 +8,66 @@ statement/expression node — resolving at compile time everything that
 is invariant across executions:
 
 * statement/expression dispatch (the closure *is* the handler),
-* symbol lookups (local slot vs. module frame vs. dynamic chain walk)
-  and the statically int/bool expressions, both decided by
+* symbol lookups (local slot vs. module frame) and the statically
+  int/bool expressions, both decided by
   :class:`~repro.fortran.symbols.ScopeNames`, the scoping rules the
   walker, this backend and the batched one share,
 * procedure/intrinsic resolution and intrinsic opclass selection,
 * literal values (NumPy scalars are built once),
-* static vectorization flags and the allocate-statement kinds implied
-  by the precision overlay,
+* static vectorization flags,
 * the operand types of each real binop, each store to a declared real
   scalar and each elementwise intrinsic of a real scalar, with the
   ledger keys they charge (``_ProcCompiler._expect``: the declared
   types under the overlay, and the types NumPy gives their results).
 
+Only what the registered models contain is lowered: assignments to
+declared names and to array elements or sections, ``call``, ``if``,
+``do``, ``do while``, ``exit`` and ``stop``; literals, declared names,
+unary and binary operators (logical ones too: a few lines each, and
+the fuzzer's conditions use them), array references and sections, and
+user-function and intrinsic calls.  Every other construct runs on the
+walker's own code, on the same interpreter and frame (``_walker_stmt``,
+``_walker_expr``, ``_walker_ref``): ``select case``, ``where``,
+``print``, ``allocate``, ``deallocate``, ``cycle``, ``return``,
+derived-type components, array constructors, names ``ScopeNames``
+leaves to the frame's chain walk (undeclared names), and a ``call`` or
+user-function call with a keyword argument.  A hot loop nested inside
+such a construct runs at the walker's speed; no registered model has
+one.
+
+The handoff is exact by construction.  ``CompiledInterpreter`` is an
+``Interpreter`` whose frames are the walker's ``Frame`` s, so a walker
+handler reads and writes the same values dicts and module frames; both
+engines keep their statement state in the same interpreter fields
+(``_cur_vec``, ``_cur_stmt_id``, ``_rhs_literal``, ``_devec_stmts``,
+``_suppress_loads`` and the budget tick ``_stmt_tick``); control flow
+crosses as the same exceptions (a walker ``cycle`` or ``return``
+raises what a compiled ``do`` loop or ``_run_body`` catches); and
+``_current_scope``, which the walker's ``_eval`` sets, is read only by
+the walker's own stores, which set it again first.  A delegating
+closure captures only its node and takes the interpreter as an
+argument, so cached code stays shareable across interpreters and
+variants.  The statement flags the walker reads come from the flags
+the running code was lowered with (``CompiledInterpreter._stmt_vec``),
+since a cached body may serve another parse of the same source.
+
 Expectations are lowered, and a guard keeps them honest.  Each such
 site checks its operands with an exact ``type()`` test; on a miss (an
-array, an undeclared name, a value whose kind changed at a call
-boundary) it calls its construct's one slow path, the kind dispatch on
-runtime types (``_binop``, ``_store``, ``_intrinsic``), so a wrong
-expectation costs speed, never bits.  An expectation reads only the
-procedure's own and module symbols (``ScopeNames``), which are exactly
-the overlay entries :func:`relevant_overlay` keys the cache on, so a
-cached body never carries a neighbour variant's expectation.
+array, a value whose kind changed at a call boundary) it calls its
+construct's one slow path, the kind dispatch on runtime types
+(``_binop``, ``_store``, ``_intrinsic``), so a wrong expectation costs
+speed, never bits.  An expectation reads only the procedure's own and
+module symbols (``ScopeNames``), which are exactly the overlay entries
+:func:`relevant_overlay` keys the cache on, so a cached body never
+carries a neighbour variant's expectation.
 
 Other runtime-dependent behaviour stays dynamic so the backend is
 *bit-identical* to the reference interpreter: the ``_devec_stmts`` set
-(wrapped calls devectorize their enclosing statement mid-run),
-``_rhs_literal`` visibility in masked assignments, allocatable state,
-and the op-budget check at every statement boundary.
-Call binding, write-back, and local elaboration reuse the inherited
-tree-interpreter ``_invoke`` verbatim, so boundary-cast charges and
-wrapper semantics cannot drift by construction.
+(wrapped calls devectorize their enclosing statement mid-run), and the
+op-budget check at every statement boundary.  Call binding,
+write-back, and local elaboration reuse the inherited tree-interpreter
+``_invoke`` verbatim, so boundary-cast charges and wrapper semantics
+cannot drift by construction.
 
 Compiled bodies are cached in :data:`CODE_CACHE`, keyed by
 :func:`cache_key` — the canonical four-part tuple ``(source digest,
@@ -52,7 +81,9 @@ independent of overlay dict insertion order.
 The contract (pinned by ``tests/test_fuzz_differential.py``,
 ``tests/test_golden_digest.py`` and the equivalence suite):
 observables, ledger charges, stdout, and error messages are
-bit-identical between backends.
+bit-identical between backends.  ``tests/test_fast_paths.py`` pins the
+handoff both ways: the models' procedures lower with nothing handed to
+the walker, and each construct above is handed over.
 """
 
 from __future__ import annotations
@@ -74,7 +105,7 @@ from .symbols import (_CMP_OPS, KIND_DOUBLE, KIND_SINGLE, ProgramIndex,
                       ScopeNames, effective_kind, int_pow)
 from .unparser import unparse
 from .values import (FArray, cast_real, dtype_for_kind, element_count,
-                     kind_of, promote_kinds)
+                     kind_of)
 
 __all__ = ["CompiledInterpreter", "CodeCache", "CODE_CACHE",
            "cache_key", "source_digest", "relevant_overlay"]
@@ -137,9 +168,10 @@ def relevant_overlay(index: ProgramIndex, qual: str,
                      overlay: dict[str, int]) -> tuple[tuple[str, int], ...]:
     """The overlay restricted to entries the body of *qual* can observe.
 
-    A compiled body consults the overlay only through allocate
-    statements and operand-type expectations, whose symbols resolve in
-    the procedure's own scope, its ancestor (host) scopes, or a module.
+    A compiled body consults the overlay only through operand-type
+    expectations, whose symbols resolve in the procedure's own scope,
+    its ancestor (host) scopes, or a module (the walker, which runs the
+    constructs left to it, reads the interpreter's own overlay).
     Entries for *other* procedures' symbols cannot affect the lowered
     code, so they are excluded from the cache key — delta-debug
     neighbors that differ only there share compiled code.
@@ -215,6 +247,9 @@ class CodeCache:
         scope_info = index.scopes[qual]
         compiler = _ProcCompiler(index, vec_info, overlay, scope_info)
         body = compiler.block(scope_info.node.body)
+        # The walker's statement handlers read these (see
+        # ``CompiledInterpreter._stmt_vec``).
+        body.stmt_flags = compiler.stmt_flags  # type: ignore[attr-defined]
         if len(self._entries) >= self.maxsize:
             self._entries.pop(next(iter(self._entries)))
         self._entries[key] = body
@@ -355,29 +390,6 @@ def _assign_indexed(I: Interpreter, store_keys: dict, convert_keys: dict,
             ) from None
 
 
-def _array_ref(I: Interpreter, load_keys: dict, arr: FArray, key: tuple,
-               n: int, is_section: bool) -> Any:
-    ak = arr.kind
-    if ak is not None and I._suppress_loads == 0:
-        led = I.ledger
-        led.ops[load_keys[ak][I._cur_vec or is_section]] += n
-        led.total_ops += n
-    if is_section:
-        view = arr.data[key]
-        return FArray(view, (1,) * view.ndim, ak)
-    try:
-        val = arr.data[key]
-    except IndexError:
-        raise FortranRuntimeError(
-            f"index {key} out of bounds for shape {arr.data.shape}"
-        ) from None
-    if ak is not None:
-        return val
-    if arr.data.dtype == np.bool_:
-        return bool(val)
-    return int(val)
-
-
 # ---------------------------------------------------------------------------
 # Slow paths: the kind dispatch on runtime types
 # ---------------------------------------------------------------------------
@@ -482,6 +494,38 @@ def _raiser(exc_type, message: str):
 
 
 # ---------------------------------------------------------------------------
+# The handoff: constructs left to the walker's own handlers
+# ---------------------------------------------------------------------------
+#
+# Each closure captures only its node and runs the walker's code on the
+# executing interpreter and frame (see the module docstring for why the
+# handoff is exact).
+
+
+def _walker_stmt(s: F.Stmt):
+    """*s* through its walker handler in ``I._exec_table``."""
+    t = type(s)
+
+    def ex(I, frame):
+        handler = I._exec_table.get(t)
+        if handler is None:
+            raise FortranRuntimeError(
+                f"cannot execute statement {t.__name__}")
+        handler(s, frame)
+    return ex
+
+
+def _walker_expr(e: F.Expr):
+    """*e*'s value through ``I._eval``."""
+    return lambda I, frame: I._eval(e, frame)
+
+
+def _walker_ref(e: F.Expr):
+    """*e* as an actual argument through ``I._eval_ref``."""
+    return lambda I, frame: I._eval_ref(e, frame)
+
+
+# ---------------------------------------------------------------------------
 # Per-procedure compiler
 # ---------------------------------------------------------------------------
 
@@ -498,7 +542,6 @@ class _ProcCompiler:
     def __init__(self, index: ProgramIndex, vec_info, overlay: dict[str, int],
                  scope_info):
         self.index = index
-        self.vec_info = vec_info
         self.overlay = overlay
         self.scope = scope_info.name
         self.names = ScopeNames(index, scope_info)
@@ -515,23 +558,17 @@ class _ProcCompiler:
             tab = self._key_tables[opclass] = _key_pairs(self.scope, opclass)
         return tab
 
+    def _declared(self, name: str) -> bool:
+        """Whether *name* has a declared symbol; any other name is left
+        to the frame's chain walk, which the walker does."""
+        return self.names.lookup(name)[0] is not None
+
     def _fetch(self, name: str):
-        """Compiled ``frame.find(name)`` (same error message)."""
-        sym, mod = self.names.lookup(name)
-        if sym is None:
-            return lambda I, frame: frame.find(name)
+        """Compiled ``frame.find(name)`` for a declared name."""
+        mod = self.names.lookup(name)[1]
         if mod is None:
             return lambda I, frame: frame.values[name]
         return lambda I, frame: I._module_frames[mod].values[name]
-
-    def _slot(self, name: str):
-        """Compiled ``frame.find_slot(name)`` (same error message)."""
-        sym, mod = self.names.lookup(name)
-        if sym is None:
-            return lambda I, frame: frame.find_slot(name)
-        if mod is None:
-            return lambda I, frame: frame.values
-        return lambda I, frame: I._module_frames[mod].values
 
     def _vec_closure(self, stmt):
         """Compiled ``Interpreter._stmt_vec`` for one statement."""
@@ -560,7 +597,7 @@ class _ProcCompiler:
         if t is F.StringLit:
             v = e.value
             return lambda I, frame: v
-        if t is F.Name:
+        if t is F.Name and self._declared(e.name):
             return self._compile_name(e.name)
         if t is F.UnaryOp:
             return self._compile_unary(e)
@@ -568,22 +605,11 @@ class _ProcCompiler:
             return self._compile_binop(e)
         if t is F.Apply:
             return self._compile_apply(e)
-        if t is F.ComponentRef:
-            return self._compile_component(e)
-        if t is F.ArrayCons:
-            return self._compile_array_cons(e)
-        if t is F.RangeExpr:
-            return _raiser(FortranRuntimeError,
-                           "array section outside a subscript")
-        if t is F.KeywordArg:
-            return _raiser(FortranRuntimeError,
-                           "keyword argument in invalid position")
-        return _raiser(FortranRuntimeError,
-                       f"cannot evaluate {type(e).__name__}")
+        return _walker_expr(e)
 
     def _compile_name(self, name: str):
         sym, mod = self.names.lookup(name)
-        if sym is not None and not sym.is_array and sym.type_ in (
+        if not sym.is_array and sym.type_ in (
                 "integer", "logical", "character"):
             # Non-real scalar: kind is None, the reference interpreter
             # never charges a load — the closure is a bare slot read.
@@ -593,7 +619,7 @@ class _ProcCompiler:
         load_keys = self._keys("load")
         key_f64 = load_keys[KIND_DOUBLE]
         key_f32 = load_keys[KIND_SINGLE]
-        if sym is not None and mod is None:
+        if mod is None:
             def ev(I, frame):
                 val = frame.values[name]
                 if I._suppress_loads == 0:
@@ -622,46 +648,33 @@ class _ProcCompiler:
                             led.total_ops += n
                 return val
             return ev
-        if sym is not None:
-            def ev(I, frame):
-                val = I._module_frames[mod].values[name]
-                if I._suppress_loads == 0:
-                    tv = type(val)
-                    if tv is np.float64:
-                        led = I.ledger
-                        led.ops[key_f64[I._cur_vec]] += 1
-                        led.total_ops += 1
-                    elif tv is np.float32:
-                        led = I.ledger
-                        led.ops[key_f32[I._cur_vec]] += 1
-                        led.total_ops += 1
-                    elif tv is FArray:
-                        k = val.kind
-                        if k is not None:
-                            n = val.data.size
-                            led = I.ledger
-                            led.ops[load_keys[k][True]] += n
-                            led.total_ops += n
-                    elif tv is not int and tv is not bool:
-                        k = kind_of(val)
-                        if k is not None:
-                            n = element_count(val)
-                            led = I.ledger
-                            led.ops[load_keys[k][I._cur_vec]] += n
-                            led.total_ops += n
-                return val
-            return ev
 
         def ev(I, frame):
-            val = frame.find(name)
+            val = I._module_frames[mod].values[name]
             if I._suppress_loads == 0:
-                k = kind_of(val)
-                if k is not None:
-                    n = element_count(val)
+                tv = type(val)
+                if tv is np.float64:
                     led = I.ledger
-                    led.ops[load_keys[k][
-                        I._cur_vec or isinstance(val, FArray)]] += n
-                    led.total_ops += n
+                    led.ops[key_f64[I._cur_vec]] += 1
+                    led.total_ops += 1
+                elif tv is np.float32:
+                    led = I.ledger
+                    led.ops[key_f32[I._cur_vec]] += 1
+                    led.total_ops += 1
+                elif tv is FArray:
+                    k = val.kind
+                    if k is not None:
+                        n = val.data.size
+                        led = I.ledger
+                        led.ops[load_keys[k][True]] += n
+                        led.total_ops += n
+                elif tv is not int and tv is not bool:
+                    k = kind_of(val)
+                    if k is not None:
+                        n = element_count(val)
+                        led = I.ledger
+                        led.ops[load_keys[k][I._cur_vec]] += n
+                        led.total_ops += n
             return val
         return ev
 
@@ -1047,6 +1060,8 @@ class _ProcCompiler:
         name = e.name
         pscope = self.index.find_procedure(name)
         if pscope is not None and isinstance(pscope.node, F.Function):
+            if any(type(a) is F.KeywordArg for a in e.args):
+                return _walker_expr(e)
             return self._compile_invoke(pscope, e.args)
         intr = INTRINSICS.get(name)
         if intr is not None:
@@ -1066,22 +1081,7 @@ class _ProcCompiler:
                 FortranRuntimeError,
                 f"{proc.name} expects {len(proc.args)} arguments, "
                 f"got {len(args)}")
-        refs = []
-        for a in args:
-            if isinstance(a, F.KeywordArg):
-                # The reference interpreter evaluates earlier references
-                # before rejecting the keyword; preserve the charges.
-                pre = list(refs)
-
-                def ev_kw(I, frame, _pre=pre):
-                    for r in _pre:
-                        r(I, frame)
-                    raise FortranRuntimeError(
-                        "keyword arguments to user procedures are not "
-                        "supported"
-                    )
-                return ev_kw
-            refs.append(self._compile_ref(a))
+        refs = [self._compile_ref(a) for a in args]
 
         def ev(I, frame):
             actuals = [r(I, frame) for r in refs]
@@ -1145,96 +1145,17 @@ class _ProcCompiler:
             return _intrinsic(I, fn, op_keys, args, kwargs)
         return ev
 
-    # -- derived types ---------------------------------------------------
-
-    def _compile_component_base(self, e: F.ComponentRef):
-        base = e.base
-        if isinstance(base, F.Name):
-            fetch = self._fetch(base.name)
-        elif isinstance(base, F.ComponentRef):
-            inner = self._compile_component_base(base)
-            bcomp = base.component
-
-            def fetch(I, frame):
-                return inner(I, frame).get(bcomp)
-        else:
-            return _raiser(FortranRuntimeError,
-                           "arrays of derived type are not supported")
-
-        def base_fn(I, frame):
-            val = fetch(I, frame)
-            if not isinstance(val, dict):
-                raise FortranRuntimeError(
-                    "component access on non-derived value"
-                )
-            return val
-        return base_fn
-
-    def _compile_component(self, e: F.ComponentRef):
-        base_fn = self._compile_component_base(e)
-        comp = e.component
-        load_keys = self._keys("load")
-        if e.args is not None:
-            index_key = self._compile_index_key(e.args)
-
-            def ev(I, frame):
-                base = base_fn(I, frame)
-                if comp not in base:
-                    raise FortranRuntimeError(
-                        f"derived type has no component {comp!r}"
-                    )
-                val = base[comp]
-                if not isinstance(val, FArray):
-                    raise FortranRuntimeError(
-                        f"subscript on scalar component {comp!r}"
-                    )
-                key, n, is_section = index_key(I, frame, val)
-                return _array_ref(I, load_keys, val, key, n, is_section)
-            return ev
-
-        def ev(I, frame):
-            base = base_fn(I, frame)
-            if comp not in base:
-                raise FortranRuntimeError(
-                    f"derived type has no component {comp!r}"
-                )
-            val = base[comp]
-            k = None if isinstance(val, FArray) else kind_of(val)
-            if k is None:
-                return val
-            if I._suppress_loads == 0:
-                led = I.ledger
-                led.ops[load_keys[k][I._cur_vec]] += 1
-                led.total_ops += 1
-            return val
-        return ev
-
-    def _compile_array_cons(self, e: F.ArrayCons):
-        item_evs = [self.expr(i) for i in e.items]
-
-        def ev(I, frame):
-            items = [c(I, frame) for c in item_evs]
-            kinds = [kind_of(i) for i in items]
-            if any(k is not None for k in kinds):
-                kind = KIND_SINGLE
-                for k in kinds:
-                    if k is not None:
-                        kind = promote_kinds(kind, k)
-                data = np.array([float(i) for i in items],
-                                dtype=dtype_for_kind(kind))
-                return FArray(data, (1,), kind)
-            data = np.array([int(i) for i in items], dtype=np.int64)
-            return FArray(data, (1,), None)
-        return ev
-
     # -- argument references (value, setter) -----------------------------
 
     def _compile_ref(self, e: F.Expr):
         """Compiled ``_eval_ref``: ``(I, frame) -> (value, setter)``."""
+        if type(e) is F.ComponentRef or (
+                type(e) is F.Name and not self._declared(e.name)):
+            return _walker_ref(e)
         if isinstance(e, F.Name):
             name = e.name
-            sym, mod = self.names.lookup(name)
-            if sym is not None and mod is None:
+            mod = self.names.lookup(name)[1]
+            if mod is None:
                 def rf(I, frame):
                     vals = frame.values
                     val = vals[name]
@@ -1247,35 +1168,22 @@ class _ProcCompiler:
                             vals[name] = new
                     return val, set_name
                 return rf
-            if sym is not None:
-                def rf(I, frame):
-                    vals = I._module_frames[mod].values
-                    val = vals[name]
-
-                    def set_name(new):
-                        cur = vals[name]
-                        if isinstance(cur, FArray) and isinstance(new, FArray):
-                            cur.data[...] = new.data.astype(cur.data.dtype)
-                        else:
-                            vals[name] = new
-                    return val, set_name
-                return rf
 
             def rf(I, frame):
-                val = frame.find(name)
-                slot = frame.find_slot(name)
+                vals = I._module_frames[mod].values
+                val = vals[name]
 
                 def set_name(new):
-                    cur = slot[name]
+                    cur = vals[name]
                     if isinstance(cur, FArray) and isinstance(new, FArray):
                         cur.data[...] = new.data.astype(cur.data.dtype)
                     else:
-                        slot[name] = new
+                        vals[name] = new
                 return val, set_name
             return rf
         if isinstance(e, F.Apply):
             apply_ev = self._compile_apply(e)
-            if self.names.lookup(e.name)[0] is None:
+            if not self._declared(e.name):
                 return lambda I, frame: (apply_ev(I, frame), None)
             fetch = self._fetch(e.name)
             index_key = self._compile_index_key(e.args)
@@ -1306,22 +1214,6 @@ class _ProcCompiler:
                         led.total_ops += 1
                     return val, set_element
                 return apply_ev(I, frame), None
-            return rf
-        if isinstance(e, F.ComponentRef) and e.args is None:
-            base_fn = self._compile_component_base(e)
-            comp = e.component
-
-            def rf(I, frame):
-                base = base_fn(I, frame)
-                val = base.get(comp)
-
-                def set_comp(new):
-                    cur = base.get(comp)
-                    if isinstance(cur, FArray) and isinstance(new, FArray):
-                        cur.data[...] = new.data.astype(cur.data.dtype)
-                    else:
-                        base[comp] = new
-                return val, set_comp
             return rf
         ev = self.expr(e)
         return lambda I, frame: (ev(I, frame), None)
@@ -1369,37 +1261,27 @@ class _ProcCompiler:
             return self._compile_call_stmt(s)
         if t is F.IfBlock:
             return self._compile_if(s)
-        if t is F.SelectCase:
-            return self._compile_select(s)
-        if t is F.WhereConstruct:
-            return self._compile_where(s)
         if t is F.DoLoop:
             return self._compile_do(s)
         if t is F.DoWhile:
             return self._compile_do_while(s)
         if t is F.ExitStmt:
             return _raiser(_ExitLoop, "")
-        if t is F.CycleStmt:
-            return _raiser(_CycleLoop, "")
-        if t is F.ReturnStmt:
-            return _raiser(_ReturnSignal, "")
         if t is F.StopStmt:
             return self._compile_stop(s)
-        if t is F.PrintStmt:
-            return self._compile_print(s)
-        if t is F.AllocateStmt:
-            return self._compile_allocate(s)
-        if t is F.DeallocateStmt:
-            return self._compile_deallocate(s)
-        return _raiser(FortranRuntimeError,
-                       f"cannot execute statement {type(s).__name__}")
+        return _walker_stmt(s)
 
     def _compile_assignment(self, s: F.Assignment):
+        target = s.target
+        if type(target) not in (F.Name, F.Apply) or not self._declared(
+                target.name):
+            # A derived-type component or an undeclared name.
+            return _walker_stmt(s)
         sid = id(s)
         static_vec = self.stmt_flags.get(sid, False)
         rhs_lit = isinstance(s.value, (F.RealLit, F.IntLit))
         value_ev = self.expr(s.value)
-        assign = self._compile_assign_target(s.target, s.value)
+        assign = self._compile_assign_target(target, s.value)
 
         def ex(I, frame):
             prev = I._cur_vec
@@ -1420,17 +1302,17 @@ class _ProcCompiler:
         return ex
 
     def _compile_assign_target(self, target: F.Expr, rhs: F.Expr):
-        """Compiled ``_assign``: ``(I, frame, value) -> None``."""
+        """Compiled ``_assign`` to a declared name or element:
+        ``(I, frame, value) -> None``."""
         store_keys = self._keys("store")
         convert_keys = self._keys("convert")
-        if isinstance(target, F.Name):
+        if type(target) is F.Name:
             name = target.name
             sym, mod = self.names.lookup(name)
-            slot_fn = (None if sym is not None and mod is None
-                       else self._slot(name))
+            slot_fn = (None if mod is None else
+                       lambda I, frame: I._module_frames[mod].values)
             st = (_SCALAR_CTOR.get(effective_kind(sym, self.overlay))
-                  if sym is not None and sym.type_ == "real"
-                  and not sym.is_array else None)
+                  if sym.type_ == "real" and not sym.is_array else None)
             if st is None:
                 def assign(I, frame, value):
                     _store(I, store_keys, convert_keys,
@@ -1463,57 +1345,26 @@ class _ProcCompiler:
                 else:
                     _store(I, store_keys, convert_keys, slot, name, value)
             return assign
-        if isinstance(target, F.Apply):
-            name = target.name
-            sym, mod = self.names.lookup(name)
-            fetch = (None if sym is not None and mod is None
-                     else self._fetch(name))
-            index_key = self._compile_index_key(target.args)
+        name = target.name
+        fetch = (None if self.names.lookup(name)[1] is None
+                 else self._fetch(name))
+        index_key = self._compile_index_key(target.args)
 
-            def assign(I, frame, value):
-                container = (frame.values[name] if fetch is None
-                             else fetch(I, frame))
-                if not isinstance(container, FArray):
-                    raise FortranRuntimeError(
-                        f"subscripted assignment to non-array {name!r}"
-                    )
-                key, n, is_section = index_key(I, frame, container)
-                _assign_indexed(I, store_keys, convert_keys, container,
-                                key, n, is_section, value)
-            return assign
-        if isinstance(target, F.ComponentRef):
-            base_fn = self._compile_component_base(target)
-            comp = target.component
-            if target.args is not None:
-                index_key = self._compile_index_key(target.args)
-
-                def assign(I, frame, value):
-                    base = base_fn(I, frame)
-                    arr = base.get(comp)
-                    if not isinstance(arr, FArray):
-                        raise FortranRuntimeError(
-                            f"subscripted assignment to non-array component "
-                            f"{comp!r}"
-                        )
-                    key, n, is_section = index_key(I, frame, arr)
-                    _assign_indexed(I, store_keys, convert_keys, arr, key, n,
-                                    is_section, value)
-                return assign
-
-            def assign(I, frame, value):
-                base = base_fn(I, frame)
-                cur = base.get(comp)
-                if isinstance(cur, FArray):
-                    _assign_whole_array(I, store_keys, convert_keys, cur,
-                                        value)
-                else:
-                    base[comp] = _convert_like(I, store_keys, convert_keys,
-                                               cur, value)
-            return assign
-        return _raiser(FortranRuntimeError,
-                       f"cannot assign to {type(target).__name__}")
+        def assign(I, frame, value):
+            container = (frame.values[name] if fetch is None
+                         else fetch(I, frame))
+            if not isinstance(container, FArray):
+                raise FortranRuntimeError(
+                    f"subscripted assignment to non-array {name!r}"
+                )
+            key, n, is_section = index_key(I, frame, container)
+            _assign_indexed(I, store_keys, convert_keys, container,
+                            key, n, is_section, value)
+        return assign
 
     def _compile_call_stmt(self, s: F.CallStmt):
+        if any(type(a) is F.KeywordArg for a in s.args):
+            return _walker_stmt(s)
         sid = id(s)
         vec = self._vec_closure(s)
         if s.name in _BUILTIN_SUBS:
@@ -1575,133 +1426,6 @@ class _ProcCompiler:
                     body(I, frame)
                     return
         return ex
-
-    def _compile_select(self, s: F.SelectCase):
-        selector_ev = self.expr(s.selector)
-        cases = []
-        for case in s.cases:
-            body = self.block(case.body)
-            if case.selectors is None:
-                cases.append((None, body))
-                continue
-            sels = []
-            for sel in case.selectors:
-                if sel.is_range:
-                    sels.append((True, self.expr(sel.lo), self.expr(sel.hi)))
-                else:
-                    sels.append((False, self.expr(sel.value), None))
-            cases.append((sels, body))
-
-        def ex(I, frame):
-            value = selector_ev(I, frame)
-            if isinstance(value, (FArray, np.ndarray)):
-                raise FortranRuntimeError(
-                    "select case selector must be scalar")
-            default = None
-            for sels, body in cases:
-                if sels is None:
-                    default = body
-                    continue
-                for is_range, a, b in sels:
-                    if is_range:
-                        lo = a(I, frame)
-                        hi = b(I, frame)
-                        if lo <= value <= hi:
-                            body(I, frame)
-                            return
-                    elif value == a(I, frame):
-                        body(I, frame)
-                        return
-            if default is not None:
-                default(I, frame)
-        return ex
-
-    def _compile_where(self, s: F.WhereConstruct):
-        arms = []
-        for arm in s.arms:
-            mask_ev = self.expr(arm.mask) if arm.mask is not None else None
-            inner = [self._compile_masked_assignment(st) for st in arm.body]
-            arms.append((mask_ev, inner))
-
-        def ex(I, frame):
-            prev = I._cur_vec
-            I._cur_vec = True  # masked array statements are vector ops
-            try:
-                remaining = None
-                for mask_ev, inner in arms:
-                    if mask_ev is not None:
-                        mask_val = mask_ev(I, frame)
-                        raw = (mask_val.data
-                               if isinstance(mask_val, FArray)
-                               else np.asarray(mask_val))
-                        if raw.dtype != np.bool_:
-                            raise FortranRuntimeError(
-                                "where mask must be a logical array")
-                        mask = raw if remaining is None else raw & remaining
-                    else:
-                        if remaining is None:
-                            raise FortranRuntimeError(
-                                "elsewhere without a preceding where mask")
-                        mask = remaining
-                    remaining = (~mask if remaining is None
-                                 else remaining & ~mask)
-                    for m in inner:
-                        m(I, frame, mask)
-            finally:
-                I._cur_vec = prev
-        return ex
-
-    def _compile_masked_assignment(self, s: F.Stmt):
-        if not isinstance(s, F.Assignment):
-            # The reference interpreter asserts this per executed arm.
-            return _raiser(AssertionError, "")
-        value_ev = self.expr(s.value)
-        target = s.target
-        store_keys = self._keys("store")
-        convert_keys = self._keys("convert")
-        if isinstance(target, (F.Name, F.Apply)):
-            fetch = self._fetch(target.name)
-            index_key = (self._compile_index_key(target.args)
-                         if isinstance(target, F.Apply) else None)
-        else:
-            def m(I, frame, mask):
-                value_ev(I, frame)
-                raise FortranRuntimeError("where assigns to whole arrays")
-            return m
-
-        def m(I, frame, mask):
-            value = value_ev(I, frame)
-            arr = fetch(I, frame)
-            if not isinstance(arr, FArray):
-                raise FortranRuntimeError("where target must be an array")
-            key = ...
-            if index_key is not None:
-                key, _n, is_section = index_key(I, frame, arr)
-                if not is_section:
-                    raise FortranRuntimeError(
-                        "where target must be an array")
-            section = arr.data[key]
-            if section.shape != mask.shape:
-                raise FortranRuntimeError(
-                    f"where mask shape {mask.shape} does not match target "
-                    f"shape {section.shape}")
-            raw = value.data if isinstance(value, FArray) else value
-            n = int(mask.sum())
-            ak = arr.kind
-            if ak is not None:
-                kv = kind_of(value)
-                led = I.ledger
-                if kv is not None and kv != ak and not I._rhs_literal:
-                    led.ops[convert_keys[ak][True]] += n
-                    led.total_ops += n
-                led.ops[store_keys[ak][True]] += n
-                led.total_ops += n
-            if isinstance(raw, np.ndarray):
-                section[mask] = raw[mask]
-            else:
-                section[mask] = raw
-            arr.data[key] = section  # a gathered section is a copy
-        return m
 
     def _compile_do(self, s: F.DoLoop):
         start_ev = self.expr(s.start)
@@ -1780,76 +1504,6 @@ class _ProcCompiler:
             raise _ReturnSignal()  # plain STOP in a driver: quiet halt
         return ex
 
-    def _compile_print(self, s: F.PrintStmt):
-        item_evs = [self.expr(i) for i in s.items]
-
-        def ex(I, frame):
-            parts = []
-            for ev in item_evs:
-                val = ev(I, frame)
-                if isinstance(val, FArray):
-                    parts.append(" ".join(str(x) for x in val.data.ravel()))
-                else:
-                    parts.append(str(val))
-            I.stdout.append(" ".join(parts))
-        return ex
-
-    def _compile_allocate(self, s: F.AllocateStmt):
-        items = []
-        for ap in s.items:
-            sym = self.index.resolve(self.scope, ap.name)
-            if sym is None:
-                items.append(
-                    _raiser(FortranRuntimeError,
-                            f"allocate of undeclared {ap.name!r}"))
-                continue
-            dims = []
-            for arg in ap.args:
-                if isinstance(arg, F.RangeExpr):
-                    dims.append((self.expr(arg.lo), self.expr(arg.hi)))
-                else:
-                    dims.append((None, self.expr(arg)))
-            kind = effective_kind(sym, self.overlay)
-            if sym.type_ == "real":
-                assert kind is not None
-                dtype, fkind = dtype_for_kind(kind), kind
-            elif sym.type_ == "integer":
-                dtype, fkind = np.int64, None
-            else:
-                dtype, fkind = np.bool_, None
-            slot_fn = self._slot(ap.name)
-            name = ap.name
-
-            def alloc(I, frame, _dims=dims, _dtype=dtype, _fkind=fkind,
-                      _slot_fn=slot_fn, _name=name):
-                shape = []
-                lbounds = []
-                for lo_ev, ub_ev in _dims:
-                    if lo_ev is not None:
-                        lb = int(lo_ev(I, frame))
-                        ub = int(ub_ev(I, frame))
-                    else:
-                        lb, ub = 1, int(ub_ev(I, frame))
-                    lbounds.append(lb)
-                    shape.append(max(0, ub - lb + 1))
-                arr = FArray(np.zeros(tuple(shape), dtype=_dtype),
-                             tuple(lbounds), _fkind)
-                _slot_fn(I, frame)[_name] = arr
-            items.append(alloc)
-
-        def ex(I, frame):
-            for item in items:
-                item(I, frame)
-        return ex
-
-    def _compile_deallocate(self, s: F.DeallocateStmt):
-        slots = [(name, self._slot(name)) for name in s.names]
-
-        def ex(I, frame):
-            for name, slot_fn in slots:
-                slot_fn(I, frame)[name] = None
-        return ex
-
 
 # ---------------------------------------------------------------------------
 # The compiled interpreter
@@ -1891,6 +1545,16 @@ class CompiledInterpreter(Interpreter):
             self._chain_memo[scope_name] = frame.chain[1:]
             return frame
         return Frame(scope_name, chain, vec_inherit=vec_inherit)
+
+    def _stmt_vec(self, stmt: F.Stmt, frame: Frame) -> bool:
+        """The walker's rule for a statement left to its handlers, read
+        from the flags the running body was lowered with: a cached body
+        may hold the nodes of another parse of the same source, whose
+        ids this interpreter's ``vec_info`` does not know."""
+        if id(stmt) in self._devec_stmts:
+            return False
+        flags = self._code[frame.scope].stmt_flags
+        return flags.get(id(stmt), False) or frame.vec_inherit
 
     def _run_body(self, proc: F.ProcedureUnit, frame: Frame) -> None:
         body = self._code.get(frame.scope)

@@ -26,6 +26,7 @@ precision overlay (:func:`effective_kind`).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -371,9 +372,45 @@ def _check_loop_control(body: list[F.Stmt], in_loop: bool) -> None:
                 _check_loop_control(case.body, in_loop)
 
 
+def _check_intrinsic_calls(index: ProgramIndex) -> None:
+    """Refuse a call the engines would take for an intrinsic whose
+    implementation cannot take its arguments.  NumPy would read an
+    elementwise intrinsic's extra argument as its ``out`` buffer and
+    overwrite it; any other mismatch would surface only when the call
+    runs, as a Python ``TypeError`` rather than a Fortran error."""
+    from .intrinsics import INTRINSICS  # intrinsics imports this module
+
+    for info in index.scopes.values():
+        names = ScopeNames(index, info)
+        node = info.node
+        for stmt in (*node.decls, *getattr(node, "body", ())):
+            for call in F.walk(stmt):
+                if (type(call) is not F.Apply or call.name not in INTRINSICS
+                        or names.lookup(call.name)[0] is not None
+                        or index.find_procedure(call.name) is not None):
+                    continue
+                fn = INTRINSICS[call.name].fn
+                keywords = [a.name for a in call.args
+                            if type(a) is F.KeywordArg]
+                n_pos = len(call.args) - len(keywords)
+                ufunc = getattr(fn, "ufunc", None)
+                try:
+                    if ufunc is not None and (keywords or n_pos != ufunc.nin):
+                        raise TypeError(f"takes {ufunc.nin} positional "
+                                        f"argument(s) and no keyword")
+                    inspect.signature(fn).bind(*[None] * n_pos,
+                                               **dict.fromkeys(keywords))
+                except TypeError as exc:
+                    raise SemanticError(
+                        f"intrinsic {call.name!r}: {exc}",
+                        line=call.line or stmt.line) from None
+
+
 def analyze(source: F.SourceFile) -> ProgramIndex:
     """Build the semantic index for a parsed source file."""
-    return _Analyzer(source).run()
+    index = _Analyzer(source).run()
+    _check_intrinsic_calls(index)
+    return index
 
 
 # ---------------------------------------------------------------------------

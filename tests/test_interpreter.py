@@ -424,12 +424,27 @@ subroutine ipow(i, j, out, out_k)
 end subroutine ipow
 """
 
+#: The same powers, the per-lane one first: a zero base then meets its
+#: negative exponent on the wave's per-lane path.
+_PER_LANE_FIRST_SRC = """
+subroutine ipow(i, j, out, out_k)
+  implicit none
+  integer :: i, j, k
+  real(kind=8) :: x
+  real(kind=8), intent(out) :: out, out_k
+  x = j
+  k = nint(x)
+  out_k = i ** k
+  out = i ** j
+end subroutine ipow
+"""
 
-def _int_pow_everywhere(i, j):
+
+def _int_pow_everywhere(i, j, source=_INT_POW_SRC):
     """(out, out_k) or the error message, and the ledger, of the walker,
     the compiled engine and a lane of one 2-lane wave, per lane's
-    overlay."""
-    index = analyze(parse_source(_INT_POW_SRC))
+    overlay; and the wave's vector lanes, fallback lanes and reasons."""
+    index = analyze(parse_source(source))
     vec = analyze_program(index)
     overlays = [{}, {"ipow::x": 4}]
     batch = VariantBatch(index, overlays, vec_info=vec)
@@ -446,22 +461,33 @@ def _int_pow_everywhere(i, j):
             except FortranRuntimeError as exc:
                 got = str(exc)
             results.append((lane, got, ledger_fingerprint(interp.ledger)))
-    return results
+    stats = batch.stats()
+    return results, (stats.vector_lanes, stats.fallback_lanes,
+                     stats.fallback_reasons)
 
 
 class TestIntegerPower:
     """An integer ``**`` stays an integer for a negative exponent:
-    ``1/i**-j`` truncated toward zero, as Fortran computes it."""
+    ``1/i**-j`` truncated toward zero, as Fortran computes it.  The wave
+    keeps a per-lane negative exponent vectorized."""
 
     @pytest.mark.parametrize("i,j,expected", [
         (2, -1, 0.0), (-1, -1, -1.0), (-1, -2, 1.0), (1, -3, 1.0),
-        (3, 2, 9.0)])
+        (3, 2, 9.0), (-3, -1, 0.0)])
     def test_engines_give_the_integer_result(self, i, j, expected):
-        results = _int_pow_everywhere(i, j)
+        results, wave = _int_pow_everywhere(i, j)
         assert [got for _, got, _ in results] == [(expected, expected)] * 6
         assert len({(lane, ledger) for lane, _, ledger in results}) == 2
+        assert wave == (2, 0, {})
 
     def test_zero_base_divides_by_zero(self):
-        results = _int_pow_everywhere(0, -1)
+        results, wave = _int_pow_everywhere(0, -1)
         assert [got for _, got, _ in results] == [
             "integer division by zero"] * 6
+        assert wave == (0, 2, {"integer division by zero": 2})
+
+    def test_zero_base_with_a_per_lane_exponent_divides_by_zero(self):
+        results, wave = _int_pow_everywhere(0, -1, _PER_LANE_FIRST_SRC)
+        assert [got for _, got, _ in results] == [
+            "integer division by zero"] * 6
+        assert wave == (0, 2, {"integer division by zero": 2})

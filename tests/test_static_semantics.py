@@ -273,3 +273,35 @@ class TestLoopControl:
         box = OutBox(None)
         Interpreter(index).call("driver", [box])
         assert box.value > 0.0
+
+
+_INTRINSIC_CALL_SRC = """
+subroutine calls(x, y, o)
+  implicit none
+  real(kind=8), dimension(3) :: x, y, o
+  real(kind=8), dimension(3) :: sum
+  integer :: n
+  o = x
+  {stmt}
+end subroutine calls
+"""
+
+
+class TestIntrinsicCalls:
+    @pytest.mark.parametrize("stmt,reason", [
+        # NumPy took ``y`` as sqrt's ``out`` buffer and overwrote it.
+        ("o = sqrt(x, y)", "takes 1 positional argument"),
+        ("o(1) = abs()", "takes 1 positional argument"),
+        ("o(1) = maxval(x, dim=1)", "unexpected keyword argument 'dim'"),
+    ])
+    def test_call_its_implementation_cannot_take_is_refused(self, stmt,
+                                                            reason):
+        with pytest.raises(SemanticError,
+                           match=f"intrinsic '\\w+': .*{reason}.* at line 8"):
+            analyze(parse_source(_INTRINSIC_CALL_SRC.format(stmt=stmt)))
+
+    @pytest.mark.parametrize("stmt", [
+        "n = size(x, dim=1)", "o = sqrt(x)", "o(1) = sum(2)"])
+    def test_calls_it_can_take_are_accepted(self, stmt):
+        # A declared array named ``sum`` stays an array reference.
+        analyze(parse_source(_INTRINSIC_CALL_SRC.format(stmt=stmt)))
