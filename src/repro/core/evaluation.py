@@ -16,14 +16,24 @@ For every precision assignment suggested by the search, the evaluator
 The simulated wall-clock cost of the evaluation (transform + compile +
 n runs) is also recorded so the campaign driver can enforce the 12-hour
 job budget that terminated the paper's MOM6 search.
+
+Step 1 is seed-free: :meth:`Evaluator.run` gives the model's artifacts,
+or the classified op-cap or runtime failure, as a function of the
+model, the assignment and the op cap alone.  Steps 2-5 are
+:meth:`Evaluator.finalize`, the only step that reads the variant id,
+the experiment seed, the noise or the timeout factor.  So a run can be
+kept in a :class:`RunStore` and finalized again under another seed:
+the campaign service shares one store across its jobs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from ..errors import (EvaluationError, FortranRuntimeError,
                       InterpreterLimitError)
@@ -35,7 +45,7 @@ from .classification import Outcome
 from .metrics import speedup_eq1
 
 __all__ = ["BACKENDS", "STAGES", "ProcPerf", "VariantRecord", "Evaluator",
-           "evaluation_context"]
+           "RunFailure", "RunStore", "evaluation_context", "run_identity"]
 
 #: Execution backends for the Fortran interpreter.  ``compiled`` lowers
 #: each procedure once into Python closures (see
@@ -93,6 +103,71 @@ def evaluation_context(model, machine, noise, timeout_factor: float) -> str:
     }, sort_keys=True)
 
 
+def run_identity(model) -> tuple:
+    """What one model run depends on besides the assignment and the op cap.
+
+    The case's class (its harness, ``_drive``), its spec (registry name
+    and constructor kwargs, which carry the workload size) and the
+    digest of its Fortran source.  Unlike :func:`evaluation_context` it
+    holds no seed, noise, machine or timeout factor: those enter only
+    :meth:`Evaluator.finalize`.
+    """
+    name, kwargs = model.model_spec()
+    return (type(model), name, json.dumps(kwargs, sort_keys=True),
+            hashlib.sha256(model.source.encode()).hexdigest())
+
+
+@dataclass(frozen=True)
+class RunFailure:
+    """A model run the interpreter stopped: the op cap (classified
+    ``TIMEOUT``) or a Fortran runtime error (``RUNTIME_ERROR``), with
+    the exception's message as the record's note."""
+
+    outcome: Outcome
+    note: str
+
+
+#: What :meth:`Evaluator.run` gives: the model's artifacts
+#: (:class:`~repro.models.base.RunArtifacts`) or the classified failure.
+RunOutcome = Union["RunArtifacts", RunFailure]
+
+
+class RunStore:
+    """Bounded, thread-safe FIFO of seed-free model runs.
+
+    Keyed by :func:`run_identity`, the assignment's overlay and the op
+    cap, so runs of two workload sizes, or of two cases sharing a
+    registry name but not their source or class, never serve each
+    other.  An :class:`Evaluator` consults a store only when its caller
+    hands it one; the campaign service owns one for its lifetime
+    (DESIGN.md §6).  Entries are shared, never copied: finalizing reads
+    a run's ledger and observable and writes neither.
+    """
+
+    #: Runs kept before the oldest is evicted (like ``CodeCache``'s
+    #: bound, a constant rather than a setting).
+    MAXSIZE = 1024
+
+    def __init__(self):
+        self._entries: dict[tuple, RunOutcome] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> Optional[RunOutcome]:
+        with self._lock:
+            return self._entries.get(key)
+
+    def put(self, key: tuple, run: RunOutcome) -> None:
+        with self._lock:
+            if key not in self._entries and \
+                    len(self._entries) >= self.MAXSIZE:
+                self._entries.pop(next(iter(self._entries)))
+            self._entries[key] = run
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
 @dataclass(frozen=True)
 class ProcPerf:
     """Per-procedure performance of one variant (Figure 6 data)."""
@@ -145,6 +220,7 @@ class Evaluator:
         noise: Optional[NoiseModel] = None,
         seed: int = 2024,
         backend: str = "compiled",
+        runs: Optional[RunStore] = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(
@@ -158,9 +234,15 @@ class Evaluator:
         self.backend = backend
         self._cache: dict[tuple[int, ...], VariantRecord] = {}
         self._next_id = 0
+        #: Seed-free runs shared with other evaluators (None: run each).
+        self.runs = runs
+        self._identity = run_identity(model) if runs is not None else None
 
         # --- baseline execution -------------------------------------------
-        base = model.run(None)
+        base = self._stored(None, None)
+        if base is None:
+            base = model.run(None)
+            self._store(None, None, base)
         self.baseline_observable = base.observable
         self.baseline_cost = self._price(base.ledger)
         self.baseline_total = self.baseline_cost.total_seconds
@@ -172,6 +254,14 @@ class Evaluator:
         self.baseline_ledger = base.ledger
         self.baseline_times = self.noise.sample_times(
             self._target_seconds(self.baseline_cost), "baseline", self.n_runs)
+
+    @classmethod
+    def for_config(cls, model, config,
+                   runs: Optional[RunStore] = None) -> "Evaluator":
+        """The evaluator a :class:`~repro.core.campaign.CampaignConfig`
+        describes: its timeout factor, seed and backend."""
+        return cls(model, timeout_factor=config.timeout_factor,
+                   seed=config.seed, backend=config.backend, runs=runs)
 
     # ------------------------------------------------------------------
 
@@ -256,8 +346,9 @@ class Evaluator:
 
     def failure_record(self, assignment: PrecisionAssignment, vid: int,
                        outcome: Outcome, note: str = "") -> VariantRecord:
-        """A record for a variant whose evaluation infrastructure failed
-        (worker crash or hang) rather than the variant itself."""
+        """A record with no measurement: a run the interpreter stopped,
+        or a variant whose evaluation infrastructure failed (worker
+        crash or hang)."""
         relative = (self.timeout_factor if outcome is Outcome.TIMEOUT
                     else 1.0)
         return VariantRecord(
@@ -283,10 +374,15 @@ class Evaluator:
 
     def evaluate_assigned(self, assignment: PrecisionAssignment,
                           vid: int) -> VariantRecord:
-        """Evaluate under a pre-reserved variant id, bypassing caches.
-        Deterministic given (assignment, vid) and the construction
-        parameters (model spec, machine, noise, timeout factor)."""
-        return self._evaluate_with(assignment, vid, None)
+        """Evaluate under a pre-reserved variant id, bypassing the record
+        caches; a stored run, if the evaluator has a store, is finalized
+        instead of running the model again.  Deterministic given
+        (assignment, vid) and the construction parameters (model spec,
+        machine, noise, timeout factor)."""
+        run = self.stored_run(assignment)
+        if run is None:
+            run = self.run(assignment)
+        return self.finalize(assignment, vid, run)
 
     def evaluate_assigned_batch(
         self, tasks: list[tuple[PrecisionAssignment, int]]
@@ -315,34 +411,62 @@ class Evaluator:
         records = []
         for lane, (assignment, vid) in enumerate(tasks):
             view = batch.lane(lane)
-            records.append(self._evaluate_with(
-                assignment, vid,
+            run = self.run(
+                assignment,
                 lambda index, overlay=None, vec_info=None, max_ops=None,
-                view=view: view))
+                view=view: view)
+            records.append(self.finalize(assignment, vid, run))
         return records, batch.stats()
 
-    def _evaluate_with(self, assignment: PrecisionAssignment, vid: int,
-                       factory) -> VariantRecord:
-        frac = assignment.fraction_lowered
+    # -- run (seed-free) and finalize (seed-keyed) ----------------------
+
+    def _stored(self, assignment: Optional[PrecisionAssignment],
+                max_ops: Optional[int]) -> Optional[RunOutcome]:
+        if self.runs is None:
+            return None
+        return self.runs.get(self._run_key(assignment, max_ops))
+
+    def _store(self, assignment: Optional[PrecisionAssignment],
+               max_ops: Optional[int], run: RunOutcome) -> None:
+        if self.runs is not None:
+            self.runs.put(self._run_key(assignment, max_ops), run)
+
+    def _run_key(self, assignment: Optional[PrecisionAssignment],
+                 max_ops: Optional[int]) -> tuple:
+        overlay = assignment.overlay() if assignment is not None else {}
+        return (self._identity, tuple(sorted(overlay.items())), max_ops)
+
+    def stored_run(self, assignment: PrecisionAssignment
+                   ) -> Optional[RunOutcome]:
+        """The store's run of *assignment* under this evaluator's op
+        cap, or None (no store, or not stored)."""
+        return self._stored(assignment, self.op_cap)
+
+    def run(self, assignment: PrecisionAssignment,
+            interpreter_factory=None) -> RunOutcome:
+        """Execute the model under *assignment* within the op cap: the
+        seed-free step.  Gives the run's artifacts, or a
+        :class:`RunFailure` for an interpreter stopped by the op cap or
+        by a Fortran runtime error, and keeps it in the store, if any.
+        *interpreter_factory* is :meth:`ModelCase.run`'s."""
         try:
-            run = self.model.run(
-                assignment, max_ops=self.op_cap,
-                interpreter_factory=factory)
+            run = self.model.run(assignment, max_ops=self.op_cap,
+                                 interpreter_factory=interpreter_factory)
         except InterpreterLimitError as exc:
-            return VariantRecord(
-                variant_id=vid, kinds=assignment.key(),
-                fraction_lowered=frac, outcome=Outcome.TIMEOUT,
-                eval_wall_seconds=self._eval_wall_seconds(
-                    self.timeout_factor),
-                note=str(exc),
-            )
+            run = RunFailure(Outcome.TIMEOUT, str(exc))
         except FortranRuntimeError as exc:
-            return VariantRecord(
-                variant_id=vid, kinds=assignment.key(),
-                fraction_lowered=frac, outcome=Outcome.RUNTIME_ERROR,
-                eval_wall_seconds=self._eval_wall_seconds(1.0),
-                note=str(exc),
-            )
+            run = RunFailure(Outcome.RUNTIME_ERROR, str(exc))
+        self._store(assignment, self.op_cap, run)
+        return run
+
+    def finalize(self, assignment: PrecisionAssignment, vid: int,
+                 run: RunOutcome) -> VariantRecord:
+        """The record of *run* under variant id *vid*: the seed-keyed
+        step, and the only one that reads the id, the noise (whose seed
+        is the experiment's) or the timeout factor."""
+        if isinstance(run, RunFailure):
+            return self.failure_record(assignment, vid, run.outcome,
+                                       run.note)
         return self._record_from_artifacts(assignment, vid, run)
 
     def _record_from_artifacts(self, assignment: PrecisionAssignment,

@@ -1104,7 +1104,9 @@ class _Engine:
                 if setter is not None and writes_back:
                     writebacks.append(("rs", dummy_name, ka_kv, setter))
             elif type_ == "integer":
-                values[dummy_name] = self.to_int(value, mask)
+                # OutBox(None): bind the declared type's zero.
+                values[dummy_name] = (0 if value is None
+                                      else self.to_int(value, mask))
                 if setter is not None and writes_back:
                     writebacks.append(("pl", dummy_name, None, setter))
             else:

@@ -382,11 +382,13 @@ class Interpreter:
                 if setter is not None and writes_back(sym):
                     writebacks.append((dummy_name, sym, ka, setter))
             elif sym.type_ == "integer":
-                frame.values[dummy_name] = int(value)
+                # OutBox(None): bind the declared type's zero.
+                frame.values[dummy_name] = 0 if value is None else int(value)
                 if setter is not None and writes_back(sym):
                     writebacks.append((dummy_name, sym, None, setter))
             elif sym.type_ == "logical":
-                frame.values[dummy_name] = bool(value)
+                frame.values[dummy_name] = (False if value is None
+                                            else bool(value))
                 if setter is not None and writes_back(sym):
                     writebacks.append((dummy_name, sym, None, setter))
             else:

@@ -112,35 +112,28 @@ class ProgramVecInfo:
 # ---------------------------------------------------------------------------
 
 
+def _blocks(s: F.Stmt) -> list[list[F.Stmt]]:
+    """The statement lists nested directly in *s*."""
+    if isinstance(s, F.IfBlock):
+        return [arm.body for arm in s.arms]
+    if isinstance(s, (F.DoLoop, F.DoWhile)):
+        return [s.body]
+    if isinstance(s, F.SelectCase):
+        return [case.body for case in s.cases]
+    if isinstance(s, F.WhereConstruct):
+        return [arm.body for arm in s.arms]
+    return []
+
+
 def _count_statements(stmts: list[F.Stmt]) -> int:
-    n = 0
-    for s in stmts:
-        n += 1
-        if isinstance(s, F.IfBlock):
-            for arm in s.arms:
-                n += _count_statements(arm.body)
-        elif isinstance(s, (F.DoLoop, F.DoWhile)):
-            n += _count_statements(s.body)
-        elif isinstance(s, F.SelectCase):
-            for case in s.cases:
-                n += _count_statements(case.body)
-        elif isinstance(s, F.WhereConstruct):
-            for arm in s.arms:
-                n += _count_statements(arm.body)
-    return n
+    return sum(1 + sum(_count_statements(b) for b in _blocks(s))
+               for s in stmts)
 
 
 def _contains_loop(stmts: list[F.Stmt]) -> bool:
-    for s in stmts:
-        if isinstance(s, (F.DoLoop, F.DoWhile)):
-            return True
-        if isinstance(s, F.IfBlock):
-            if any(_contains_loop(arm.body) for arm in s.arms):
-                return True
-        if isinstance(s, F.SelectCase):
-            if any(_contains_loop(c.body) for c in s.cases):
-                return True
-    return False
+    return any(isinstance(s, (F.DoLoop, F.DoWhile))
+               or any(_contains_loop(b) for b in _blocks(s))
+               for s in stmts)
 
 
 def _called_names(node: F.Node, index: ProgramIndex) -> list[str]:
@@ -198,6 +191,17 @@ def _analyze_loop(loop: F.DoLoop, index: ProgramIndex, scope: str,
                 for arm in s.arms:
                     if arm.cond is not None:
                         record_reads(arm.cond)
+                    visit(arm.body)
+                continue
+            if isinstance(s, F.SelectCase):
+                record_reads(s.selector)
+                for case in s.cases:
+                    visit(case.body)
+                continue
+            if isinstance(s, F.WhereConstruct):
+                for arm in s.arms:
+                    if arm.mask is not None:
+                        record_reads(arm.mask)
                     visit(arm.body)
                 continue
             if isinstance(s, (F.DoLoop, F.DoWhile)):
@@ -328,11 +332,8 @@ def _analyze_loop(loop: F.DoLoop, index: ProgramIndex, scope: str,
 def _mark(stmts: list[F.Stmt], flag: bool, info: ProcVecInfo) -> None:
     for s in stmts:
         info.stmt_vec[id(s)] = flag
-        if isinstance(s, F.IfBlock):
-            for arm in s.arms:
-                _mark(arm.body, flag, info)
-        elif isinstance(s, (F.DoLoop, F.DoWhile)):
-            _mark(s.body, flag, info)
+        for block in _blocks(s):
+            _mark(block, flag, info)
 
 
 def analyze_procedure(proc: F.ProcedureUnit, index: ProgramIndex,
@@ -371,12 +372,8 @@ def analyze_procedure(proc: F.ProcedureUnit, index: ProgramIndex,
 
     def _fill_calls(s: F.Stmt) -> None:
         info.stmt_calls[id(s)] = _called_names(s, index)
-        if isinstance(s, F.IfBlock):
-            for arm in s.arms:
-                for inner in arm.body:
-                    _fill_calls(inner)
-        elif isinstance(s, (F.DoLoop, F.DoWhile)):
-            for inner in s.body:
+        for block in _blocks(s):
+            for inner in block:
                 _fill_calls(inner)
 
     walk_stmts(proc.body, False)

@@ -15,6 +15,8 @@ trace directory, ``CampaignResult.metrics``):
   compile / run);
 * ``repro_worker_retries_total`` / ``repro_worker_failures_total`` /
   ``repro_backoff_seconds_total`` — fault-tolerance activity;
+* ``repro_stored_runs_total`` — fresh evaluations finalized from a
+  stored model run instead of running the model (a service job);
 * ``repro_batches_total``, ``repro_batch_sim_seconds`` (histogram),
   ``repro_queue_depth`` (dispatched in the latest batch),
   ``repro_wall_seconds_total`` — batch pipeline shape;
@@ -86,6 +88,9 @@ class MetricsCollector:
             reg.counter("repro_backoff_seconds_total",
                         "real seconds slept between retry rounds"
                         ).inc(bt.backoff_seconds)
+            reg.counter("repro_stored_runs_total",
+                        "fresh evaluations finalized from a stored "
+                        "model run").inc(bt.stored_runs)
             reg.counter("repro_wall_seconds_total",
                         "real seconds spent evaluating batches"
                         ).inc(bt.wall_seconds)

@@ -18,6 +18,11 @@ determinism or crash safety).  Responsibilities:
   server kill resumes at ~0 cost), forward its
   :mod:`repro.obs` events into the job's history/live stream, publish
   ``result.json`` atomically, and journal the terminal transition.
+  Every job's evaluator shares the service's
+  :class:`~repro.core.evaluation.RunStore`, so jobs that evaluate the
+  same variants of one model run each once, whatever their seed,
+  tenant, cap or algorithm; each job still finalizes, counts, journals
+  and caches its own records, so its bytes are a direct campaign's.
 
 Threading: one lock guards journal/scheduler/records/history.  Workers
 call :meth:`execute` outside the lock (campaigns are long); all state
@@ -38,7 +43,7 @@ from typing import Callable, Optional, Union
 from ..chaos.hooks import crash_point
 from ..core.algorithms import make_algorithm
 from ..core.campaign import CampaignResult, run_or_resume
-from ..core.evaluation import BACKENDS
+from ..core.evaluation import BACKENDS, Evaluator, RunStore
 from ..core.ioutil import atomic_write
 from ..errors import JobNotFound, ServiceError, SpecError
 from ..models import get_model
@@ -95,6 +100,8 @@ class CampaignService:
         self._history: dict[str, list[dict]] = {}
         # job_id -> list of watcher callbacks fed new payloads
         self._watchers: dict[str, list[Callable[[dict], None]]] = {}
+        #: Seed-free model runs shared by every job's evaluator.
+        self.runs = RunStore()
         # Reload: everything queued (including requeued orphans) goes
         # back on the scheduler in seq order — deterministic restart.
         for rec in sorted(self._journal.records.values(),
@@ -276,7 +283,9 @@ class CampaignService:
                 journal_dir=str(job_dir / "campaign"),
                 handle_signals=False,
                 subscribers=(forwarder,))
-            result = run_or_resume(case, config, algorithm=algorithm)
+            result = run_or_resume(
+                case, config, algorithm=algorithm,
+                evaluator=Evaluator.for_config(case, config, runs=self.runs))
             text = result.to_json()
         except Exception as exc:  # noqa: BLE001 — job isolation boundary
             error = f"{type(exc).__name__}: {exc}"

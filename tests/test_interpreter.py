@@ -491,3 +491,55 @@ class TestIntegerPower:
         assert [got for _, got, _ in results] == [
             "integer division by zero"] * 6
         assert wave == (0, 2, {"integer division by zero": 2})
+
+
+_OUTBOX_SRC = """
+module m
+  implicit none
+contains
+  subroutine drv(x, k)
+    real(kind=8), intent(in) :: x
+    integer, intent(out) :: k
+    k = nint(x) + 2
+  end subroutine drv
+  subroutine test(x, flag)
+    real(kind=8), intent(in) :: x
+    logical, intent(out) :: flag
+    flag = x > 1.0d0
+  end subroutine test
+end module m
+"""
+
+
+class TestOutBoxOfNothing:
+    """``OutBox(None)`` binds an integer or logical dummy as its
+    declared type's zero, as it binds a real dummy in the dummy's kind:
+    every engine returns the procedure's value, not a TypeError."""
+
+    def _everywhere(self, name):
+        index = analyze(parse_source(_OUTBOX_SRC))
+        vec = analyze_program(index)
+        batch = VariantBatch(index, [{}, {"m::drv::x": 4}], vec_info=vec)
+        got = []
+        for interp in (Interpreter(index, vec_info=vec),
+                       CompiledInterpreter(index, vec_info=vec),
+                       batch.lane(0), batch.lane(1)):
+            box = OutBox(None)
+            interp.call(name, [np.float64(2.5), box])
+            got.append((box.value, type(box.value),
+                        ledger_fingerprint(interp.ledger)))
+        stats = batch.stats()
+        return got, (stats.vector_lanes, stats.fallback_lanes)
+
+    def test_integer_dummy(self):
+        got, wave = self._everywhere("drv")
+        assert [(v, t) for v, t, _ in got] == [(4, int)] * 4
+        assert len({ledger for *_, ledger in got[:3]}) == 1
+        assert wave == (2, 0)
+
+    def test_logical_dummy(self):
+        got, wave = self._everywhere("test")
+        assert [(v, t) for v, t, _ in got] == [(True, bool)] * 4
+        assert len({ledger for *_, ledger in got[:3]}) == 1
+        # The batched engine leaves logical dummies to the scalar path.
+        assert wave == (0, 2)

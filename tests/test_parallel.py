@@ -18,6 +18,7 @@ from repro.core import (CampaignConfig, CampaignJournal, DeltaDebugSearch,
                         Evaluator, ParallelOracle, ResultCache,
                         journal_header, make_oracle, run_campaign)
 from repro.core.campaign import MIN_SWEEP_LANES, InterruptFlag, _signal_guard
+from repro.core.evaluation import RunStore
 from repro.core.results import record_to_dict
 from repro.models import FunarcCase, MpasCase
 from repro.obs import VariantEvaluated
@@ -138,10 +139,20 @@ def _plan_batches(case) -> list[list]:
     return [first, [a, first[0], a, b, c, b]]
 
 
-def _run_executor(executor: str, cache_dir, journal_dir) -> dict:
+def _run_executor(executor: str, cache_dir, journal_dir,
+                  stored=None) -> dict:
+    """Run the plan on *executor*; with *stored* (plan indices, batch
+    by batch), over a run store already holding those variants' runs."""
     case = _funarc()
     config = _config(cache_dir=str(cache_dir), **_EXECUTORS[executor])
-    oracle = make_oracle(case, config)
+    evaluator = None
+    if stored is not None:
+        store = RunStore()
+        for batch, indices in zip(_plan_batches(case), stored):
+            for i in indices:
+                Evaluator(case, runs=store).run(batch[i])
+        evaluator = Evaluator.for_config(case, config, runs=store)
+    oracle = make_oracle(case, config, evaluator=evaluator)
     oracle.journal = CampaignJournal.create(
         str(journal_dir),
         journal_header(oracle.evaluator, case.space, DeltaDebugSearch(),
@@ -164,6 +175,7 @@ def _run_executor(executor: str, cache_dir, journal_dir) -> dict:
         "journal": (journal_dir / "journal.jsonl").read_text().splitlines(),
         "swept": [b.vector_lanes + b.fallback_lanes
                   for b in oracle.telemetry],
+        "stored": [b.stored_runs for b in oracle.telemetry],
     }
 
 
@@ -179,11 +191,27 @@ def executor_runs(tmp_path_factory):
     return runs
 
 
+#: The plan's variants whose runs the store holds, per batch: half of
+#: the first batch, and ``b`` (twice in the second batch).
+_STORED = (range(MIN_SWEEP_LANES), (3,))
+
+
+@pytest.fixture(scope="module")
+def stored_executor_runs(tmp_path_factory):
+    """executor -> a cold run over a run store holding :data:`_STORED`."""
+    runs = {}
+    for executor in _EXECUTORS:
+        root = tmp_path_factory.mktemp(f"stored-{executor}")
+        runs[executor] = _run_executor(executor, root / "cache",
+                                       root / "journal", stored=_STORED)
+    return runs
+
+
 class TestOnePlanAnyExecutor:
     """The shared batch planner resolves identically whatever executes
     its tasks: records, counters, the ordered variant events, and the
-    journal are the same bytes for every executor, cold and over a
-    warm cache."""
+    journal are the same bytes for every executor, cold, over a warm
+    cache, and over a run store holding part of the plan."""
 
     @pytest.mark.parametrize("field", ["records", "counts", "events",
                                        "journal"])
@@ -220,6 +248,32 @@ class TestOnePlanAnyExecutor:
             assert warm["swept"] == [0, 0], executor
         for executor in ("compiled", "pool"):
             assert executor_runs[executor][0]["swept"] == [0, 0], executor
+
+    @pytest.mark.parametrize("field", ["records", "counts", "events",
+                                       "journal", "stored"])
+    @pytest.mark.parametrize("executor", ["sweep", "pool", "pool-sweep"])
+    def test_stored_plan_matches_compiled(self, stored_executor_runs,
+                                          executor, field):
+        assert stored_executor_runs[executor][field] == \
+            stored_executor_runs["compiled"][field]
+
+    @pytest.mark.parametrize("executor", list(_EXECUTORS))
+    def test_stored_runs_keep_the_bytes(self, executor_runs,
+                                        stored_executor_runs, executor):
+        cold, stored = executor_runs[executor][0], \
+            stored_executor_runs[executor]
+        for field in ("records", "counts", "events", "journal"):
+            assert stored[field] == cold[field], field
+        assert cold["stored"] == [0, 0]
+        assert stored["stored"] == [MIN_SWEEP_LANES, 1]
+
+    def test_stored_runs_resolve_before_the_sweep(self,
+                                                  stored_executor_runs):
+        # The first batch's eight runs left to execute still sweep in
+        # process; on the pool they are too few for two workers.
+        assert stored_executor_runs["sweep"]["swept"] == [MIN_SWEEP_LANES, 0]
+        for executor in ("compiled", "pool", "pool-sweep"):
+            assert stored_executor_runs[executor]["swept"] == [0, 0]
 
 
 def _signal_dispositions() -> tuple[bool, bool]:

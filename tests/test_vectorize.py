@@ -204,6 +204,94 @@ end subroutine s
         assert v.vectorizable
 
 
+#: A loop whose ``select case`` calls a non-inlinable subroutine in one
+#: case and carries a dependency on ``x`` in the other.
+_CASE_LOOP_SRC = """
+module m
+  implicit none
+contains
+  subroutine heavy(a)
+    real(kind=8), intent(inout) :: a
+    integer :: j
+    do j = 1, 3
+      a = a + 1.0d0
+    end do
+  end subroutine heavy
+  subroutine s(n, mode, x)
+    integer, intent(in) :: n, mode
+    real(kind=8), dimension(n), intent(inout) :: x
+    integer :: i
+    do i = 2, n
+      select case (mode)
+      case (1)
+        call heavy(x(i))
+      case default
+        x(i) = x(i - 1) + 1.0d0
+      end select
+    end do
+  end subroutine s
+end module m
+"""
+
+#: A loop whose ``where`` mask reads a scalar the loop also carries.
+_WHERE_LOOP_SRC = """
+subroutine s(n, x, y)
+  implicit none
+  integer :: n, i
+  real(kind=8) :: t
+  real(kind=8), dimension(n) :: x, y
+  t = 0.0d0
+  do i = 1, n
+    where (y > t)
+      y = 0.0d0
+    end where
+    t = x(i)
+  end do
+end subroutine s
+"""
+
+
+def _loop_body_flags(vec, index, qual):
+    """The vectorization flag of each statement in *qual*'s first loop
+    and in the case or where blocks nested there."""
+    from repro.fortran import ast_nodes as F
+
+    loop = next(s for s in index.scopes[qual].node.body
+                if isinstance(s, F.DoLoop))
+    flags = vec.stmt_vec(qual)
+    out = []
+    for stmt in loop.body:
+        out.append(flags.get(id(stmt)))
+        arms = (stmt.cases if isinstance(stmt, F.SelectCase)
+                else stmt.arms if isinstance(stmt, F.WhereConstruct)
+                else ())
+        out.extend(flags.get(id(inner)) for arm in arms
+                   for inner in arm.body)
+    return out
+
+
+class TestNestedConstructsInLoops:
+    """A ``select case`` or ``where`` in a loop body counts toward the
+    loop's verdict, and every statement nested in it carries that
+    verdict, so the report and the charged keys agree."""
+
+    def test_select_case_calls_and_dependencies_count(self):
+        vec, index = analyze_src(_CASE_LOOP_SRC)
+        (v,) = loop_verdicts(vec, "m::s")
+        assert not v.vectorizable
+        assert v.reasons == ["call to non-inlinable subroutine heavy",
+                             "loop-carried dependency on array x"]
+        assert "NOT VECTORIZED" in v.render()
+        assert _loop_body_flags(vec, index, "m::s") == [False] * 3
+
+    def test_where_mask_reads_count(self):
+        vec, index = analyze_src(_WHERE_LOOP_SRC)
+        (v,) = loop_verdicts(vec, "s")
+        assert not v.vectorizable
+        assert v.reasons == ["loop-carried scalar recurrence on t"]
+        assert _loop_body_flags(vec, index, "s") == [False] * 3
+
+
 class TestModelExpectations:
     def test_mpas_dyn_tend_vectorizes(self, mpas_small):
         vec = mpas_small.vec_info
