@@ -60,7 +60,7 @@ from ..obs.tracing import Tracer
 from .assignment import PrecisionAssignment
 from .cache import ResultCache
 from .classification import Outcome
-from .evaluation import STAGES, Evaluator, RunOutcome, VariantRecord
+from .evaluation import STAGES, Evaluator, VariantRecord
 from .journal import (CampaignJournal, JournalState, has_journal,
                       journal_header)
 from .results import search_result_to_dict
@@ -405,13 +405,10 @@ _Task = tuple[PrecisionAssignment, int]
 #: variant resolved while planning, ``("task", index, None)`` for one
 #: resolved by executing ``tasks[index]``.
 _PlanEntry = tuple[str, object, Optional[str]]
-#: An executed task's outcome: its record, its source (``"fresh"`` or
+#: A task's committed outcome: its record, its source (``"fresh"`` or
 #: ``"worker-failure"``) and the evaluation's real wall in seconds, None
 #: where unknown (a swept lane, a synthesized failure).
-_Ran = tuple[VariantRecord, str, Optional[float]]
-#: A task's committed outcome: what it ran to, and whether its model run
-#: came from the evaluator's run store.
-_Executed = tuple[VariantRecord, str, Optional[float], bool]
+_Executed = tuple[VariantRecord, str, Optional[float]]
 
 
 @dataclass
@@ -700,30 +697,19 @@ class BudgetedOracle:
                  ) -> Optional[list[_Executed]]:
         """Run the batch's fresh variants: the step oracles differ in.
 
-        Returns one committed ``(record, source, wall, stored)`` per
-        task, in task order, or None to have :meth:`_resolve` evaluate
-        each task on the scalar path at its first occurrence, so that
-        events interleave with evaluation.  Serially, a ``batched`` wave
-        with at least :data:`MIN_SWEEP_LANES` tasks whose model run the
-        evaluator's run store does not hold sweeps those tasks as one
-        vectorized sweep; a narrower one runs exactly as
-        ``backend="compiled"`` would.
+        Returns one committed ``(record, source, wall)`` per task, in
+        task order, or None to have :meth:`_resolve` evaluate each task
+        on the scalar path at its first occurrence, so that events
+        interleave with evaluation.  Serially, a ``batched`` wave of at
+        least :data:`MIN_SWEEP_LANES` tasks runs as one vectorized
+        sweep; a narrower one runs exactly as ``backend="compiled"``
+        would.  Only the scalar path consults the evaluator's run
+        store: a sweep, like the worker pool, runs every task.
         """
-        if self.evaluator.backend == "batched":
-            stored = self._stored_runs(tasks)
-            if len(tasks) - len(stored) >= MIN_SWEEP_LANES:
-                return self._sweep(batch_index, tasks, stored, stats)
+        if (self.evaluator.backend == "batched"
+                and len(tasks) >= MIN_SWEEP_LANES):
+            return self._sweep(batch_index, tasks, stats)
         return None
-
-    def _stored_runs(self, tasks: list[_Task]) -> dict[int, RunOutcome]:
-        """Task index -> stored model run, for each task whose run the
-        evaluator's store holds (none without a store)."""
-        stored = {}
-        for i, (assignment, _) in enumerate(tasks):
-            run = self.evaluator.stored_run(assignment)
-            if run is not None:
-                stored[i] = run
-        return stored
 
     def _resolve(self, batch_index: int,
                  plan: list[_PlanEntry], tasks: list[_Task],
@@ -753,8 +739,8 @@ class BudgetedOracle:
                     source = "fresh"
                     stats.completed += 1
                 else:
-                    record, source, wall, stored = executed[payload]
-                    self._trace_variant(record, wall, stored)
+                    record, source, wall = executed[payload]
+                    self._trace_variant(record, wall, stored=False)
                 resolved[payload] = record
             records.append(record)
             hit_flags.append(hit)
@@ -780,7 +766,7 @@ class BudgetedOracle:
             stats.stored_runs += 1
             record = self.evaluator.finalize(assignment, vid, run)
         self._trace_variant(record, time.perf_counter() - started,
-                            run is not None)
+                            stored=run is not None)
         self._commit(batch_index, record)
         return record
 
@@ -802,25 +788,19 @@ class BudgetedOracle:
             self.journal.variant(batch_index, record)
 
     def _sweep(self, batch_index: int, tasks: list[_Task],
-               stored: dict[int, RunOutcome],
                stats: BatchTelemetry) -> list[_Executed]:
-        """Run the tasks not in *stored* as one lockstep sweep in this
-        process, then commit every task's record."""
+        """Run *tasks* as one lockstep sweep in this process and commit
+        its records."""
         started = time.perf_counter()
-        records, sweep = self.evaluator.evaluate_assigned_batch(
-            _unstored(tasks, stored))
-        return self._commit_sweep(batch_index, tasks, stored, records,
-                                  sweep, time.perf_counter() - started,
-                                  stats)
+        records, sweep = self.evaluator.evaluate_assigned_batch(tasks)
+        return self._commit_sweep(batch_index, records, sweep,
+                                  time.perf_counter() - started, stats)
 
-    def _commit_sweep(self, batch_index: int, tasks: list[_Task],
-                      stored: dict[int, RunOutcome],
-                      records: list[VariantRecord], sweep,
-                      wall_seconds: float,
+    def _commit_sweep(self, batch_index: int, records: list[VariantRecord],
+                      sweep, wall_seconds: float,
                       stats: BatchTelemetry) -> list[_Executed]:
-        """Account for a finished sweep of the tasks not in *stored*,
-        then commit every task's record in task order, wherever the
-        sweep ran (this process, or one pool worker).
+        """Account for a finished sweep and commit its records in task
+        order, wherever it ran (this process, or one pool worker).
 
         The lowering span records the sweep's wall, the wave's width,
         how many lanes stayed on the vector path, and why the others
@@ -829,7 +809,7 @@ class BudgetedOracle:
         lowered; and the longest and mean lane's op total (a sweep
         costs about as much as its longest lane).  Lanes interleave in
         a sweep, so its variants trace with unknown wall."""
-        stats.completed += len(records)
+        stats.completed = len(records)
         stats.vector_lanes = sweep.vector_lanes
         stats.fallback_lanes = sweep.fallback_lanes
         self.tracer.emit_span(
@@ -844,45 +824,12 @@ class BudgetedOracle:
                    "lane_ops_mean": sweep.lane_ops_mean,
                    "replay_seconds": sweep.replay_seconds,
                    "procedures_lowered": sweep.procedures_lowered})
-        return self._commit_in_order(
-            batch_index, tasks, stored,
-            [(record, "fresh", None) for record in records], stats)
-
-    def _commit_in_order(self, batch_index: int, tasks: list[_Task],
-                         stored: dict[int, RunOutcome], ran: list[_Ran],
-                         stats: BatchTelemetry) -> list[_Executed]:
-        """Commit each task's record in task order: a stored run's is
-        finalized here, every other task's is the next of *ran* (its
-        outcome on the executor, in task order).  A synthesized
-        ``"worker-failure"`` record describes transient infrastructure,
-        not the variant: it is admitted, never cached or journaled."""
-        executed: list[_Executed] = []
-        fresh = iter(ran)
-        for i, (assignment, vid) in enumerate(tasks):
-            run = stored.get(i)
-            if run is None:
-                record, source, wall = next(fresh)
-            else:
-                started = time.perf_counter()
-                record = self.evaluator.finalize(assignment, vid, run)
-                source, wall = "fresh", time.perf_counter() - started
-                stats.stored_runs += 1
-                stats.completed += 1
-            if source == "fresh":
-                self._commit(batch_index, record)
-            else:
-                self.evaluator.admit(record)
-            executed.append((record, source, wall, run is not None))
-        return executed
+        for record in records:
+            self._commit(batch_index, record)
+        return [(record, "fresh", None) for record in records]
 
     def close(self) -> None:
         """Release execution resources (worker pools); idempotent."""
-
-
-def _unstored(tasks: list[_Task], stored: dict[int, RunOutcome]
-              ) -> list[_Task]:
-    """The tasks whose model run must execute, in task order."""
-    return [task for i, task in enumerate(tasks) if i not in stored]
 
 
 def make_oracle(

@@ -374,15 +374,11 @@ class Evaluator:
 
     def evaluate_assigned(self, assignment: PrecisionAssignment,
                           vid: int) -> VariantRecord:
-        """Evaluate under a pre-reserved variant id, bypassing the record
-        caches; a stored run, if the evaluator has a store, is finalized
-        instead of running the model again.  Deterministic given
-        (assignment, vid) and the construction parameters (model spec,
-        machine, noise, timeout factor)."""
-        run = self.stored_run(assignment)
-        if run is None:
-            run = self.run(assignment)
-        return self.finalize(assignment, vid, run)
+        """Evaluate under a pre-reserved variant id, bypassing caches: the
+        model runs (and its run is stored, if the evaluator has a store).
+        Deterministic given (assignment, vid) and the construction
+        parameters (model spec, machine, noise, timeout factor)."""
+        return self.finalize(assignment, vid, self.run(assignment))
 
     def evaluate_assigned_batch(
         self, tasks: list[tuple[PrecisionAssignment, int]]

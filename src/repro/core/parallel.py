@@ -76,7 +76,7 @@ from ..perf.machine import MachineModel
 from ..perf.noise import NoiseModel
 from .assignment import PrecisionAssignment
 from .campaign import (MIN_SWEEP_LANES, BatchTelemetry, BudgetedOracle,
-                       CampaignConfig, _unstored)
+                       CampaignConfig)
 from .cache import ResultCache
 from .classification import Outcome
 from .evaluation import Evaluator, VariantRecord
@@ -366,19 +366,21 @@ class ParallelOracle(BudgetedOracle):
         """Run *tasks* on the worker pool, then commit the records in
         task order.
 
-        The parent first takes every task whose model run the
-        evaluator's run store holds, except a task a chaos worker fault
-        names, which must reach the worker to fire.  Under
-        ``backend="batched"``, a wave whose remaining tasks give every
-        worker at least :data:`~repro.core.campaign.MIN_SWEEP_LANES`
-        goes to the pool as one sweep (:meth:`_pool_sweep`).  Any other
-        wave, or one whose sweep failed, goes one variant per task from
-        attempt 0, so per-variant retries, backoff and poison quarantine
-        keep their meaning.
+        Under ``backend="batched"``, a wave that gives every worker at
+        least :data:`~repro.core.campaign.MIN_SWEEP_LANES` tasks goes to
+        the pool as one sweep (:meth:`_pool_sweep`).  Any other wave, or
+        one whose sweep failed, goes one variant per task from attempt
+        0, so per-variant retries, backoff and poison quarantine keep
+        their meaning.
 
-        A synthesized failure record resolves as ``"worker-failure"``
-        and is never cached or journaled: a resumed campaign should
-        re-attempt the evaluation instead."""
+        A synthesized failure record describes transient worker
+        infrastructure, not the variant: it is admitted but never cached
+        or journaled (a resumed campaign should re-attempt the
+        evaluation instead), and resolves as ``"worker-failure"``.
+
+        Workers hold no run store: every task runs its model in a
+        worker, so a chaos worker fault always fires on the variant it
+        names."""
         # Chaos accounting: worker faults fire inside the workers (no
         # engine there); note them parent-side so FaultInjected events
         # and the chaos metrics see them.
@@ -388,39 +390,39 @@ class ParallelOracle(BudgetedOracle):
                 info = self._chaos_fault_info.get(vid)
                 if info is not None:
                     engine.note_worker_fault(vid, info[0], info[1])
-        stored = {i: run for i, run in self._stored_runs(tasks).items()
-                  if tasks[i][1] not in self._chaos_fault_info}
-        fresh = _unstored(tasks, stored)
         # The pool must never outlive an exception here — in particular
         # a KeyboardInterrupt mid-dispatch used to leak live worker
         # processes (the executor's atexit hook then blocked on them).
         try:
             if (self.evaluator.backend == "batched"
-                    and len(fresh) >= MIN_SWEEP_LANES * self.workers):
-                executed = self._pool_sweep(batch_index, tasks, stored,
-                                            stats)
+                    and len(tasks) >= MIN_SWEEP_LANES * self.workers):
+                executed = self._pool_sweep(batch_index, tasks, stats)
                 if executed is not None:
                     return executed
-            results, synthesized = self._run_tasks(fresh, stats)
+            results, synthesized = self._run_tasks(tasks, stats)
         except BaseException:
             self._kill_pool()
             raise
-        ran = [(results[vid][0],
-                "worker-failure" if vid in synthesized else "fresh",
-                results[vid][1]) for _, vid in fresh]
-        return self._commit_in_order(batch_index, tasks, stored, ran, stats)
+        executed = []
+        for _, vid in tasks:
+            record, wall = results[vid]
+            if vid in synthesized:
+                self.evaluator.admit(record)
+                executed.append((record, "worker-failure", wall))
+            else:
+                self._commit(batch_index, record)
+                executed.append((record, "fresh", wall))
+        return executed
 
-    def _pool_sweep(self, batch_index, tasks, stored, stats):
-        """Sweep the tasks not in *stored* as one task on one worker,
-        then commit the wave as a serial sweep.  Returns None when the
-        task failed (a crash, a raise, the hard timeout or a cancel):
-        the pool is killed if it broke, and the failure counts one
-        retry."""
+    def _pool_sweep(self, batch_index, tasks, stats):
+        """Sweep the whole wave as one task on one worker, then commit it
+        as a serial sweep.  Returns None when the task failed (a crash,
+        a raise, the hard timeout or a cancel): the pool is killed if it
+        broke, and the failure counts one retry."""
         self._check_interrupt()
         try:
             future = self._ensure_pool().submit(
-                _worker_sweep, [(a.key(), vid)
-                                for a, vid in _unstored(tasks, stored)])
+                _worker_sweep, [(a.key(), vid) for a, vid in tasks])
             records, sweep, wall = future.result(
                 timeout=self.config.worker_timeout_seconds)
         except (FutureTimeoutError, CancelledError, BrokenExecutor):
@@ -431,8 +433,7 @@ class ParallelOracle(BudgetedOracle):
             # The worker function raised; the pool is still healthy.
             stats.retries += 1
             return None
-        return self._commit_sweep(batch_index, tasks, stored, records,
-                                  sweep, wall, stats)
+        return self._commit_sweep(batch_index, records, sweep, wall, stats)
 
     def _run_tasks(self, tasks, stats: BatchTelemetry
                    ) -> tuple[dict[int, tuple[VariantRecord,

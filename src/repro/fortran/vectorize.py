@@ -75,8 +75,6 @@ class ProcVecInfo:
     name: str
     # id(stmt) -> True if the statement executes in a vectorizable context.
     stmt_vec: dict[int, bool] = field(default_factory=dict)
-    # id(stmt) -> names of user procedures referenced by the statement.
-    stmt_calls: dict[int, list[str]] = field(default_factory=dict)
     loops: list[LoopVerdict] = field(default_factory=list)
     n_statements: int = 0
 
@@ -134,17 +132,6 @@ def _contains_loop(stmts: list[F.Stmt]) -> bool:
     return any(isinstance(s, (F.DoLoop, F.DoWhile))
                or any(_contains_loop(b) for b in _blocks(s))
                for s in stmts)
-
-
-def _called_names(node: F.Node, index: ProgramIndex) -> list[str]:
-    """User procedures referenced anywhere below *node*."""
-    names = []
-    for sub in F.walk(node):
-        if isinstance(sub, F.Apply) and index.find_procedure(sub.name):
-            names.append(sub.name)
-        elif isinstance(sub, F.CallStmt):
-            names.append(sub.name)
-    return names
 
 
 def _uses_var(expr: F.Expr, var: str) -> bool:
@@ -344,7 +331,6 @@ def analyze_procedure(proc: F.ProcedureUnit, index: ProgramIndex,
     def walk_stmts(stmts: list[F.Stmt], in_vec: bool) -> None:
         for s in stmts:
             info.stmt_vec[id(s)] = in_vec
-            info.stmt_calls[id(s)] = _called_names(s, index)
             if isinstance(s, F.DoLoop):
                 if _contains_loop(s.body):
                     walk_stmts(s.body, False)
@@ -352,8 +338,6 @@ def analyze_procedure(proc: F.ProcedureUnit, index: ProgramIndex,
                     verdict = _analyze_loop(s, index, scope, inlinable)
                     info.loops.append(verdict)
                     _mark(s.body, verdict.vectorizable, info)
-                    for inner in s.body:
-                        _fill_calls(inner)
             elif isinstance(s, F.DoWhile):
                 walk_stmts(s.body, False)
             elif isinstance(s, F.IfBlock):
@@ -367,14 +351,6 @@ def analyze_procedure(proc: F.ProcedureUnit, index: ProgramIndex,
                     # Masked array assignments are vector statements.
                     for inner in arm.body:
                         info.stmt_vec[id(inner)] = True
-                        info.stmt_calls[id(inner)] = _called_names(inner,
-                                                                   index)
-
-    def _fill_calls(s: F.Stmt) -> None:
-        info.stmt_calls[id(s)] = _called_names(s, index)
-        for block in _blocks(s):
-            for inner in block:
-                _fill_calls(inner)
 
     walk_stmts(proc.body, False)
     return info
