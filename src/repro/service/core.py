@@ -20,9 +20,9 @@ determinism or crash safety).  Responsibilities:
   ``result.json`` atomically, and journal the terminal transition.
   Every job's evaluator shares the service's
   :class:`~repro.core.evaluation.RunStore`, so jobs that evaluate the
-  same variants of one model run each once, whatever their seed,
-  tenant, cap or algorithm; each job still finalizes, counts, journals
-  and caches its own records, so its bytes are a direct campaign's.
+  same variants of one model on the serial path (a job's default) run
+  each once, whatever their seed, tenant, cap or algorithm; each job
+  still finalizes, counts, journals and caches its own records.
 
 Threading: one lock guards journal/scheduler/records/history.  Workers
 call :meth:`execute` outside the lock (campaigns are long); all state
