@@ -728,6 +728,15 @@ def _cmd_jobs(args) -> int:
     return 0
 
 
+def _scalar_fields(data: dict, prefix: str = ""):
+    """Sorted ``key=value`` scalars, a nested dict's under dotted keys."""
+    for key, value in sorted(data.items()):
+        if isinstance(value, dict):
+            yield from _scalar_fields(value, f"{prefix}{key}.")
+        elif not isinstance(value, list):
+            yield f"{prefix}{key}={value}"
+
+
 def _cmd_watch(args) -> int:
     from .service import ServiceClient
 
@@ -737,8 +746,7 @@ def _cmd_watch(args) -> int:
         name, data = payload["event"], payload["data"]
         if name in ("JobFinished", "JobFailed"):
             terminal = name
-        line = ", ".join(f"{k}={v}" for k, v in sorted(data.items())
-                         if not isinstance(v, (dict, list)))
+        line = ", ".join(_scalar_fields(data))
         print(f"{name}: {line}", file=sys.stderr if args.result
               else sys.stdout)
     if args.result:

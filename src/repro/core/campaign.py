@@ -79,7 +79,22 @@ __all__ = ["CONFIG_SCHEMA_VERSION", "MIN_SWEEP_LANES", "CampaignConfig",
 #: loading (absent fields take their pinned defaults, so old job files
 #: replay after upgrades), while payloads from a newer version are
 #: refused rather than silently misread.
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
+
+#: The v1 fields version 2 retired, at their pinned v1 defaults: what the
+#: code now always does (:mod:`repro.core.parallel`'s constants, and a
+#: journal that writes every snapshot).  A v1 payload may carry one only
+#: at this value.
+_V1_RETIRED: dict[str, object] = {
+    "worker_timeout_seconds": 120.0,
+    "worker_retries": 2,
+    "snapshot_every": 1,
+    "retry_backoff_seconds": 0.5,
+    "retry_backoff_max_seconds": 8.0,
+    "quarantine": True,
+    "pool_breaker_threshold": 5,
+    "pool_reap_seconds": 5.0,
+}
 
 #: Fields that never travel over the wire: live Python objects
 #: (subscriber callables, an installed fault plan) are attached by the
@@ -114,21 +129,12 @@ class CampaignConfig:
     backend: str = "compiled"
     workers: int = 1                        # >1 fans batches out to processes
     cache_dir: Optional[str] = None         # persistent result cache location
-    worker_timeout_seconds: float = 120.0   # hard per-variant wall timeout
-    worker_retries: int = 2                 # attempts beyond the first
 
     # -- crash safety (repro.core.journal) --------------------------------
     journal_dir: Optional[str] = None       # write-ahead campaign journal
     resume: bool = False                    # replay journal_dir's journal
-    snapshot_every: int = 1                 # batches between state snapshots
     handle_signals: bool = True             # SIGINT/SIGTERM end the campaign
                                             # gracefully at the next variant
-    #: Base of the deterministic (jitterless — replays must reproduce)
-    #: exponential backoff between retries of *transient* worker
-    #: failures.  Deterministic TIMEOUT/RUNTIME_ERROR outcomes are
-    #: classified results, never retried, and never backed off.
-    retry_backoff_seconds: float = 0.5
-    retry_backoff_max_seconds: float = 8.0
 
     # -- fault hardening (repro.chaos) -------------------------------------
     #: Deterministic fault-injection schedule for this run
@@ -137,21 +143,6 @@ class CampaignConfig:
     #: trajectory fingerprint, so a campaign killed under chaos resumes
     #: chaos-free to byte-identical results.
     chaos: Optional[FaultPlan] = None
-    #: Quarantine poison variants: a variant whose worker attempts all
-    #: failed the *same* way is recorded as a permanent typed failure
-    #: (journaled, replayed on resume) instead of a transient downgrade,
-    #: so the search continues and never re-poisons a fresh allocation.
-    quarantine: bool = True
-    #: Consecutive worker-pool deaths (retry rounds with zero completed
-    #: results) tolerated within one batch before the circuit breaker
-    #: stops rebuilding the pool and downgrades the remaining variants
-    #: immediately — infrastructure that is down stays down for the
-    #: batch; burning the whole retry budget against it helps nobody.
-    pool_breaker_threshold: int = 5
-    #: Grace period for reaping worker processes on ``close()``.  A hung
-    #: worker ignores its executor sentinel forever; after this many
-    #: seconds it is terminated, then SIGKILLed — close never wedges.
-    pool_reap_seconds: float = 5.0
 
     # -- numerical profiling (repro.numerics) ------------------------------
     #: Where to persist/load the shadow-execution numerical profile.
@@ -204,28 +195,15 @@ class CampaignConfig:
         return tuple(f.name for f in dataclasses.fields(cls)
                      if f.name not in _RUNTIME_ONLY_FIELDS)
 
-    @classmethod
-    def wire_defaults(cls) -> dict:
-        """The pinned default for every wire field.
-
-        These values are part of the wire contract: an old job file
-        that omits a field replays with the default *that build pinned*,
-        so ``tests/test_service_schema.py`` asserts this dict against a
-        literal — changing a default without bumping
-        :data:`CONFIG_SCHEMA_VERSION` fails there first.
-        """
-        defaults = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in _RUNTIME_ONLY_FIELDS:
-                defaults[f.name] = f.default
-        return defaults
-
     def to_payload(self) -> dict:
         """The JSON-ready wire dict (``schema_version`` + wire fields).
 
-        Refuses configs carrying runtime-only state: a config with live
-        subscribers or an installed fault plan is not a value and must
-        not silently lose them in transit.
+        The defaults are part of the wire contract: an old job file that
+        omits a field replays with the default *that build pinned*, so
+        ``tests/test_service_schema.py`` asserts the default config's
+        payload against a literal.  Refuses configs carrying runtime-only
+        state: a config with live subscribers or an installed fault plan
+        is not a value and must not silently lose them in transit.
         """
         for name in _RUNTIME_ONLY_FIELDS:
             if getattr(self, name):
@@ -267,6 +245,17 @@ class CampaignConfig:
         fields = {}
         for key, value in payload.items():
             if key == "schema_version":
+                continue
+            if version == 1 and key in _V1_RETIRED:
+                # Only as v1 loaded its default: an int widens to a float.
+                pinned = _V1_RETIRED[key]
+                widened = (type(pinned), type(value)) == (float, int)
+                if value != pinned or not (type(value) is type(pinned)
+                                           or widened):
+                    raise ConfigSchemaError(
+                        f"config field {key!r} was retired in schema "
+                        f"version 2; only its v1 default {pinned!r} "
+                        f"loads, not {value!r}")
                 continue
             if key in _RUNTIME_ONLY_FIELDS:
                 raise ConfigSchemaError(
@@ -335,17 +324,9 @@ _WIRE_FIELD_TYPES: dict[str, object] = {
     "backend": str,
     "workers": int,
     "cache_dir": "str?",
-    "worker_timeout_seconds": float,
-    "worker_retries": int,
     "journal_dir": "str?",
     "resume": bool,
-    "snapshot_every": int,
     "handle_signals": bool,
-    "retry_backoff_seconds": float,
-    "retry_backoff_max_seconds": float,
-    "quarantine": bool,
-    "pool_breaker_threshold": int,
-    "pool_reap_seconds": float,
     "profile_path": "str?",
     "trace_dir": "str?",
 }
@@ -489,6 +470,19 @@ class BudgetedOracle:
     #: before; :func:`run_campaign` wires live ones.
     bus: EventBus = field(default_factory=EventBus)
     tracer: Tracer = field(default_factory=Tracer)
+
+    def __post_init__(self):
+        # An injected evaluator would silently win over the config.
+        evaluator = self.evaluator
+        for name, held in (("seed", evaluator.noise.base_seed),
+                           ("timeout_factor", evaluator.timeout_factor),
+                           ("backend", evaluator.backend)):
+            wanted = getattr(self.config, name)
+            if held != wanted:
+                raise CampaignError(
+                    f"the evaluator's {name} is {held!r} but the campaign "
+                    f"config's {name} is {wanted!r}; build the evaluator "
+                    f"with Evaluator.for_config(model, config)")
 
     def evaluate_batch(
         self, assignments: list[PrecisionAssignment]
@@ -1029,7 +1023,9 @@ def run_campaign(
     seed, workers, cache/journal/trace directories, resume, subscribers —
     lives on :class:`CampaignConfig` (derive one-off variations with
     :meth:`CampaignConfig.overriding`).  *algorithm* and *evaluator*
-    remain injectable collaborators.
+    remain injectable collaborators; an evaluator whose seed, timeout
+    factor or backend contradicts the config is refused with a
+    :class:`~repro.errors.CampaignError`.
 
     With ``config.resume`` the journal directory written by a previous
     (killed, interrupted, or even finished) campaign is replayed: its
@@ -1105,9 +1101,8 @@ def run_campaign(
         else:
             journal = CampaignJournal.create(journal_dir, header)
         oracle.journal = journal
-        if hasattr(algorithm, "snapshot_hook") and config.snapshot_every > 0:
-            algorithm.snapshot_hook = _snapshot_cadence(
-                journal, config.snapshot_every)
+        if hasattr(algorithm, "snapshot_hook"):
+            algorithm.snapshot_hook = journal.snapshot
     flag = InterruptFlag()
     oracle.interrupt = flag
 
@@ -1118,8 +1113,7 @@ def run_campaign(
         max_evaluations=config.max_evaluations,
         resumed_from_batch=resumed_from_batch,
     ))
-    backend = getattr(evaluator, "backend", config.backend)
-    bus.emit(BackendSelected(model=model.name, backend=backend,
+    bus.emit(BackendSelected(model=model.name, backend=config.backend,
                              workers=config.workers))
     # Compile-time counters are wall-side observability (they depend on
     # process history through the shared code cache), so they go to the
@@ -1203,7 +1197,7 @@ def run_campaign(
                 compile_stats = CODE_CACHE.stats()
                 tracer.emit_span(
                     "backend", wall_seconds=0.0, sim_seconds=0.0,
-                    attrs={"backend": backend,
+                    attrs={"backend": config.backend,
                            "procedures_compiled":
                                compile_stats["procedures_compiled"]
                                - compile_stats0["procedures_compiled"],
@@ -1290,17 +1284,3 @@ def run_or_resume(
         config = config.overriding(resume=has_journal(config.journal_dir))
     return run_campaign(model, config, algorithm=algorithm,
                         evaluator=evaluator)
-
-
-def _snapshot_cadence(journal: CampaignJournal, every: int):
-    """Wrap the journal's atomic snapshot writer with the configured
-    cadence.  Terminal phases ("final"/"exhausted") are always written —
-    they record where the search ended up."""
-    calls = 0
-
-    def write(state: dict) -> None:
-        nonlocal calls
-        calls += 1
-        if state.get("phase") != "search" or calls % every == 0:
-            journal.snapshot(state)
-    return write

@@ -30,8 +30,7 @@ variant ids, Eq.-1 noise draws, speedups, or the search trajectory.
 Fault tolerance: a hard per-variant wall timeout (hung workers are
 killed, not waited on), crash detection (a worker dying takes the pool
 down; the pool is rebuilt), and bounded retries separated by
-deterministic, jitterless exponential backoff
-(``CampaignConfig.retry_backoff_seconds``) — only *transient*
+deterministic, jitterless exponential backoff — only *transient*
 infrastructure failures are retried; a variant the worker's evaluator
 deterministically classified TIMEOUT or RUNTIME_ERROR is a result, not
 a failure.  A variant whose evaluation infrastructure fails
@@ -40,7 +39,7 @@ irrecoverably is downgraded to ``Outcome.RUNTIME_ERROR`` (crash) or
 classification an on-node failure would have received on Derecho.  The
 worker pool is torn down on *every* exception path out of a batch
 (including ``KeyboardInterrupt``), so no worker processes are ever
-leaked.
+leaked.  The policy is the module constants below, not settings.
 
 Observability: workers hold no event bus — the :class:`VariantRecord`
 returning over the result pipe *is* the forwarded event payload.  The
@@ -82,6 +81,20 @@ from .classification import Outcome
 from .evaluation import Evaluator, VariantRecord
 
 __all__ = ["WorkerSpec", "ParallelOracle"]
+
+#: Hard wall timeout of one pool task (a variant, or a swept wave).
+TASK_TIMEOUT_SECONDS = 120.0
+#: Attempts at a variant beyond the first, after a transient failure.
+TASK_RETRIES = 2
+#: Jitterless backoff before retry round r, so replays wait the same:
+#: ``BACKOFF_SECONDS * 2 ** (r - 1)``, capped at BACKOFF_MAX_SECONDS.
+BACKOFF_SECONDS = 0.5
+BACKOFF_MAX_SECONDS = 8.0
+#: Consecutive rounds in which the pool died and nothing finished before
+#: the circuit breaker downgrades the rest of the batch.
+BREAKER_DEAD_ROUNDS = 5
+#: Seconds ``close()`` waits for workers before it kills them.
+REAP_GRACE_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -256,18 +269,24 @@ class ParallelOracle(BudgetedOracle):
     ) -> "ParallelOracle":
         if evaluator is None:
             evaluator = Evaluator.for_config(model, config)
+        # Built first: construction refuses an evaluator the config
+        # contradicts, before a marker directory exists to leak.
+        oracle = cls(evaluator=evaluator, config=config, cache=cache,
+                     workers=config.workers)
         chaos_faults: tuple[tuple[int, str, str], ...] = ()
-        marker_dir: Optional[str] = None
-        plan = getattr(config, "chaos", None)
+        plan = config.chaos
         if plan is not None and plan.worker_faults:
-            marker_dir = tempfile.mkdtemp(prefix="repro-chaos-")
+            marker_dir = oracle._marker_dir = tempfile.mkdtemp(
+                prefix="repro-chaos-")
             chaos_faults = tuple(
                 (wf.variant_id, wf.mode,
                  os.path.join(marker_dir, f"wf-{wf.variant_id}.marker")
                  if wf.once else "")
                 for wf in plan.worker_faults)
+            oracle._chaos_fault_info = {wf.variant_id: (wf.mode, wf.once)
+                                        for wf in plan.worker_faults}
         name, kwargs = model.model_spec()
-        spec = WorkerSpec(
+        oracle.spec = WorkerSpec(
             model_name=name,
             model_kwargs=tuple(sorted(kwargs.items())),
             machine=evaluator.machine,
@@ -275,12 +294,6 @@ class ParallelOracle(BudgetedOracle):
             noise=evaluator.noise,
             chaos_faults=chaos_faults,
         )
-        oracle = cls(evaluator=evaluator, config=config, cache=cache,
-                     workers=config.workers, spec=spec)
-        oracle._marker_dir = marker_dir
-        if plan is not None:
-            oracle._chaos_fault_info = {wf.variant_id: (wf.mode, wf.once)
-                                        for wf in plan.worker_faults}
         return oracle
 
     # -- pool lifecycle -------------------------------------------------
@@ -348,7 +361,7 @@ class ParallelOracle(BudgetedOracle):
         if pool is not None:
             procs = list((getattr(pool, "_processes", None) or {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
-            self._reap(procs, grace=self.config.pool_reap_seconds)
+            self._reap(procs, grace=REAP_GRACE_SECONDS)
         self._cleanup_fault_markers()
 
     def _cleanup_fault_markers(self) -> None:
@@ -424,7 +437,7 @@ class ParallelOracle(BudgetedOracle):
             future = self._ensure_pool().submit(
                 _worker_sweep, [(a.key(), vid) for a, vid in tasks])
             records, sweep, wall = future.result(
-                timeout=self.config.worker_timeout_seconds)
+                timeout=TASK_TIMEOUT_SECONDS)
         except (FutureTimeoutError, CancelledError, BrokenExecutor):
             self._kill_pool()
             stats.retries += 1
@@ -454,25 +467,22 @@ class ParallelOracle(BudgetedOracle):
         """
         results: dict[int, tuple[VariantRecord, Optional[float]]] = {}
         synthesized: set[int] = set()
-        max_attempts = 1 + max(0, self.config.worker_retries)
         pending = [(a, vid, 0) for a, vid in tasks]
 
-        breaker = max(1, self.config.pool_breaker_threshold)
         pool_deaths = 0   # consecutive rounds: pool died, nothing finished
         while pending:
             # Between retry rounds: back off before re-attempting failed
             # work, and honour a pending graceful-shutdown request
             # (everything journaled so far survives for the resume).
             self._check_interrupt()
-            if pool_deaths >= breaker:
+            if pool_deaths >= BREAKER_DEAD_ROUNDS:
                 self._trip_breaker(pending, results, synthesized, stats,
                                    pool_deaths)
                 break
             retry_round = max((att for _, _, att in pending), default=0)
-            if retry_round > 0 and self.config.retry_backoff_seconds > 0:
-                delay = min(
-                    self.config.retry_backoff_seconds * 2 ** (retry_round - 1),
-                    self.config.retry_backoff_max_seconds)
+            if retry_round > 0:
+                delay = min(BACKOFF_SECONDS * 2 ** (retry_round - 1),
+                            BACKOFF_MAX_SECONDS)
                 stats.backoff_seconds += delay
                 self.bus.emit(WorkerBackoff(
                     batch_index=len(self.telemetry),
@@ -515,7 +525,7 @@ class ParallelOracle(BudgetedOracle):
                     continue
                 try:
                     results[vid] = fut.result(
-                        timeout=self.config.worker_timeout_seconds)
+                        timeout=TASK_TIMEOUT_SECONDS)
                     stats.completed += 1
                 except FutureTimeoutError:
                     self._kill_pool()
@@ -523,7 +533,7 @@ class ParallelOracle(BudgetedOracle):
                     self._record_failure(
                         a, vid, attempts, Outcome.TIMEOUT,
                         "worker exceeded the hard per-variant timeout",
-                        pending, results, synthesized, stats, max_attempts)
+                        pending, results, synthesized, stats)
                 except CancelledError:
                     # The executor cancelled this future because a
                     # sibling broke the pool (the BrokenExecutor may
@@ -539,7 +549,7 @@ class ParallelOracle(BudgetedOracle):
                     self._record_failure(
                         a, vid, attempts, Outcome.RUNTIME_ERROR,
                         "worker process crashed",
-                        pending, results, synthesized, stats, max_attempts)
+                        pending, results, synthesized, stats)
                 except Exception as exc:
                     # The worker function raised (pool still healthy):
                     # an error the worker-side evaluator could not
@@ -547,7 +557,7 @@ class ParallelOracle(BudgetedOracle):
                     self._record_failure(
                         a, vid, attempts, Outcome.RUNTIME_ERROR,
                         f"worker raised {type(exc).__name__}: {exc}",
-                        pending, results, synthesized, stats, max_attempts)
+                        pending, results, synthesized, stats)
             if pool_down and stats.completed == completed_before:
                 pool_deaths += 1
             else:
@@ -555,11 +565,10 @@ class ParallelOracle(BudgetedOracle):
         return results, synthesized
 
     def _record_failure(self, assignment, vid, attempts, outcome, reason,
-                        pending, results, synthesized, stats,
-                        max_attempts) -> None:
+                        pending, results, synthesized, stats) -> None:
         attempts += 1
         self._attempt_outcomes.setdefault(vid, []).append(outcome.name)
-        if attempts < max_attempts:
+        if attempts <= TASK_RETRIES:
             stats.retries += 1
             self.bus.emit(WorkerRetry(
                 batch_index=len(self.telemetry), variant_id=vid,
@@ -568,8 +577,7 @@ class ParallelOracle(BudgetedOracle):
             return
         stats.failures += 1
         synthesized.add(vid)
-        if (self.config.quarantine and attempts >= 2
-                and len(set(self._attempt_outcomes[vid])) == 1):
+        if attempts >= 2 and len(set(self._attempt_outcomes[vid])) == 1:
             # Deterministic poison: every attempt failed the same way.
             # One failure could be transient; identical repeats mean the
             # variant itself is the trigger, so record a permanent typed

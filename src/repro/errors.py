@@ -123,9 +123,10 @@ class ConfigSchemaError(CampaignError):
 
     Raised on unknown keys (a silently ignored knob is how override
     bugs hide), runtime-only fields (``chaos``/``subscribers`` never
-    travel over the wire), values of the wrong type, and payloads
-    written by a *newer* schema version than this build understands.
-    Older versions load fine: absent fields take their pinned defaults,
+    travel over the wire), values of the wrong type, payloads written
+    by a *newer* schema version than this build understands, and a
+    field v2 retired set to other than its v1 default.  Older versions
+    load fine otherwise: absent fields take their pinned defaults,
     which is what lets old job files replay after upgrades.
     """
 

@@ -434,7 +434,7 @@ class TestExecutorChoice:
         model = FunarcCase(n=60)
         oracle = BudgetedOracle(
             evaluator=Evaluator(model, backend="batched"),
-            config=CampaignConfig())
+            config=CampaignConfig(backend="batched"))
         variants = _variants(model.space, MIN_SWEEP_LANES + 2)
         oracle.evaluate_batch(variants[:MIN_SWEEP_LANES])
         oracle.evaluate_batch(variants[MIN_SWEEP_LANES:][:1])
@@ -450,7 +450,8 @@ class TestExecutorChoice:
         model = FunarcCase(n=60)
         evaluator = Evaluator(model, backend="batched")
         flag = InterruptFlag()
-        oracle = BudgetedOracle(evaluator=evaluator, config=CampaignConfig(),
+        oracle = BudgetedOracle(evaluator=evaluator,
+                                config=CampaignConfig(backend="batched"),
                                 interrupt=flag)
         evaluate = evaluator.evaluate_assigned
 
@@ -469,7 +470,7 @@ class TestExecutorChoice:
         model = _NanStoreCase()
         oracle = BudgetedOracle(
             evaluator=Evaluator(model, backend="batched"),
-            config=CampaignConfig(), tracer=Tracer(tmp_path))
+            config=CampaignConfig(backend="batched"), tracer=Tracer(tmp_path))
         # One lane lowers ``t`` and stores a NaN; the rest keep it
         # double and stay vectorized.
         t = ("ns::kernel::t",)

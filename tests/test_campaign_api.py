@@ -11,7 +11,9 @@ import dataclasses
 
 import pytest
 
-from repro.core import CampaignConfig, DeltaDebugSearch, run_campaign
+from repro.core import (CampaignConfig, DeltaDebugSearch, Evaluator,
+                        ParallelOracle, RandomSearch, run_campaign)
+from repro.errors import CampaignError
 from repro.models import FunarcCase
 
 
@@ -63,3 +65,43 @@ class TestCollaborators:
         # run_campaign(model) alone must keep working (None config).
         result = run_campaign(_funarc())
         assert result.search.finished
+
+
+class TestInjectedEvaluator:
+    """An injected evaluator must agree with the config on the seed,
+    the timeout factor and the backend; it used to win silently."""
+
+    @pytest.mark.parametrize("field,config_kw,evaluator_kw,held,wanted", [
+        ("seed", dict(seed=7), {}, 2024, 7),
+        ("seed", {}, dict(seed=7), 7, 2024),
+        ("timeout_factor", dict(timeout_factor=2.0), {}, 3.0, 2.0),
+        ("backend", dict(backend="batched"), {}, "'compiled'", "'batched'"),
+    ], ids=["config-seed", "evaluator-seed", "timeout_factor", "backend"])
+    def test_contradicting_evaluator_refused(self, field, config_kw,
+                                             evaluator_kw, held, wanted):
+        case = FunarcCase(n=150)
+        config = _config(max_evaluations=16, **config_kw)
+        match = (f"evaluator's {field} is {held} but the campaign "
+                 f"config's {field} is {wanted}")
+        with pytest.raises(CampaignError, match=match):
+            run_campaign(case, config,
+                         algorithm=RandomSearch(samples=16, batch_size=16,
+                                                seed=5),
+                         evaluator=Evaluator(case, **evaluator_kw))
+        with pytest.raises(CampaignError, match=match):
+            ParallelOracle.for_model(case, config.overriding(workers=2),
+                                     evaluator=Evaluator(case,
+                                                         **evaluator_kw))
+
+    def test_matching_evaluator_gives_the_config_s_bytes(self):
+        case = FunarcCase(n=150)
+        config = _config(max_evaluations=16, backend="batched", seed=7)
+
+        def search():
+            return RandomSearch(samples=16, batch_size=16, seed=5)
+
+        injected = run_campaign(case, config, algorithm=search(),
+                                evaluator=Evaluator.for_config(case, config))
+        assert [t.vector_lanes for t in injected.oracle.telemetry] == [16]
+        assert injected.to_json() == run_campaign(
+            FunarcCase(n=150), config, algorithm=search()).to_json()

@@ -199,7 +199,7 @@ class TestPoisonQuarantine:
         assert record.outcome is Outcome.RUNTIME_ERROR
         assert "deterministic poison variant" in record.note
         assert [e.variant_id for e in seen] == [poison_vid]
-        assert seen[0].attempts == 3        # 1 + worker_retries
+        assert seen[0].attempts == 3        # 1 + parallel.TASK_RETRIES
 
         # The quarantine is journaled as its own typed entry …
         state = JournalState.load(journal_dir)

@@ -6,8 +6,11 @@ cannot cross the process boundary, so the fault travels with the
 worker spec.  An irrecoverable infrastructure failure must downgrade
 the variant — ``RUNTIME_ERROR`` for a crash, ``TIMEOUT`` for a hang —
 never kill the campaign, and never pollute the persistent cache.  The
-downgrade tests set ``quarantine=False``: they pin the transient
-downgrade, not the poison-variant quarantine (tests/test_chaos.py).
+downgrade tests give a variant one attempt (``TASK_RETRIES`` 0): they
+pin the transient downgrade, while a failure repeated the same way on
+every attempt quarantines the variant (tests/test_chaos_matrix.py).
+The pool's policy is module constants of :mod:`repro.core.parallel`,
+patched here where a test needs a short timeout or fewer attempts.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pytest
 
 from repro.chaos import FaultPlan, WorkerFault
 from repro.core import (CampaignConfig, Evaluator, Outcome, ParallelOracle,
-                        ResultCache)
+                        ResultCache, parallel)
 from repro.core.results import record_to_dict
 from repro.models import FunarcCase
 
@@ -26,22 +29,19 @@ def _faults(*faults) -> FaultPlan:
     return FaultPlan(worker_faults=tuple(WorkerFault(*f) for f in faults))
 
 
-def _make_oracle(plan, cache=None, retries=1, timeout_seconds=15.0):
+def _make_oracle(plan, cache=None):
     case = FunarcCase(n=150)
     config = CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600,
-                            workers=2,
-                            worker_timeout_seconds=timeout_seconds,
-                            worker_retries=retries,
-                            quarantine=False, chaos=plan)
+                            workers=2, chaos=plan)
     oracle = ParallelOracle.for_model(case, config=config, cache=cache)
     return case, oracle
 
 
-def test_worker_crash_downgrades_batch(tmp_path):
+def test_worker_crash_downgrades_batch(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "TASK_RETRIES", 0)
     cache = ResultCache(tmp_path, "fault-test-context")
     case, oracle = _make_oracle(
-        _faults((0, "crash", False), (1, "crash", False)),
-        cache=cache, retries=1)
+        _faults((0, "crash", False), (1, "crash", False)), cache=cache)
     try:
         records = oracle.evaluate_batch([case.space.baseline(),
                                          case.space.all_single()])
@@ -50,23 +50,25 @@ def test_worker_crash_downgrades_batch(tmp_path):
 
     assert len(records) == 2
     assert all(r.outcome is Outcome.RUNTIME_ERROR for r in records)
-    assert all("worker process crashed (2 attempts)" in r.note
+    assert all(r.note == "worker process crashed (1 attempts)"
                for r in records)
 
     batch = oracle.telemetry[0]
     assert batch.dispatched == 2
     assert batch.completed == 0
     assert batch.failures == 2
-    # Bounded retries: each variant re-attempted exactly once.
-    assert batch.retries == 2
+    # One attempt each: nothing retried, nothing quarantined.
+    assert batch.retries == 0
+    assert batch.quarantined == 0
     # Synthesized failure records never reach the persistent cache.
     assert len(cache) == 0
     assert len(ResultCache(tmp_path, "fault-test-context")) == 0
 
 
-def test_worker_hang_times_out(tmp_path):
-    case, oracle = _make_oracle(_faults((0, "hang", False)), retries=0,
-                                timeout_seconds=1.5)
+def test_worker_hang_times_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "TASK_RETRIES", 0)
+    monkeypatch.setattr(parallel, "TASK_TIMEOUT_SECONDS", 1.5)
+    case, oracle = _make_oracle(_faults((0, "hang", False)))
     try:
         records = oracle.evaluate_batch([case.space.all_single()])
     finally:
@@ -77,10 +79,12 @@ def test_worker_hang_times_out(tmp_path):
     assert "hard per-variant timeout" in record.note
     batch = oracle.telemetry[0]
     assert batch.retries == 0 and batch.failures == 1
+    assert batch.quarantined == 0
 
 
-def test_worker_exception_downgrades(tmp_path):
-    case, oracle = _make_oracle(_faults((0, "raise", False)), retries=1)
+def test_worker_exception_downgrades(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "TASK_RETRIES", 0)
+    case, oracle = _make_oracle(_faults((0, "raise", False)))
     try:
         records = oracle.evaluate_batch([case.space.all_single()])
     finally:
@@ -88,13 +92,15 @@ def test_worker_exception_downgrades(tmp_path):
 
     (record,) = records
     assert record.outcome is Outcome.RUNTIME_ERROR
-    assert "RuntimeError: chaos fault armed for variant 0" in record.note
+    assert record.note == ("worker raised RuntimeError: chaos fault armed "
+                           "for variant 0 (1 attempts)")
     batch = oracle.telemetry[0]
-    assert batch.retries == 1 and batch.failures == 1
+    assert batch.retries == 0 and batch.failures == 1
+    assert batch.quarantined == 0
 
 
 def test_transient_crash_recovers_bit_identically(tmp_path):
-    case, oracle = _make_oracle(_faults((0, "crash", True)), retries=1)
+    case, oracle = _make_oracle(_faults((0, "crash", True)))
     assignment = case.space.all_single()
     try:
         records = oracle.evaluate_batch([assignment])
@@ -127,8 +133,7 @@ def test_campaign_survives_transient_crash(tmp_path):
         _case(), CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600))
 
     config = CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600,
-                            workers=2, worker_retries=1,
-                            chaos=_faults((0, "crash", True)))
+                            workers=2, chaos=_faults((0, "crash", True)))
     faulty = ParallelOracle.for_model(_case(), config=config)
     try:
         search = DeltaDebugSearch(min_speedup=config.min_speedup).run(
@@ -143,7 +148,7 @@ def test_campaign_survives_transient_crash(tmp_path):
     assert sum(b.failures for b in faulty.telemetry) == 0
 
 
-def _swept_wave_campaign(backend, fault, timeout_seconds):
+def _swept_wave_campaign(backend, fault):
     """A funarc RandomSearch wave of 16 fresh variants on two workers
     (under ``batched``, wide enough to sweep on the pool), with one
     worker fault."""
@@ -151,7 +156,6 @@ def _swept_wave_campaign(backend, fault, timeout_seconds):
 
     config = CampaignConfig(nodes=20, wall_budget_seconds=12 * 3600,
                             workers=2, backend=backend,
-                            worker_timeout_seconds=timeout_seconds,
                             chaos=_faults(fault))
     return run_campaign(FunarcCase(n=150), config,
                         algorithm=RandomSearch(samples=16, batch_size=16,
@@ -175,9 +179,11 @@ class TestSweptWaveFaults:
         ((0, "raise", True), 15.0),
         ((0, "hang", True), 2.0),
     ], ids=["crash-once", "crash-poison", "raise-once", "hang-once"])
-    def test_same_bytes_as_the_compiled_pool(self, fault, timeout_seconds):
-        compiled = _swept_wave_campaign("compiled", fault, timeout_seconds)
-        batched = _swept_wave_campaign("batched", fault, timeout_seconds)
+    def test_same_bytes_as_the_compiled_pool(self, fault, timeout_seconds,
+                                             monkeypatch):
+        monkeypatch.setattr(parallel, "TASK_TIMEOUT_SECONDS", timeout_seconds)
+        compiled = _swept_wave_campaign("compiled", fault)
+        batched = _swept_wave_campaign("batched", fault)
         assert batched.to_json() == compiled.to_json()
 
         (wave,) = batched.oracle.telemetry

@@ -2,8 +2,10 @@
 
 These digests pin the exact bytes of funarc's campaign result across
 every execution configuration the engine claims is equivalent: compiled
-vs batched backend, serial vs 4-worker parallel.  They also pin
-the numerical profile of each of the four models.  Future backend work (new lowering rules, cache
+vs batched backend, serial vs 4-worker parallel, and a 16-variant wave
+that the batched backend sweeps in process and on the worker pool.
+They also pin the numerical profile of each of the four models.
+Future backend work (new lowering rules, cache
 changes, charge reordering) that drifts **any** byte of the
 deterministic artifacts fails here before it can silently invalidate
 cached results, journals, or published experiment numbers.
@@ -20,7 +22,8 @@ import hashlib
 
 import pytest
 
-from repro.core import CampaignConfig, run_campaign
+from repro.core import (CampaignConfig, ParallelOracle, RandomSearch,
+                        run_campaign)
 from repro.models import AdcircCase, FunarcCase, Mom6Case, MpasCase
 from repro.numerics import profile_model
 
@@ -62,6 +65,39 @@ def test_campaign_json_bytes_pinned(backend, workers):
         # hold at most 8 fresh variants, below the pool's sweep width
         # of MIN_SWEEP_LANES per worker.)
         assert sum(t.vector_lanes for t in result.oracle.telemetry) > 0
+
+
+#: sha256 of ``CampaignResult.to_json()`` for ``FunarcCase(n=150)``
+#: under ``RandomSearch(samples=16, batch_size=16, seed=5)``: one wave
+#: of 16 fresh variants, wide enough for the batched backend to sweep it
+#: in process and, on two workers, as one pool task.  funarc has a
+#: single hotspot procedure, so ``PYTHONHASHSEED`` cannot move it.
+GOLDEN_SWEPT_WAVE_SHA256 = (
+    "0efe6140be00274ffec0b44ab4a875f95fa62dce852b59f2623a5eeafc76803e")
+
+_SWEPT_CONFIGS = [("compiled", 1), ("batched", 1), ("compiled", 2),
+                  ("batched", 2)]
+
+
+@pytest.mark.parametrize("backend,workers", _SWEPT_CONFIGS,
+                         ids=[f"{b}-w{w}" for b, w in _SWEPT_CONFIGS])
+def test_swept_wave_bytes_pinned(backend, workers):
+    result = run_campaign(
+        _case(), CampaignConfig(backend=backend, workers=workers),
+        algorithm=RandomSearch(samples=16, batch_size=16, seed=5))
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    assert digest == GOLDEN_SWEPT_WAVE_SHA256, (
+        f"CampaignResult.to_json() drifted under backend={backend} "
+        f"workers={workers} (sha256 {digest}).  If intentional, "
+        f"recompute: hashlib.sha256(run_campaign(FunarcCase(n=150), "
+        f"CampaignConfig(), algorithm=RandomSearch(samples=16, "
+        f"batch_size=16, seed=5)).to_json().encode()).hexdigest()")
+    # Each cell must run the path it names: the batched cells sweep the
+    # whole wave, on two workers as one pool task (a ParallelOracle
+    # sweeps nowhere else), and the compiled cells never sweep.
+    assert isinstance(result.oracle, ParallelOracle) == (workers > 1)
+    lanes = [t.vector_lanes for t in result.oracle.telemetry]
+    assert lanes == ([16] if backend == "batched" else [0])
 
 
 #: The pinned ``NumericalProfile.digest()`` of each model: funarc's case

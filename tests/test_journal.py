@@ -22,7 +22,7 @@ import pytest
 
 from repro.chaos import FaultPlan, WorkerFault
 from repro.core import (CampaignConfig, DeltaDebugSearch, Outcome,
-                        ParallelOracle, RandomSearch, run_campaign)
+                        ParallelOracle, RandomSearch, parallel, run_campaign)
 from repro.core.journal import CampaignJournal, JournalState, journal_header
 from repro.errors import CampaignError, JournalError
 from repro.models import FunarcCase, MpasCase
@@ -386,6 +386,23 @@ class TestJournalArtifacts:
         assert snapshot["phase"] == "final"
         assert not (journal_dir / "snapshot.json.tmp").exists()
 
+    def test_every_search_snapshot_is_written(self, tmp_path, monkeypatch):
+        # The journal writes each state the search hands it (one per
+        # ddmin round, then the final one), through the class's own
+        # method, so a wrapper on the class sees them all.
+        phases = []
+        write = CampaignJournal.snapshot
+
+        def spy(journal, state):
+            phases.append(state["phase"])
+            write(journal, state)
+
+        monkeypatch.setattr(CampaignJournal, "snapshot", spy)
+        result = run_campaign(_funarc(), _config(
+            journal_dir=str(tmp_path / "journal")))
+        assert result.search.batches == 6
+        assert phases == ["search"] * 3 + ["final"]
+
     def test_unreadable_snapshot_is_advisory(self, tmp_path):
         journal_dir = tmp_path / "journal"
         with pytest.raises(Boom):
@@ -497,13 +514,11 @@ _POISON_CRASH = FaultPlan(worker_faults=(WorkerFault(0, "crash",
 
 
 class TestRetryBackoff:
-    def test_exponential_backoff_between_retry_rounds(self):
+    def test_exponential_backoff_between_retry_rounds(self, monkeypatch):
+        monkeypatch.setattr(parallel, "BACKOFF_SECONDS", 0.05)
+        monkeypatch.setattr(parallel, "BACKOFF_MAX_SECONDS", 0.08)
         case = FunarcCase(n=150)
-        config = _config(workers=2, worker_retries=2,
-                         worker_timeout_seconds=15.0,
-                         retry_backoff_seconds=0.05,
-                         retry_backoff_max_seconds=0.08,
-                         quarantine=False, chaos=_POISON_CRASH)
+        config = _config(workers=2, chaos=_POISON_CRASH)
         oracle = ParallelOracle.for_model(case, config=config)
         try:
             oracle.evaluate_batch([case.space.all_single()])
@@ -514,12 +529,12 @@ class TestRetryBackoff:
         # Jitterless: round 1 waits base, round 2 waits min(2*base, cap).
         assert batch.backoff_seconds == pytest.approx(0.05 + 0.08)
 
-    def test_backoff_disabled(self):
+    def test_backoff_disabled(self, monkeypatch):
+        # The policy is read where it is used, so a patched constant
+        # takes effect in the next batch.
+        monkeypatch.setattr(parallel, "BACKOFF_SECONDS", 0.0)
         case = FunarcCase(n=150)
-        config = _config(workers=2, worker_retries=1,
-                         worker_timeout_seconds=15.0,
-                         retry_backoff_seconds=0.0,
-                         quarantine=False, chaos=_POISON_CRASH)
+        config = _config(workers=2, chaos=_POISON_CRASH)
         oracle = ParallelOracle.for_model(case, config=config)
         try:
             oracle.evaluate_batch([case.space.all_single()])
@@ -533,15 +548,15 @@ class TestRetryBackoff:
         assert sum(b.backoff_seconds
                    for b in funarc_baseline.oracle.telemetry) == 0.0
 
-    def test_synthesized_failures_not_journaled(self, tmp_path):
+    def test_synthesized_failures_not_journaled(self, tmp_path,
+                                                monkeypatch):
         # An irrecoverable worker failure is downgraded for *this*
         # allocation but never journaled: the resumed campaign gets a
         # fresh chance to evaluate the variant on healthy hardware.
+        # One attempt, so the failure is transient, not a quarantine.
+        monkeypatch.setattr(parallel, "TASK_RETRIES", 0)
         case = FunarcCase(n=150)
-        config = _config(workers=2, worker_retries=0,
-                         worker_timeout_seconds=15.0,
-                         retry_backoff_seconds=0.0,
-                         quarantine=False, chaos=_POISON_CRASH)
+        config = _config(workers=2, chaos=_POISON_CRASH)
         oracle = ParallelOracle.for_model(case, config=config)
         header = journal_header(oracle.evaluator, case.space,
                                 DeltaDebugSearch(), config)
@@ -556,6 +571,7 @@ class TestRetryBackoff:
 
         state = JournalState.load(tmp_path / "journal")
         assert state.records == {}          # no synthesized variant record
+        assert state.quarantined == {}
         assert state.completed_batches == 1  # but the batch is committed
 
     def test_pool_shut_down_on_interrupt(self):

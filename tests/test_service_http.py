@@ -96,6 +96,25 @@ class TestHttp:
         job = endpoint.job(resp["job_id"])
         assert job["state"] == "done"
 
+    def test_cli_watch_prints_batch_telemetry(self, endpoint, capsys):
+        from repro.cli import main
+
+        resp = endpoint.submit(_spec())
+        assert main(["watch", resp["job_id"], "--port", str(endpoint.port),
+                     "--timeout", "60"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        batches = [line for line in lines
+                   if line.startswith("BatchCompleted: ")]
+        assert len(batches) == 6        # funarc's ddmin campaign
+        # Each batch's telemetry, flattened to dotted scalar fields.
+        assert batches[0].startswith("BatchCompleted: "
+                                     "telemetry.backoff_seconds=0.0, ")
+        for field in ("batch_index", "dispatched", "cache_hits",
+                      "retries", "failures", "stored_runs",
+                      "wall_seconds", "stage_sim.run"):
+            assert all(f"telemetry.{field}=" in line for line in batches)
+        assert "telemetry.batch_index=5," in batches[-1]
+
     def test_duplicate_submission_attaches(self, endpoint):
         first = endpoint.submit(_spec())
         second = endpoint.submit(_spec())

@@ -282,7 +282,7 @@ class TestOracleAroundTheStore:
         warm = Evaluator(case, runs=store)
         for assignment in batch:
             warm.run(assignment)
-        config = CampaignConfig(workers=2, worker_retries=1,
+        config = CampaignConfig(workers=2,
                                 chaos=FaultPlan(worker_faults=(
                                     WorkerFault(0, "raise", True),)))
         oracle = ParallelOracle.for_model(
